@@ -329,6 +329,7 @@ void World::finish_live() {
 }
 
 void World::run(const std::function<void(Communicator&)>& fn) {
+  rendezvous_.reset();
   // Distinguish the originating failure from the secondary "poisoned"
   // unwinds of peers blocked in collectives, so the caller sees the cause.
   std::vector<std::exception_ptr> primary(static_cast<std::size_t>(nranks_));
@@ -437,10 +438,12 @@ Communicator::Communicator(World* world,
                            int grank, std::uint32_t comm_id)
     : world_(world), group_(std::move(group)), grank_(grank), comm_id_(comm_id) {}
 
-std::uint64_t Communicator::next_tag() {
-  const std::uint64_t s = (seq_++) & 0x7FFFFFFFULL;
-  return (static_cast<std::uint64_t>(comm_id_) << 32) | (s << 1);
+std::uint64_t Communicator::collective_tag(std::uint64_t seq) const {
+  return (static_cast<std::uint64_t>(comm_id_) << 32) |
+         ((seq & 0x7FFFFFFFULL) << 1);
 }
+
+std::uint64_t Communicator::next_tag() { return collective_tag(seq_++); }
 
 std::uint64_t Communicator::user_tag(std::uint64_t tag) const {
   return (static_cast<std::uint64_t>(comm_id_) << 32) |
@@ -460,6 +463,10 @@ void Communicator::send_msg(int dst_grank, std::uint64_t tag, const float* data,
 void Communicator::send_msg(int dst_grank, std::uint64_t tag,
                             PayloadPtr payload,
                             std::int64_t wire_bytes) {
+  if (record_ != nullptr) {
+    record_->push_back(WireOp{wire_bytes, dst_grank, /*send=*/true});
+    return;
+  }
   const int src_w = world_rank();
   const int dst_w = world_rank_of(dst_grank);
   fault::Injector* inj = world_->fault_injector();
@@ -538,6 +545,10 @@ void Communicator::recycle(PayloadPtr payload) {
 }
 
 Message Communicator::recv_msg(int src_grank, std::uint64_t tag) {
+  if (record_ != nullptr) {
+    record_->push_back(WireOp{0, src_grank, /*send=*/false});
+    return Message{};
+  }
   fault::Injector* inj = world_->fault_injector();
   if (inj != nullptr) inj->tick(world_rank(), clock().now());
   Message m = world_->mailbox(world_rank()).pop(world_rank_of(src_grank), tag);
@@ -566,6 +577,29 @@ Message Communicator::recv_msg(int src_grank, std::uint64_t tag) {
     live->on_recv(world_rank(), before, clock().now());
   }
   return m;
+}
+
+template <class Impl>
+void Communicator::phantom_collective(Impl&& impl) {
+  if (size() == 1 || !world_->per_collective_phantoms()) {
+    impl();
+    return;
+  }
+  const std::uint64_t tag = collective_tag(seq_);  // the tag impl will draw
+  Rendezvous& rdv = world_->rendezvous();
+  std::vector<WireOp>& ops = rdv.recorder(world_rank());
+  ops.clear();
+  record_ = &ops;
+  try {
+    impl();
+  } catch (...) {  // impl's argument checks may throw
+    record_ = nullptr;
+    throw;
+  }
+  record_ = nullptr;
+  if (rdv.arrive(group(), grank_, tag, ops)) {
+    (void)world_->mailbox(world_rank()).pop(world_rank(), tag);
+  }
 }
 
 // ---- Group construction ----------------------------------------------------
@@ -771,7 +805,7 @@ void Communicator::broadcast(std::span<float> data, int root) {
 }
 
 void Communicator::phantom_broadcast(int root, std::int64_t bytes) {
-  broadcast_impl(nullptr, 0, bytes, root);
+  phantom_collective([&] { broadcast_impl(nullptr, 0, bytes, root); });
 }
 
 void Communicator::reduce_impl(float* data, std::int64_t count,
@@ -870,7 +904,8 @@ void Communicator::reduce(std::span<float> data, int root, ReduceOp op) {
 }
 
 void Communicator::phantom_reduce(int root, std::int64_t bytes) {
-  reduce_impl(nullptr, 0, bytes, root, ReduceOp::Sum);
+  phantom_collective(
+      [&] { reduce_impl(nullptr, 0, bytes, root, ReduceOp::Sum); });
 }
 
 void Communicator::all_reduce_impl(float* data, std::int64_t count,
@@ -947,7 +982,7 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op) {
 }
 
 void Communicator::phantom_all_reduce(std::int64_t bytes) {
-  all_reduce_impl(nullptr, 0, bytes, ReduceOp::Sum);
+  phantom_collective([&] { all_reduce_impl(nullptr, 0, bytes, ReduceOp::Sum); });
 }
 
 void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
@@ -1055,7 +1090,8 @@ void Communicator::all_gather(std::span<const float> local,
 }
 
 void Communicator::phantom_all_gather(std::int64_t bytes_per_rank) {
-  all_gather_impl(nullptr, nullptr, 0, bytes_per_rank);
+  phantom_collective(
+      [&] { all_gather_impl(nullptr, nullptr, 0, bytes_per_rank); });
 }
 
 void Communicator::reduce_scatter_impl(const float* data, float* out,
@@ -1128,7 +1164,9 @@ void Communicator::reduce_scatter(std::span<const float> data,
 }
 
 void Communicator::phantom_reduce_scatter(std::int64_t total_bytes) {
-  reduce_scatter_impl(nullptr, nullptr, 0, total_bytes, ReduceOp::Sum);
+  phantom_collective([&] {
+    reduce_scatter_impl(nullptr, nullptr, 0, total_bytes, ReduceOp::Sum);
+  });
 }
 
 void Communicator::gather(std::span<const float> local, std::span<float> out,

@@ -8,11 +8,13 @@
 // counters and the emergent simulated time have the same structure as a real
 // NCCL schedule on the paper's testbed.
 //
-// Every collective also has a *phantom* twin that sends the identical
-// message pattern with empty payloads while charging a declared byte count.
-// The benchmark harness uses phantoms to replay paper-scale (h = 3072...8192)
-// schedules exactly — same trees, same rings, same per-link alpha-beta costs —
-// without allocating paper-scale tensors.
+// Every collective also has a *phantom* twin that charges a declared byte
+// count without moving data: the same wire schedule and counters — same
+// trees, same rings, same per-link alpha-beta costs — simulated per
+// collective (comm/rendezvous.hpp) unless the run is traced, metered, live
+// or faulted, in which case the empty messages cross the mailboxes. The
+// benchmark harness uses phantoms to replay paper-scale (h = 3072...8192)
+// schedules exactly without allocating paper-scale tensors.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 
 #include "comm/buffer_pool.hpp"
 #include "comm/mailbox.hpp"
+#include "comm/rendezvous.hpp"
 #include "comm/stats.hpp"
 #include "obs/live.hpp"
 #include "obs/metrics.hpp"
@@ -212,6 +215,17 @@ class World {
   /// stays readable (ring, drift events) afterwards.
   void finish_live();
 
+  // ---- Phantom collectives ------------------------------------------------
+
+  /// True when phantom collectives may be simulated per collective: nothing
+  /// observes individual messages (no tracing, metrics, live sampler or
+  /// fault injector). Otherwise they take the message path.
+  bool per_collective_phantoms() const {
+    return !tracing_ && !metrics_enabled_ && live_ == nullptr &&
+           injector_ == nullptr;
+  }
+  Rendezvous& rendezvous() { return rendezvous_; }
+
   /// Runs fn on every rank via the SPMD cluster; if a rank throws, the world
   /// is poisoned so peers blocked in collectives unwind, and the original
   /// exception is rethrown.
@@ -233,6 +247,7 @@ class World {
   obs::Registry metrics_;
   std::unique_ptr<fault::Injector> injector_;
   std::unique_ptr<obs::LiveSampler> live_;
+  Rendezvous rendezvous_{*this};
 };
 
 /// A rank's handle on an ordered process group.
@@ -324,7 +339,9 @@ class Communicator {
   }
 
   // ---- Phantom collectives (timing + stats only) ---------------------------
-  // Identical message patterns with empty payloads and declared byte counts.
+  // The real collectives' wire schedules with declared byte counts and no
+  // payload. Simulated per collective when World::per_collective_phantoms();
+  // clocks and CommStats are bit-identical to the message path either way.
 
   void phantom_broadcast(int root, std::int64_t bytes);
   void phantom_reduce(int root, std::int64_t bytes);
@@ -339,8 +356,16 @@ class Communicator {
   Communicator(World* world, std::shared_ptr<const std::vector<int>> group,
                int grank, std::uint32_t comm_id);
 
+  std::uint64_t collective_tag(std::uint64_t seq) const;
   std::uint64_t next_tag();
   std::uint64_t user_tag(std::uint64_t tag) const;
+
+  // Runs a phantom collective's *_impl. Per collective when the World allows
+  // it: the impl runs in record mode, then the member meets its group in the
+  // World's Rendezvous and, unless it arrived last or receives nothing,
+  // waits on its mailbox until the last member has replayed the schedule.
+  template <class Impl>
+  void phantom_collective(Impl&& impl);
 
   // Records [construction, destruction) of the enclosing collective as a
   // span on this rank's simulated timeline when tracing is enabled, and a
@@ -402,6 +427,9 @@ class Communicator {
   int grank_ = 0;
   std::uint32_t comm_id_ = 0;
   std::uint64_t seq_ = 0;
+  // Non-null while phantom_collective records: send_msg / recv_msg append
+  // here instead of touching the mailbox.
+  std::vector<WireOp>* record_ = nullptr;
 };
 
 /// Accumulates src into dst according to op.

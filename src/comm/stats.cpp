@@ -14,8 +14,10 @@ void CommStats::record_msg(std::int64_t bytes, bool inter_node) {
   }
 }
 
-void CommStats::record_collective(const std::string& name, std::int64_t bytes) {
-  OpStats& op = collectives[name];
+void CommStats::record_collective(std::string_view name, std::int64_t bytes) {
+  auto it = collectives.find(name);
+  if (it == collectives.end()) it = collectives.emplace(name, OpStats{}).first;
+  OpStats& op = it->second;
   op.calls += 1;
   op.bytes += bytes;
 }

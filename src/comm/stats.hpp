@@ -9,8 +9,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
+#include <string_view>
 
 namespace tsr::comm {
 
@@ -27,10 +29,11 @@ struct CommStats {
   std::int64_t bytes_inter_node = 0;
 
   // Logical level, keyed by collective name ("broadcast", "all_reduce", ...).
-  std::map<std::string, OpStats> collectives;
+  // Transparent comparator: lookups by string_view build no std::string.
+  std::map<std::string, OpStats, std::less<>> collectives;
 
   void record_msg(std::int64_t bytes, bool inter_node);
-  void record_collective(const std::string& name, std::int64_t bytes);
+  void record_collective(std::string_view name, std::int64_t bytes);
   /// Accumulates `other` into this (for cluster-wide totals).
   void merge(const CommStats& other);
   void reset();

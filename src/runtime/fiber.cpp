@@ -1,7 +1,5 @@
 #include "runtime/fiber.hpp"
 
-#include <ucontext.h>
-
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -11,12 +9,108 @@
 #include <mutex>
 #include <stdexcept>
 
+#if defined(__linux__)
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
 #include "runtime/worker_pool.hpp"
+
+// ---- Context switch ---------------------------------------------------------
+// A suspended fiber is nothing but its stack pointer. tsr_fiber_switch pushes
+// the callee-saved state of the x86-64 SysV ABI — rbp, rbx, r12-r15, and the
+// MXCSR and x87 control words (rounding modes are per thread of control) —
+// onto the current stack, stores rsp to *from, loads `to`, and pops the same
+// frame off the other stack. Everything else is caller-saved, so the compiler
+// has already spilled it around the call. Fibers never touch the signal
+// mask, so unlike glibc swapcontext a switch makes no syscall.
+#if defined(__x86_64__)
+extern "C" __attribute__((visibility("hidden"))) void tsr_fiber_switch(
+    void** from, void* to);
+asm(R"(
+  .text
+  .p2align 4
+  .globl tsr_fiber_switch
+  .hidden tsr_fiber_switch
+  .type tsr_fiber_switch, @function
+tsr_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $16, %rsp
+  stmxcsr 8(%rsp)
+  fnstcw (%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  fldcw (%rsp)
+  ldmxcsr 8(%rsp)
+  addq $16, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size tsr_fiber_switch, .-tsr_fiber_switch
+)");
+#endif
 
 namespace tsr::rt {
 namespace {
 
-// ASan and TSan track stacks per OS thread; swapcontext moves the stack
+#if defined(__x86_64__)
+constexpr bool kSwitchAvailable = true;
+
+// Lays out a fresh stack so the first switch into it "returns" into
+// `entry`: the frame tsr_fiber_switch pops (control words copied from the
+// creating thread, zeroed registers — rbp = 0 ends frame-pointer walks),
+// then entry's address, then a null return address for entry itself. The
+// entry address sits 16-byte aligned, so entry starts with the ABI's
+// call-site alignment. Returns the stack pointer to switch to.
+void* prepare_stack(char* stack, std::size_t bytes, void (*entry)()) {
+  const auto top =
+      (reinterpret_cast<std::uintptr_t>(stack) + bytes) & ~std::uintptr_t{15};
+  auto* sp = reinterpret_cast<std::uint64_t*>(top - 80);
+  std::memset(sp, 0, 80);
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fcw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fcw));
+  sp[0] = fcw;
+  sp[1] = mxcsr;
+  sp[8] = reinterpret_cast<std::uintptr_t>(entry);
+  return sp;
+}
+
+// A process running with CET shadow stacks would fault on the switch's
+// cross-stack `ret`; such a process keeps to the thread backend.
+bool shadow_stack_active() {
+#if defined(__linux__)
+  static const bool active = [] {
+    unsigned long features = 0;
+    // ARCH_SHSTK_STATUS (Linux >= 6.6; older kernels reject the code).
+    return syscall(SYS_arch_prctl, 0x5005, &features) == 0 &&
+           (features & 1) != 0;
+  }();
+  return active;
+#else
+  return false;
+#endif
+}
+#else
+// No switch for this architecture: fibers_enabled() is false, so run_spmd
+// always takes the thread backend.
+constexpr bool kSwitchAvailable = false;
+void* prepare_stack(char*, std::size_t, void (*)()) { return nullptr; }
+bool shadow_stack_active() { return false; }
+void tsr_fiber_switch(void**, void*) { std::abort(); }
+#endif
+
+// ASan and TSan track stacks per OS thread; the fiber switch moves the stack
 // pointer without telling them and produces false positives or crashes, so
 // the fiber backend turns itself off under those sanitizers (run_spmd falls
 // back to one OS thread per rank).
@@ -57,7 +151,7 @@ std::size_t fiber_stack_bytes() {
 enum : int { kRunnable, kRunning, kBlocked, kWakePending, kDone };
 
 struct Fiber {
-  ucontext_t ctx;
+  void* sp = nullptr;  // saved stack pointer while suspended
   std::unique_ptr<char[]> stack;
   std::atomic<int> state{kRunnable};
   std::exception_ptr error;
@@ -66,7 +160,7 @@ struct Fiber {
 struct Worker {
   int id = 0;
   int first = 0, last = 0;  // contiguous rank shard [first, last)
-  ucontext_t sched_ctx;
+  void* sched_sp = nullptr;  // worker loop's stack pointer while a fiber runs
   std::mutex mu;
   std::condition_variable cv;
   std::atomic<bool> parked{false};
@@ -151,8 +245,8 @@ struct FiberScheduler::Impl {
     unpark_all();
   }
 
-  // makecontext entry: picks up scheduler and rank from thread-local state
-  // (makecontext only passes ints portably).
+  // Fiber entry (the first switch returns into it): picks up scheduler and
+  // rank from the thread-local state the worker set before switching.
   static void trampoline() {
     FiberScheduler* s = t_scheduler;
     Impl* im = s->impl_;
@@ -168,7 +262,7 @@ struct FiberScheduler::Impl {
     // Return to the worker loop; a Done fiber is never resumed, so the loop
     // guard below is unreachable in practice.
     while (true) {
-      swapcontext(&f.ctx, &t_worker->sched_ctx);
+      tsr_fiber_switch(&f.sp, t_worker->sched_sp);
     }
   }
 
@@ -198,7 +292,7 @@ struct FiberScheduler::Impl {
         ran = true;
         ++w.resumes;
         t_current_rank = r;
-        swapcontext(&w.sched_ctx, &f.ctx);
+        tsr_fiber_switch(&w.sched_sp, f.sp);
         t_current_rank = -1;
       }
       if (ran || live.load() == 0) continue;
@@ -239,7 +333,9 @@ struct FiberScheduler::Impl {
 FiberScheduler* current_scheduler() { return t_scheduler; }
 
 bool fibers_enabled() {
-  if (kSanitizerActive) return false;
+  if (!kSwitchAvailable || kSanitizerActive || shadow_stack_active()) {
+    return false;
+  }
   if (const char* env = std::getenv("TESSERACT_SPMD")) {
     if (std::strcmp(env, "threads") == 0) return false;
   }
@@ -281,16 +377,15 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& fn) {
 
   impl.fibers = std::make_unique<Fiber[]>(static_cast<std::size_t>(nranks));
   const std::size_t stack_bytes = fiber_stack_bytes();
+  if (!kSwitchAvailable) {
+    throw std::runtime_error("FiberScheduler: no fiber switch on this architecture");
+  }
   for (int r = 0; r < nranks; ++r) {
     Fiber& f = impl.fibers[r];
-    f.stack = std::make_unique<char[]>(stack_bytes);
-    if (getcontext(&f.ctx) != 0) {
-      throw std::runtime_error("FiberScheduler: getcontext failed");
-    }
-    f.ctx.uc_stack.ss_sp = f.stack.get();
-    f.ctx.uc_stack.ss_size = stack_bytes;
-    f.ctx.uc_link = nullptr;  // fibers swap back explicitly
-    makecontext(&f.ctx, &Impl::trampoline, 0);
+    // Uninitialized on purpose: a rank touches only the pages its frames
+    // reach, so zero-filling 1 MiB per rank per run would be pure overhead.
+    f.stack = std::make_unique_for_overwrite<char[]>(stack_bytes);
+    f.sp = prepare_stack(f.stack.get(), stack_bytes, &Impl::trampoline);
   }
   impl.workers = std::make_unique<Worker[]>(static_cast<std::size_t>(nworkers));
   // Shard bounds must be the exact inverse of worker_of (floor(r*W/N)):
@@ -332,7 +427,7 @@ void FiberScheduler::block_current() {
   Fiber& f = impl_->fibers[t_current_rank];
   int expected = kRunning;
   if (f.state.compare_exchange_strong(expected, kBlocked)) {
-    swapcontext(&f.ctx, &w.sched_ctx);
+    tsr_fiber_switch(&f.sp, w.sched_sp);
   } else {
     // A wake raced us while still Running: consume it and keep going (the
     // caller re-checks its wait condition).

@@ -5,16 +5,17 @@
 // one OS thread per rank (runtime/cluster.cpp) every such block is a futex
 // syscall plus a kernel context switch — on a small host that dominates the
 // real wall-clock of the paper-scale phantom replays. This scheduler runs
-// the ranks of one cluster as ucontext fibers spread over W worker threads
+// the ranks of one cluster as fibers spread over W worker threads
 // (W = TESSERACT_WORKERS, default: the hardware concurrency, clamped to the
 // rank count). Ranks are sharded statically and contiguously onto workers —
 // rank r always runs on worker r * W / nranks — so ring neighbours usually
 // share a worker, a fiber never migrates between OS threads, and each
 // worker drives its own shard with a deterministic round-robin. A rank that
-// would block yields in user space (~100ns) to the next runnable rank of
-// its shard; a Mailbox::push wakes the waiting rank through a lock-free
-// fiber state machine, unparking the target's worker only when it is
-// actually parked (no syscall on the common same-worker path).
+// would block yields in user space — a register-only stack switch with no
+// syscall (fiber.cpp) — to the next runnable rank of its shard; a
+// Mailbox::push wakes the waiting rank through a lock-free fiber state
+// machine, unparking the target's worker only when it is actually parked
+// (no syscall on the common same-worker path).
 //
 // Semantics are identical to the thread backend for code that follows the
 // SPMD contract (ranks interact only through mailboxes): the simulated
@@ -28,8 +29,11 @@
 //     failures reproducible.
 //
 // The backend is selected in rt::run_spmd: fibers by default, OS threads
-// when a sanitizer that tracks stacks is active (ASan/TSan need fiber-switch
-// annotations ucontext does not provide) or when TESSERACT_SPMD=threads.
+// when TESSERACT_SPMD=threads, when a sanitizer that tracks stacks is active
+// (ASan/TSan need fiber-switch annotations the switch does not provide), on
+// any architecture but x86-64 (the switch is x86-64 SysV assembly), and in
+// a process running with CET shadow stacks (the switch's cross-stack `ret`
+// would fault).
 #pragma once
 
 #include <cstdint>
@@ -45,8 +49,10 @@ class FiberScheduler;
 /// its blocking strategy.
 FiberScheduler* current_scheduler();
 
-/// True when run_spmd will use the fiber backend for multi-rank clusters.
-/// Evaluated per call (not cached) so tests can flip TESSERACT_SPMD.
+/// True when run_spmd will use the fiber backend for multi-rank clusters:
+/// x86-64, no stack-tracking sanitizer, no shadow stack, and TESSERACT_SPMD
+/// not "threads". Evaluated per call (not cached) so tests can flip
+/// TESSERACT_SPMD.
 bool fibers_enabled();
 
 /// Handle a blocked fiber leaves with its wait object so the waker can

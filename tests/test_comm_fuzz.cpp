@@ -5,7 +5,9 @@
 // concurrent groups) that fixed-size unit tests can miss.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <numeric>
+#include <tuple>
 
 #include "comm/communicator.hpp"
 #include "tensor/rng.hpp"
@@ -191,6 +193,104 @@ TEST_P(SubgroupFuzz, RowAndColumnIsolation) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SubgroupFuzz, ::testing::Range(0, 8));
 
+// Random phantom schedules, simulated per collective on a plain World and
+// message by message on a metered one (the oracle): every member's clock
+// after every call must agree bit for bit, and the wire counters exactly.
+// Draws cover ragged byte counts on both sides of the 64 KiB protocol
+// switch, random roots, node sizes, stragglers and concurrent row/column
+// subgroups.
+class PhantomFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
+  Rng rng(static_cast<std::uint64_t>(GetParam()), /*stream=*/0xFA57);
+  const int q = 2 + static_cast<int>(rng.next_below(3));  // 2..4
+  const int n = q * q;
+  const int per_node_choices[] = {1, 2, 4, 8};
+  topo::MachineSpec spec = topo::MachineSpec::meluxina();
+  spec.gpus_per_node = per_node_choices[rng.next_below(4)];
+  struct Op {
+    int kind;   // 0 bcast, 1 reduce, 2 all_reduce, 3 all_gather, 4 r_scatter
+    int group;  // 0 world, 1 row, 2 column
+    int root;
+    std::int64_t bytes;
+    double work;  // local seconds charged before the call
+  };
+  std::vector<Op> schedule;
+  for (int i = 0; i < 40; ++i) {
+    Op op;
+    op.kind = static_cast<int>(rng.next_below(5));
+    op.group = static_cast<int>(rng.next_below(3));
+    op.root = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q)));
+    op.bytes = static_cast<std::int64_t>(
+        rng.next_below(2) == 0 ? rng.next_below(70000)
+                               : rng.next_below(1 << 20));
+    op.work = 1e-6 * static_cast<double>(rng.next_below(20));
+    schedule.push_back(op);
+  }
+  std::vector<double> slowdown(static_cast<std::size_t>(n), 1.0);
+  slowdown[rng.next_below(static_cast<std::uint64_t>(n))] = 1.5;
+
+  auto run = [&](bool oracle) {
+    World world(n, spec);
+    if (oracle) world.enable_metrics();  // forces the message path
+    for (int r = 0; r < n; ++r) {
+      world.clock(r).set_slowdown(slowdown[static_cast<std::size_t>(r)]);
+    }
+    std::vector<std::vector<double>> clocks(static_cast<std::size_t>(n));
+    world.run([&](Communicator& c) {
+      const int i = c.rank() / q;
+      const int j = c.rank() % q;
+      std::vector<int> row_ranks, col_ranks;
+      for (int t = 0; t < q; ++t) {
+        row_ranks.push_back(i * q + t);
+        col_ranks.push_back(t * q + j);
+      }
+      Communicator groups[3] = {c, c.subgroup(row_ranks),
+                                c.subgroup(col_ranks)};
+      for (const Op& op : schedule) {
+        Communicator& g = groups[op.group];
+        c.clock().advance(op.work * (1 + c.rank() % 3));
+        const int root = op.root % g.size();
+        switch (op.kind) {
+          case 0: g.phantom_broadcast(root, op.bytes); break;
+          case 1: g.phantom_reduce(root, op.bytes); break;
+          case 2: g.phantom_all_reduce(op.bytes); break;
+          case 3: g.phantom_all_gather(op.bytes); break;
+          default: g.phantom_reduce_scatter(op.bytes); break;
+        }
+        clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
+      }
+    });
+    std::vector<CommStats> stats;
+    for (int r = 0; r < n; ++r) stats.push_back(world.stats(r));
+    return std::make_tuple(clocks, stats, world.rendezvous().replays());
+  };
+  const auto [fast_clocks, fast_stats, fast_replays] = run(false);
+  const auto [ref_clocks, ref_stats, ref_replays] = run(true);
+  EXPECT_GT(fast_replays, 0u);
+  EXPECT_EQ(ref_replays, 0u);
+  for (int r = 0; r < n; ++r) {
+    const auto& a = fast_clocks[static_cast<std::size_t>(r)];
+    const auto& b = ref_clocks[static_cast<std::size_t>(r)];
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                std::bit_cast<std::uint64_t>(b[k]))
+          << "rank " << r << " call " << k << " q=" << q
+          << " gpus_per_node=" << spec.gpus_per_node;
+    }
+    const CommStats& sa = fast_stats[static_cast<std::size_t>(r)];
+    const CommStats& sb = ref_stats[static_cast<std::size_t>(r)];
+    EXPECT_EQ(sa.msgs_sent, sb.msgs_sent) << "rank " << r;
+    EXPECT_EQ(sa.bytes_intra_node, sb.bytes_intra_node) << "rank " << r;
+    EXPECT_EQ(sa.bytes_inter_node, sb.bytes_inter_node) << "rank " << r;
+    EXPECT_EQ(sa.collective_calls(), sb.collective_calls()) << "rank " << r;
+    EXPECT_EQ(sa.collective_bytes(), sb.collective_bytes()) << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PhantomFuzz, ::testing::Range(0, 16));
+
 TEST(MailboxState, NoPendingMessagesAfterCleanRun) {
   World world(6);
   world.run([&](Communicator& c) {
@@ -199,6 +299,8 @@ TEST(MailboxState, NoPendingMessagesAfterCleanRun) {
     c.barrier();
     std::vector<float> out(static_cast<std::size_t>(11 * 6));
     c.all_gather(v, out);
+    c.phantom_all_reduce(1 << 20);  // rendezvous wakes are consumed too
+    c.phantom_broadcast(2, 100);
   });
   for (int r = 0; r < 6; ++r) {
     EXPECT_EQ(world.mailbox(r).pending(), 0u) << "rank " << r;

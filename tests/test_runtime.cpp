@@ -5,9 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cfenv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -23,6 +25,10 @@
 #include "runtime/sim_clock.hpp"
 #include "runtime/worker_pool.hpp"
 #include "tensor/init.hpp"
+
+#if defined(__x86_64__)
+#include <xmmintrin.h>
+#endif
 
 namespace tsr::rt {
 namespace {
@@ -166,7 +172,7 @@ TEST(SimClock, Reset) {
 
 TEST(Scheduler, BackendSelection) {
 #if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-  // Sanitizers cannot track swapcontext stacks; the fiber backend must turn
+  // Sanitizers cannot track fiber stack switches; the fiber backend must turn
   // itself off so run_spmd falls back to OS threads.
   EXPECT_FALSE(fibers_enabled());
 #else
@@ -382,6 +388,143 @@ TEST(Scheduler, NestedWorldInsideFiber) {
   });
   EXPECT_EQ(inner_total.load(), 8);
 }
+
+// ---- phantom rendezvous failure paths ----------------------------------------
+// Members of a per-collective phantom call park on their own mailbox until
+// the last member replays it, so the mailbox's failure handling must reach
+// them there exactly as it reaches a blocked receive.
+
+struct BackendCase {
+  const char* spmd;  // TESSERACT_SPMD, nullptr = default (fibers)
+  const char* workers;
+};
+constexpr BackendCase kAllBackends[] = {
+    {nullptr, "1"}, {nullptr, "4"}, {"threads", "4"}};
+
+void select_backend(EnvGuard& spmd, EnvGuard& workers, const BackendCase& b) {
+  if (b.spmd != nullptr) {
+    spmd.set(b.spmd);
+  } else {
+    spmd.clear();
+  }
+  workers.set(b.workers);
+}
+
+std::string run_error(comm::World& world,
+                      const std::function<void(comm::Communicator&)>& fn) {
+  try {
+    world.run(fn);
+  } catch (const std::exception& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PhantomRendezvous, ThrowingRankUnwindsParkedPeers) {
+  EnvGuard spmd("TESSERACT_SPMD");
+  EnvGuard workers("TESSERACT_WORKERS");
+  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
+  watchdog.set("20000");
+  for (const BackendCase& b : kAllBackends) {
+    select_backend(spmd, workers, b);
+    comm::World world(6, topo::MachineSpec::meluxina());
+    const std::string err = run_error(world, [&](comm::Communicator& c) {
+      c.phantom_all_reduce(1 << 20);  // one clean meeting first
+      if (c.rank() == 4) throw std::runtime_error("rank 4 boom");
+      c.phantom_all_reduce(1 << 20);
+    });
+    EXPECT_NE(err.find("rank 4 boom"), std::string::npos)
+        << "workers=" << b.workers << ": " << err;
+    EXPECT_EQ(world.rendezvous().replays(), 1u);
+  }
+}
+
+TEST(PhantomRendezvous, SkippedCollectiveIsReportedAsDeadlock) {
+  EnvGuard spmd("TESSERACT_SPMD");
+  EnvGuard workers("TESSERACT_WORKERS");
+  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
+  watchdog.set("300");  // threads backend: the watchdog reports the cycle
+  for (const BackendCase& b : kAllBackends) {
+    select_backend(spmd, workers, b);
+    comm::World world(4, topo::MachineSpec::meluxina());
+    const std::string err = run_error(world, [&](comm::Communicator& c) {
+      if (c.rank() != 3) c.phantom_broadcast(0, 4096);  // rank 3 skips it
+    });
+    EXPECT_NE(err.find("deadlock"), std::string::npos)
+        << "workers=" << b.workers << ": " << err;
+  }
+}
+
+// ---- fiber switch -------------------------------------------------------------
+
+// Unwinds through `depth` frames that each suspended the fiber once.
+int throw_after_switches(comm::Communicator& c, int depth, int round) {
+  const int g = c.size();
+  std::vector<float> out{static_cast<float>(c.rank())};
+  std::vector<float> in(1);
+  c.sendrecv((c.rank() + 1) % g, out, (c.rank() + g - 1) % g, in,
+             static_cast<std::uint64_t>(round * 16 + depth));
+  if (depth == 0) throw std::out_of_range("rank " + std::to_string(c.rank()));
+  return throw_after_switches(c, depth - 1, round) + 1;
+}
+
+TEST(FiberSwitch, ExceptionCaughtInsideFiberAcrossSwitches) {
+  EnvGuard workers("TESSERACT_WORKERS");
+  for (const char* w : {"1", "4"}) {
+    workers.set(w);
+    comm::World world(8);
+    std::vector<int> caught(8, 0);
+    world.run([&](comm::Communicator& c) {
+      for (int round = 0; round < 3; ++round) {
+        try {
+          (void)throw_after_switches(c, 5, round);
+        } catch (const std::out_of_range& e) {
+          EXPECT_EQ(std::string(e.what()), "rank " + std::to_string(c.rank()));
+          ++caught[static_cast<std::size_t>(c.rank())];
+        }
+        c.barrier();  // more switches after the handler completed
+      }
+    });
+    for (int n : caught) EXPECT_EQ(n, 3) << "W=" << w;
+  }
+}
+
+#if defined(__x86_64__)
+// Rounding modes live in MXCSR and the x87 control word, which belong to the
+// thread of control: the switch saves and restores both per fiber.
+TEST(FiberSwitch, RoundingModeDoesNotLeakAcrossFibers) {
+  EnvGuard workers("TESSERACT_WORKERS");
+  workers.set("1");  // both fibers on one worker thread
+  const unsigned default_rc = _mm_getcsr() & 0x6000u;
+  ASSERT_EQ(std::fegetround(), FE_TONEAREST);
+  comm::World world(2);
+  world.run([&](comm::Communicator& c) {
+    std::vector<float> token{1.0f};
+    if (c.rank() == 0) {
+      std::fesetround(FE_UPWARD);
+      const unsigned upward_rc = _mm_getcsr() & 0x6000u;
+      EXPECT_NE(upward_rc, default_rc);
+      (void)c.recv(1, 1);  // suspends; rank 1 runs on this thread
+      EXPECT_EQ(std::fegetround(), FE_UPWARD);
+      EXPECT_EQ(_mm_getcsr() & 0x6000u, upward_rc);
+      c.send(1, 2, token);
+      (void)c.recv(1, 3);
+      EXPECT_EQ(_mm_getcsr() & 0x6000u, upward_rc);
+      std::fesetround(FE_TONEAREST);
+    } else {
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(_mm_getcsr() & 0x6000u, default_rc);
+      c.send(0, 1, token);
+      (void)c.recv(0, 2);
+      EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+      EXPECT_EQ(_mm_getcsr() & 0x6000u, default_rc);
+      c.send(0, 3, token);
+    }
+  });
+  EXPECT_EQ(std::fegetround(), FE_TONEAREST);
+  EXPECT_EQ(_mm_getcsr() & 0x6000u, default_rc);
+}
+#endif
 
 TEST(WorkerPool, ParallelForRunsEveryTaskOnce) {
   std::vector<std::atomic<int>> counts(64);
