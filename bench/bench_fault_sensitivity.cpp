@@ -87,7 +87,9 @@ int main() {
         plan.slow_ranks.push_back(fault::SlowRankSpec{0, 1.0 + p / 100.0});
         const double t = fwd_with(s, plan);
         std::printf(" %5.3fx", t / base);
-        const std::string key = "+" + std::to_string(static_cast<int>(p)) + "%";
+        std::string key = "+";
+        key += std::to_string(static_cast<int>(p));
+        key += '%';
         infl[key] = t / base;
         abs[key] = t;
       }

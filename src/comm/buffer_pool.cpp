@@ -15,9 +15,8 @@ PayloadPtr BufferPool::acquire() {
 }
 
 void BufferPool::recycle(PayloadPtr buf) {
-  // use_count() == 1 means nobody else can still read the payload — e.g. a
-  // broadcast buffer shared between two children is pooled only by whichever
-  // receiver drops the last reference.
+  // Callers hand over exclusively held buffers (see the header); the count
+  // test only keeps a shared one out of the pool.
   if (buf != nullptr && buf.use_count() == 1 && free_.size() < kMaxFree) {
     free_.push_back(std::move(buf));
   }

@@ -9,6 +9,14 @@
 // owning rank (the mailbox mutex orders the handoff), so pools need no lock,
 // and in steady state a collective allocates nothing: chunks circulate
 // through a ring as the same few buffers passed from hand to hand.
+//
+// A payload has one holder at a time: senders move buffers into messages and
+// never keep or share a reference (a tree broadcast forwards a copy to every
+// child but the last). The mailbox lock orders every earlier holder's reads
+// before the current holder's recycle, so the pool never hands out a buffer
+// another rank may still read. A reference count alone would not: seeing
+// use_count() == 1 gives no happens-before with the other holder's last
+// read.
 #pragma once
 
 #include <cstdint>
@@ -25,9 +33,10 @@ class BufferPool {
   /// available. The caller fills it with assign()/resize().
   PayloadPtr acquire();
 
-  /// Returns a buffer to the free list if the caller holds the last
-  /// reference and the pool has room; otherwise simply drops the reference.
-  /// Null buffers are accepted (phantom messages have no payload).
+  /// Returns a buffer the caller holds exclusively to the free list if the
+  /// pool has room; otherwise simply drops the reference. A buffer that is
+  /// still shared is dropped, never pooled. Null buffers are accepted
+  /// (phantom messages have no payload).
   void recycle(PayloadPtr buf);
 
   // Telemetry for tests and the self-perf benchmark.

@@ -504,9 +504,9 @@ void Communicator::send_msg(int dst_grank, std::uint64_t tag,
                         m.payload == nullptr});
   }
   if (send_duplicate) {
-    // The duplicate must carry its own payload copy: the receiver recycles a
-    // consumed payload into its BufferPool once the use count drops to one,
-    // so a shared buffer would alias a recycled (and soon rewritten) vector.
+    // The duplicate must carry its own payload copy: each payload has one
+    // holder, which recycles it into its BufferPool once consumed, so a
+    // shared buffer would alias a recycled (and soon rewritten) vector.
     Message dup;
     dup.src = m.src;
     dup.tag = m.tag;
@@ -765,9 +765,11 @@ void Communicator::broadcast_impl(float* data, std::int64_t count,
   const int vr = (grank_ - root + g) % g;  // relative rank; root -> 0
   auto abs_rank = [&](int relative) { return (relative + root) % g; };
 
-  // One payload buffer serves the whole subtree: the root fills it once and
-  // every forward to a child shares it (receivers only read), so the tree
-  // moves the data with a single copy per rank instead of one per edge.
+  // Every payload has exactly one holder at a time, so whoever holds it last
+  // may recycle it with no other rank still reading (BufferPool::recycle).
+  // The root fills one buffer; a rank forwards a fresh copy to each child
+  // but the last, which receives the buffer itself. With one child per rank
+  // (two-member groups, the deepest edge of every tree) nothing is copied.
   PayloadPtr buf;
   if (data != nullptr && vr == 0) {
     buf = world_->pool(world_rank()).acquire();
@@ -788,11 +790,19 @@ void Communicator::broadcast_impl(float* data, std::int64_t count,
     }
     mask <<= 1;
   }
-  // Send phase: forward to children at decreasing bit positions.
+  // Send phase: forward to children at decreasing bit positions; the
+  // mask-1 child, when present, is the last one.
   mask >>= 1;
   while (mask > 0) {
     if (vr + mask < g) {
-      send_msg(abs_rank(vr + mask), tag, buf, total_bytes);
+      PayloadPtr out;
+      if (mask == 1 || buf == nullptr) {
+        out = std::move(buf);
+      } else {
+        out = world_->pool(world_rank()).acquire();
+        out->assign(buf->begin(), buf->end());
+      }
+      send_msg(abs_rank(vr + mask), tag, std::move(out), total_bytes);
     }
     mask >>= 1;
   }

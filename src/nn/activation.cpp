@@ -8,28 +8,22 @@ constexpr float kSqrt2OverPi = 0.7978845608028654f;
 constexpr float kGeluCoef = 0.044715f;
 }  // namespace
 
-Tensor gelu(const Tensor& x) {
+Tensor gelu(const Tensor& x, Tensor* dydx) {
   Tensor y(x.shape());
-  for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const float v = x.data()[i];
-    const float u = kSqrt2OverPi * (v + kGeluCoef * v * v * v);
-    y.data()[i] = 0.5f * v * (1.0f + std::tanh(u));
+  if (dydx != nullptr) {
+    check(dydx->numel() == x.numel(), "gelu: derivative size mismatch");
   }
-  return y;
-}
-
-Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
-  check(x.numel() == dy.numel(), "gelu_backward: size mismatch");
-  Tensor dx(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     const float v = x.data()[i];
     const float u = kSqrt2OverPi * (v + kGeluCoef * v * v * v);
     const float t = std::tanh(u);
-    const float du = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * v * v);
-    const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-    dx.data()[i] = dy.data()[i] * grad;
+    y.data()[i] = 0.5f * v * (1.0f + t);
+    if (dydx != nullptr) {
+      const float du = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * v * v);
+      dydx->data()[i] = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+    }
   }
-  return dx;
+  return y;
 }
 
 Tensor relu(const Tensor& x) {

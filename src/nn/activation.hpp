@@ -5,42 +5,50 @@
 
 namespace tsr::nn {
 
-/// GELU (tanh approximation, as used by BERT/GPT-2/ViT).
-Tensor gelu(const Tensor& x);
-/// dL/dx given the forward input x and upstream dy.
-Tensor gelu_backward(const Tensor& x, const Tensor& dy);
+/// GELU (tanh approximation, as used by BERT/GPT-2/ViT). When `dydx` is
+/// non-null it receives the derivative dy/dx at x (same shape), computed from
+/// the same tanh as y, so a backward pass is one multiply: dx = dy * dydx.
+Tensor gelu(const Tensor& x, Tensor* dydx = nullptr);
 
 Tensor relu(const Tensor& x);
 Tensor relu_backward(const Tensor& x, const Tensor& dy);
 
-/// Stateful wrapper caching forward inputs on a LIFO stack, so several
-/// forward passes may be in flight before their backwards run in reverse
-/// order — the pattern GPipe-style pipeline micro-batching requires.
+/// Stateful wrapper caching each forward's derivative dy/dx (the same size
+/// as its input) on a LIFO stack, so several forward passes may be in flight
+/// before their backwards run in reverse order — the pattern GPipe-style
+/// pipeline micro-batching requires.
 class Gelu {
  public:
   Tensor forward(const Tensor& x) {
-    x_stack_.push_back(x);
-    return gelu(x);
+    Tensor dydx(x.shape());
+    Tensor y = gelu(x, &dydx);
+    grad_stack_.push_back(std::move(dydx));
+    return y;
   }
+  /// dx = dy * dy/dx, written over the popped cache.
   Tensor backward(const Tensor& dy) {
-    check(!x_stack_.empty(), "Gelu::backward: no forward in flight");
-    Tensor x = std::move(x_stack_.back());
-    x_stack_.pop_back();
-    return gelu_backward(x, dy);
+    check(!grad_stack_.empty(), "Gelu::backward: no forward in flight");
+    Tensor dx = std::move(grad_stack_.back());
+    grad_stack_.pop_back();
+    check(dx.numel() == dy.numel(), "Gelu::backward: size mismatch");
+    for (std::int64_t i = 0; i < dx.numel(); ++i) {
+      dx.data()[i] = dy.data()[i] * dx.data()[i];
+    }
+    return dx;
   }
   /// Number of forwards awaiting their backward (pipeline depth).
-  std::size_t in_flight() const { return x_stack_.size(); }
+  std::size_t in_flight() const { return grad_stack_.size(); }
   /// Drops all in-flight caches (activation-checkpointing support).
-  void clear_caches() { x_stack_.clear(); }
+  void clear_caches() { grad_stack_.clear(); }
   /// Bytes currently held by in-flight caches.
   std::int64_t cached_bytes() const {
     std::int64_t n = 0;
-    for (const Tensor& t : x_stack_) n += t.numel();
+    for (const Tensor& t : grad_stack_) n += t.numel();
     return n * static_cast<std::int64_t>(sizeof(float));
   }
 
  private:
-  std::vector<Tensor> x_stack_;
+  std::vector<Tensor> grad_stack_;
 };
 
 }  // namespace tsr::nn

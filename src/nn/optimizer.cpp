@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "tensor/kernel_registry.hpp"
+
 namespace tsr::nn {
 
 SGD::SGD(float lr_in, float momentum, float weight_decay)
@@ -17,7 +19,11 @@ void SGD::step(const std::vector<Param*>& params) {
       }
       continue;
     }
-    auto [it, inserted] = velocity_.try_emplace(p, Tensor::zeros(p->value.shape()));
+    // State is zero-filled only when a param is first seen: built as a
+    // try_emplace argument it would be allocated, zeroed and dropped on
+    // every step (here and in Lamb / Adam below).
+    auto [it, inserted] = velocity_.try_emplace(p);
+    if (inserted) it->second = Tensor::zeros(p->value.shape());
     float* v = it->second.data();
     for (std::int64_t i = 0; i < p->numel(); ++i) {
       v[i] = momentum_ * v[i] + g[i] + weight_decay_ * w[i];
@@ -35,8 +41,11 @@ void Lamb::step(const std::vector<Param*>& params) {
   const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
   const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
   for (Param* p : params) {
-    auto [it, inserted] = state_.try_emplace(
-        p, State{Tensor::zeros(p->value.shape()), Tensor::zeros(p->value.shape())});
+    auto [it, inserted] = state_.try_emplace(p);
+    if (inserted) {
+      it->second = {Tensor::zeros(p->value.shape()),
+                    Tensor::zeros(p->value.shape())};
+    }
     float* w = p->value.data();
     const float* g = p->grad.data();
     float* m = it->second.m.data();
@@ -77,24 +86,23 @@ Adam::Adam(float lr_in, float beta1, float beta2, float eps, float weight_decay)
 
 void Adam::step(const std::vector<Param*>& params) {
   ++t_;
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  // Decoupled weight decay (AdamW-style), matching common ViT recipes.
+  const AdamScalars s{lr,
+                      beta1_,
+                      beta2_,
+                      eps_,
+                      weight_decay_,
+                      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+                      1.0f - std::pow(beta2_, static_cast<float>(t_))};
+  const AdamFn adam = active_kernel_variant().adam;
   for (Param* p : params) {
-    auto [it, inserted] = state_.try_emplace(
-        p, State{Tensor::zeros(p->value.shape()), Tensor::zeros(p->value.shape())});
-    float* w = p->value.data();
-    const float* g = p->grad.data();
-    float* m = it->second.m.data();
-    float* v = it->second.v.data();
-    for (std::int64_t i = 0; i < p->numel(); ++i) {
-      // Decoupled weight decay (AdamW-style), matching common ViT recipes.
-      const float grad = g[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      w[i] -= lr * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w[i]);
+    auto [it, inserted] = state_.try_emplace(p);
+    if (inserted) {
+      it->second = {Tensor::zeros(p->value.shape()),
+                    Tensor::zeros(p->value.shape())};
     }
+    adam(s, p->value.data(), p->grad.data(), it->second.m.data(),
+         it->second.v.data(), p->numel());
   }
 }
 

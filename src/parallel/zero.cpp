@@ -1,8 +1,10 @@
 #include "parallel/zero.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
+#include "tensor/kernel_registry.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tsr::par {
@@ -15,9 +17,15 @@ ZeroAdam::ZeroAdam(comm::Communicator dp_group, float lr_in, float beta1,
 void ZeroAdam::step(const std::vector<nn::Param*>& params) {
   ++t_;
   const int g = dp_.size();
-  const float bc1 = 1.0f - std::pow(beta1_, static_cast<float>(t_));
-  const float bc2 = 1.0f - std::pow(beta2_, static_cast<float>(t_));
+  const AdamScalars s{lr,
+                      beta1_,
+                      beta2_,
+                      eps_,
+                      weight_decay_,
+                      1.0f - std::pow(beta1_, static_cast<float>(t_)),
+                      1.0f - std::pow(beta2_, static_cast<float>(t_))};
   const float inv_g = 1.0f / static_cast<float>(g);
+  const KernelVariant& kv = active_kernel_variant();
 
   for (nn::Param* p : params) {
     const std::int64_t n = p->numel();
@@ -42,22 +50,15 @@ void ZeroAdam::step(const std::vector<nn::Param*>& params) {
     my_grad_.resize(static_cast<std::size_t>(chunk));
     dp_.reduce_scatter(grad_padded_, my_grad_);
 
-    // Sharded Adam on the owned elements (decoupled weight decay).
+    // Sharded Adam on the owned elements: average the gradient chunk, then
+    // run the registry Adam kernel on a copy of the owned values in place.
     updated_.assign(static_cast<std::size_t>(padded), 0.0f);
-    float* m = it->second.m.data();
-    float* v = it->second.v.data();
-    for (std::int64_t i = 0; i < chunk; ++i) {
-      const std::int64_t global = my_begin + i;
-      if (global >= n) break;
-      const float gval = my_grad_[static_cast<std::size_t>(i)] * inv_g;
-      const float w = p->value.at(global);
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * gval;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * gval * gval;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      updated_[static_cast<std::size_t>(my_begin + i)] =
-          w - lr * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w);
-    }
+    const std::int64_t owned = std::clamp<std::int64_t>(n - my_begin, 0, chunk);
+    kv.scale(my_grad_.data(), inv_g, owned);
+    std::memcpy(updated_.data() + my_begin, p->value.data() + my_begin,
+                static_cast<std::size_t>(owned) * sizeof(float));
+    kv.adam(s, updated_.data() + my_begin, my_grad_.data(),
+            it->second.m.data(), it->second.v.data(), owned);
 
     // All-gather the updated values; every replica ends identical.
     gathered_.resize(static_cast<std::size_t>(padded));

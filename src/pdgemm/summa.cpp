@@ -11,13 +11,15 @@ Tensor summa_ab_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(1) == b_block.dim(0),
         "summa_ab_local: inner block dimensions mismatch");
   Tensor c = Tensor::zeros({a_block.dim(0), b_block.dim(1)});
-  Tensor a_panel(a_block.shape());
-  Tensor b_panel(b_block.shape());
+  Tensor a_recv(a_block.shape());
+  Tensor b_recv(b_block.shape());
   for (int t = 0; t < q; ++t) {
     // Broadcast A_{it} along row i and B_{tj} down column j (Algorithm 2).
-    if (g.j == t) a_panel.copy_from(a_block);
+    // A root sends straight from its own block (a shared handle, no copy:
+    // a broadcast root only reads) and multiplies with it.
+    Tensor a_panel = g.j == t ? a_block : a_recv;
     g.row.broadcast(a_panel, t);
-    if (g.i == t) b_panel.copy_from(b_block);
+    Tensor b_panel = g.i == t ? b_block : b_recv;
     g.col.broadcast(b_panel, t);
     matmul_acc(a_panel, b_panel, c);
     charge_gemm(g.grid, a_panel.dim(0), b_panel.dim(1), a_panel.dim(1));
@@ -31,10 +33,10 @@ Tensor summa_abt_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(1) == b_block.dim(1),
         "summa_abt_local: trailing block dimensions must match (both split c)");
   Tensor result;  // filled at t == my column
-  Tensor b_panel(b_block.shape());
+  Tensor b_recv(b_block.shape());
   for (int t = 0; t < q; ++t) {
     // B_{tj} lives at grid row t; broadcast it down column j.
-    if (g.i == t) b_panel.copy_from(b_block);
+    Tensor b_panel = g.i == t ? b_block : b_recv;
     g.col.broadcast(b_panel, t);
     // Local partial of C_{it} = sum_j A_{ij} * B_{tj}^T.
     Tensor partial = matmul(a_block, b_panel, Trans::N, Trans::T);
@@ -52,10 +54,10 @@ Tensor summa_atb_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(0) == b_block.dim(0),
         "summa_atb_local: leading block dimensions must match (both split a)");
   Tensor result;  // filled at t == my row
-  Tensor a_panel(a_block.shape());
+  Tensor a_recv(a_block.shape());
   for (int t = 0; t < q; ++t) {
     // A_{it} lives at grid column t; broadcast it along row i.
-    if (g.j == t) a_panel.copy_from(a_block);
+    Tensor a_panel = g.j == t ? a_block : a_recv;
     g.row.broadcast(a_panel, t);
     // Local partial of C_{tj} = sum_i A_{it}^T * B_{ij}.
     Tensor partial = matmul(a_panel, b_block, Trans::T, Trans::N);

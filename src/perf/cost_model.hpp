@@ -25,13 +25,13 @@ struct EvalConfig {
   int p = 0;  // Megatron only
   int q = 0;
   int d = 1;
-  LayerDims dims;
+  LayerDims dims{};
   /// Encoder layers replayed per batch (the paper's N).
   int layers = 8;
   topo::MachineSpec spec = topo::MachineSpec::meluxina();
   /// Fault experiment to run the replay under (straggler / degraded-link
   /// sensitivity studies). The default empty plan changes nothing.
-  fault::FaultPlan fault;
+  fault::FaultPlan fault{};
 
   int total_ranks() const;
   /// "[4,4,2]" / "[8,8]" / "[16]" — the GPU-shape notation of the tables.

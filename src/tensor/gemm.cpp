@@ -19,10 +19,15 @@ namespace {
 // whose math does not fit the packed fp32 scheme (int8) override the whole
 // kernel instead via gemm_full.
 //
-// Both operands are repacked into contiguous [k][kMR] / [k][nr] micro-panels
-// so the inner loops run at unit stride regardless of the original leading
-// dimensions, and a kMR x nr accumulator block lives in registers across
-// the whole k extent of a panel.
+// A is repacked into contiguous [k][kMR] micro-panels, scaled by alpha in
+// the update form, so the inner loops run at unit stride regardless of the
+// original leading dimensions, and a kMR x nr accumulator block lives in
+// registers across the whole k extent of a panel. B is repacked into
+// [k][nr] micro-panels except in the update form, where every full nr-wide
+// panel of a row-major B is already nr contiguous floats per k row: the
+// micro-kernel reads it where it lies, at row stride ldb. Only the ragged
+// tail panel (zero-padded) and variants with a pack-time quantize hook
+// still pack B there. Reading in place changes no floating-point operation.
 //
 // Numerics of the memcmp-gated variants are bit-identical to the scalar
 // loops this replaces. Two rounding disciplines exist and are preserved
@@ -125,17 +130,19 @@ struct PackScratch {
 thread_local PackScratch t_scratch;
 
 // Update form (N/N and T/N) over the output columns [jb, je): C += (alpha *
-// op(A)) * op(B), accumulating into C per k-panel with k strictly ascending.
+// op(A)) * B with B row-major, accumulating into C per k-panel with k
+// strictly ascending.
 // The full kernel is gemm_update_cols(0, n); a parallel caller hands each
 // worker a disjoint nr-aligned column stripe. Per C element the
 // floating-point sequence depends only on the k blocking, so any column
 // partition produces bit-identical results.
-void gemm_update_cols(const KernelVariant& v, bool a_trans, bool b_trans,
-                      std::int64_t m, std::int64_t k, float alpha,
+void gemm_update_cols(const KernelVariant& v, bool a_trans, std::int64_t m,
+                      std::int64_t k, float alpha,
                       const float* a, std::int64_t lda, const float* b,
                       std::int64_t ldb, float* c, std::int64_t ldc,
                       std::int64_t jb, std::int64_t je) {
   const std::int64_t vnr = v.nr;
+  const bool b_in_place = v.quantize == nullptr;
   t_scratch.acquire(round_up(kMC, kMR) * kKC, round_up(kNC, vnr) * kKC);
   float* apack = t_scratch.apack.data();
   float* bpack = t_scratch.bpack.data();
@@ -143,7 +150,13 @@ void gemm_update_cols(const KernelVariant& v, bool a_trans, bool b_trans,
     const std::int64_t kc = std::min(kKC, k - k0);
     for (std::int64_t j0 = jb; j0 < je; j0 += kNC) {
       const std::int64_t nc = std::min(kNC, je - j0);
-      pack_b(b_trans, b, ldb, k0, j0, kc, nc, vnr, v.quantize, bpack);
+      // Columns [0, nfull) of this j-panel are read in place; the rest are
+      // packed at the start of bpack.
+      const std::int64_t nfull = b_in_place ? nc / vnr * vnr : 0;
+      if (nfull < nc) {
+        pack_b(/*trans=*/false, b, ldb, k0, j0 + nfull, kc, nc - nfull, vnr,
+               v.quantize, bpack);
+      }
       for (std::int64_t i0 = 0; i0 < m; i0 += kMC) {
         const std::int64_t mc = std::min(kMC, m - i0);
         pack_a(a_trans, a, lda, i0, k0, mc, kc, alpha, v.quantize, apack);
@@ -159,8 +172,11 @@ void gemm_update_cols(const KernelVariant& v, bool a_trans, bool b_trans,
                 acc[ii * vnr + jj] = cblk[ii * ldc + jj];
               }
             }
+            const bool in_place = jp < nfull;
             v.micro(kc, apack + (ip / kMR) * kc * kMR,
-                    bpack + (jp / vnr) * kc * vnr, acc);
+                    in_place ? b + k0 * ldb + j0 + jp
+                             : bpack + (jp - nfull) / vnr * kc * vnr,
+                    in_place ? ldb : vnr, acc);
             for (std::int64_t ii = 0; ii < mr; ++ii) {
               for (std::int64_t jj = 0; jj < nr; ++jj) {
                 cblk[ii * ldc + jj] = acc[ii * vnr + jj];
@@ -197,7 +213,7 @@ void gemm_dot_cols(const KernelVariant& v, bool a_trans, bool b_trans,
           alignas(kTensorAlignment) float acc[kMR * kNRMax];
           std::fill(acc, acc + kMR * vnr, 0.0f);
           v.micro(k, apack + (ip / kMR) * k * kMR,
-                  bpack + (jp / vnr) * k * vnr, acc);
+                  bpack + (jp / vnr) * k * vnr, vnr, acc);
           float* cblk = c + (i0 + ip) * ldc + j0 + jp;
           for (std::int64_t ii = 0; ii < mr; ++ii) {
             for (std::int64_t jj = 0; jj < nr; ++jj) {
@@ -268,8 +284,8 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
   }
   if (tb == Trans::N) {
     run_cols(m, n, k, v.nr, [&](std::int64_t jb, std::int64_t je) {
-      gemm_update_cols(v, ta == Trans::T, false, m, k, alpha, a, lda, b, ldb,
-                       c, ldc, jb, je);
+      gemm_update_cols(v, ta == Trans::T, m, k, alpha, a, lda, b, ldb, c, ldc,
+                       jb, je);
     });
   } else {
     run_cols(m, n, k, v.nr, [&](std::int64_t jb, std::int64_t je) {

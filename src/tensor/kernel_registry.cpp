@@ -25,10 +25,10 @@ namespace {
 // ---------------------------------------------------------------------------
 
 void micro_scalar(std::int64_t kc, const float* ap, const float* bp,
-                  float* acc) {
+                  std::int64_t ldb, float* acc) {
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const float* arow = ap + kk * kMicroMR;
-    const float* brow = bp + kk * 8;
+    const float* brow = bp + kk * ldb;
     for (std::int64_t ii = 0; ii < kMicroMR; ++ii) {
       const float aik = arow[ii];
 #pragma omp simd
@@ -47,18 +47,34 @@ void scale_scalar(float* x, float alpha, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) x[i] *= alpha;
 }
 
+// The reference Adam loop. Every SIMD form below keeps its operation order
+// and rounds each mul, add, div and sqrt on its own; this file is compiled
+// with -ffp-contract=off so no FMA can creep in (see CMakeLists.txt).
+void adam_scalar(const AdamScalars& s, float* w, const float* g, float* m,
+                 float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float grad = g[i];
+    m[i] = s.beta1 * m[i] + (1.0f - s.beta1) * grad;
+    v[i] = s.beta2 * v[i] + (1.0f - s.beta2) * grad * grad;
+    const float mhat = m[i] / s.bc1;
+    const float vhat = v[i] / s.bc2;
+    w[i] -= s.lr * (mhat / (std::sqrt(vhat) + s.eps) + s.weight_decay * w[i]);
+  }
+}
+
 #ifdef TSR_X86
 
 // AVX2 4x8 tile, separate mul+add — bit-identical to micro_scalar.
 __attribute__((target("avx2"))) void micro_avx2(std::int64_t kc,
                                                 const float* ap,
-                                                const float* bp, float* acc) {
+                                                const float* bp,
+                                                std::int64_t ldb, float* acc) {
   __m256 c0 = _mm256_loadu_ps(acc);
   __m256 c1 = _mm256_loadu_ps(acc + 8);
   __m256 c2 = _mm256_loadu_ps(acc + 16);
   __m256 c3 = _mm256_loadu_ps(acc + 24);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const __m256 b = _mm256_loadu_ps(bp + kk * 8);
+    const __m256 b = _mm256_loadu_ps(bp + kk * ldb);
     const float* arow = ap + kk * 4;
     c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(arow + 0), b));
     c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(arow + 1), b));
@@ -77,13 +93,14 @@ __attribute__((target("avx2"))) void micro_avx2(std::int64_t kc,
 __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
                                                      const float* ap,
                                                      const float* bp,
+                                                     std::int64_t ldb,
                                                      float* acc) {
   __m512 c0 = _mm512_loadu_ps(acc);
   __m512 c1 = _mm512_loadu_ps(acc + 16);
   __m512 c2 = _mm512_loadu_ps(acc + 32);
   __m512 c3 = _mm512_loadu_ps(acc + 48);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const __m512 b = _mm512_loadu_ps(bp + kk * 16);
+    const __m512 b = _mm512_loadu_ps(bp + kk * ldb);
     const float* arow = ap + kk * 4;
     c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(arow[0]), b));
     c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(arow[1]), b));
@@ -102,13 +119,14 @@ __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
 __attribute__((target("avx2,fma"))) void micro_avx2fma(std::int64_t kc,
                                                        const float* ap,
                                                        const float* bp,
+                                                       std::int64_t ldb,
                                                        float* acc) {
   __m256 c0 = _mm256_loadu_ps(acc);
   __m256 c1 = _mm256_loadu_ps(acc + 8);
   __m256 c2 = _mm256_loadu_ps(acc + 16);
   __m256 c3 = _mm256_loadu_ps(acc + 24);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const __m256 b = _mm256_loadu_ps(bp + kk * 8);
+    const __m256 b = _mm256_loadu_ps(bp + kk * ldb);
     const float* arow = ap + kk * 4;
     c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 0), b, c0);
     c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 1), b, c1);
@@ -143,6 +161,77 @@ __attribute__((target("avx2"))) void scale_avx2(float* x, float alpha,
     _mm256_storeu_ps(x + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), va));
   }
   for (; i < n; ++i) x[i] *= alpha;
+}
+
+__attribute__((target("avx2"))) void adam_avx2(const AdamScalars& s, float* w,
+                                               const float* g, float* m,
+                                               float* v, std::int64_t n) {
+  const __m256 b1 = _mm256_set1_ps(s.beta1);
+  const __m256 b2 = _mm256_set1_ps(s.beta2);
+  const __m256 one_b1 = _mm256_set1_ps(1.0f - s.beta1);
+  const __m256 one_b2 = _mm256_set1_ps(1.0f - s.beta2);
+  const __m256 bc1 = _mm256_set1_ps(s.bc1);
+  const __m256 bc2 = _mm256_set1_ps(s.bc2);
+  const __m256 eps = _mm256_set1_ps(s.eps);
+  const __m256 lr = _mm256_set1_ps(s.lr);
+  const __m256 wd = _mm256_set1_ps(s.weight_decay);
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 grad = _mm256_loadu_ps(g + i);
+    const __m256 mi = _mm256_add_ps(_mm256_mul_ps(b1, _mm256_loadu_ps(m + i)),
+                                    _mm256_mul_ps(one_b1, grad));
+    const __m256 vi = _mm256_add_ps(
+        _mm256_mul_ps(b2, _mm256_loadu_ps(v + i)),
+        _mm256_mul_ps(_mm256_mul_ps(one_b2, grad), grad));
+    _mm256_storeu_ps(m + i, mi);
+    _mm256_storeu_ps(v + i, vi);
+    const __m256 mhat = _mm256_div_ps(mi, bc1);
+    const __m256 vhat = _mm256_div_ps(vi, bc2);
+    const __m256 wi = _mm256_loadu_ps(w + i);
+    const __m256 step = _mm256_add_ps(
+        _mm256_div_ps(mhat, _mm256_add_ps(_mm256_sqrt_ps(vhat), eps)),
+        _mm256_mul_ps(wd, wi));
+    _mm256_storeu_ps(w + i, _mm256_sub_ps(wi, _mm256_mul_ps(lr, step)));
+  }
+  adam_scalar(s, w + i, g + i, m + i, v + i, n - i);
+}
+
+__attribute__((target("avx512f"))) void adam_avx512(const AdamScalars& s,
+                                                    float* w, const float* g,
+                                                    float* m, float* v,
+                                                    std::int64_t n) {
+  const __m512 b1 = _mm512_set1_ps(s.beta1);
+  const __m512 b2 = _mm512_set1_ps(s.beta2);
+  const __m512 one_b1 = _mm512_set1_ps(1.0f - s.beta1);
+  const __m512 one_b2 = _mm512_set1_ps(1.0f - s.beta2);
+  const __m512 bc1 = _mm512_set1_ps(s.bc1);
+  const __m512 bc2 = _mm512_set1_ps(s.bc2);
+  const __m512 eps = _mm512_set1_ps(s.eps);
+  const __m512 lr = _mm512_set1_ps(s.lr);
+  const __m512 wd = _mm512_set1_ps(s.weight_decay);
+  std::int64_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m512 grad = _mm512_loadu_ps(g + i);
+    const __m512 mi = _mm512_add_ps(_mm512_mul_ps(b1, _mm512_loadu_ps(m + i)),
+                                    _mm512_mul_ps(one_b1, grad));
+    const __m512 vi = _mm512_add_ps(
+        _mm512_mul_ps(b2, _mm512_loadu_ps(v + i)),
+        _mm512_mul_ps(_mm512_mul_ps(one_b2, grad), grad));
+    _mm512_storeu_ps(m + i, mi);
+    _mm512_storeu_ps(v + i, vi);
+    const __m512 mhat = _mm512_div_ps(mi, bc1);
+    const __m512 vhat = _mm512_div_ps(vi, bc2);
+    const __m512 wi = _mm512_loadu_ps(w + i);
+    // The zero-masked form: GCC 12's _mm512_sqrt_ps passes an undefined
+    // pass-through vector that trips -Wmaybe-uninitialized.
+    const __m512 root = _mm512_maskz_sqrt_ps(static_cast<__mmask16>(0xFFFF),
+                                             vhat);
+    const __m512 step =
+        _mm512_add_ps(_mm512_div_ps(mhat, _mm512_add_ps(root, eps)),
+                      _mm512_mul_ps(wd, wi));
+    _mm512_storeu_ps(w + i, _mm512_sub_ps(wi, _mm512_mul_ps(lr, step)));
+  }
+  adam_scalar(s, w + i, g + i, m + i, v + i, n - i);
 }
 
 #endif  // TSR_X86
@@ -210,23 +299,23 @@ bool avail_avx512(const CpuFeatures& f) { return f.avx2 && f.avx512f; }
 #endif
 
 const KernelVariant kTable[] = {
-    // name, nr, micro, quantize, gemm_full, axpy, scale, available, gate,
-    // auto_dispatch. Auto-dispatch resolution picks the LAST available
+    // name, nr, micro, quantize, gemm_full, axpy, scale, adam, available,
+    // gate, auto_dispatch. Auto-dispatch resolution picks the LAST available
     // auto entry, so keep memcmp variants in ascending preference order.
     {"scalar", 8, micro_scalar, nullptr, nullptr, axpy_scalar, scale_scalar,
-     avail_always, "memcmp", true},
+     adam_scalar, avail_always, "memcmp", true},
 #ifdef TSR_X86
     {"avx2", 8, micro_avx2, nullptr, nullptr, axpy_avx2, scale_avx2,
-     avail_avx2, "memcmp", true},
+     adam_avx2, avail_avx2, "memcmp", true},
     {"avx512", 16, micro_avx512, nullptr, nullptr, axpy_avx2, scale_avx2,
-     avail_avx512, "memcmp", true},
+     adam_avx512, avail_avx512, "memcmp", true},
     {"avx2fma", 8, micro_avx2fma, nullptr, nullptr, axpy_avx2, scale_avx2,
-     avail_avx2, "tolerance", false},
+     adam_avx2, avail_avx2, "tolerance", false},
 #endif
     {"bf16", 8, micro_scalar, bf16_round, nullptr, axpy_scalar, scale_scalar,
-     avail_always, "tolerance", false},
+     adam_scalar, avail_always, "tolerance", false},
     {"int8", 8, nullptr, nullptr, gemm_full_int8, axpy_scalar, scale_scalar,
-     avail_always, "tolerance", false},
+     adam_scalar, avail_always, "tolerance", false},
 };
 
 std::atomic<const KernelVariant*> g_active{nullptr};

@@ -1,5 +1,7 @@
 // Kernel variant registry: one dispatch table of signature-compatible
-// GEMM / elementwise micro-kernels (the oalsfxpp mixer idiom).
+// GEMM / elementwise / optimizer micro-kernels (the oalsfxpp mixer idiom).
+// The Adam kernel is memcmp-identical to scalar in every variant, including
+// the tolerance-gated ones: only their GEMM numerics differ.
 //
 // Variants:
 //   scalar  — the portable reference kernel; the bit-identity baseline.
@@ -37,9 +39,11 @@ inline constexpr std::int64_t kMicroMR = 4;
 
 /// Rank-kc update of a kMicroMR x nr register tile held in `acc` (row-major,
 /// row stride = the variant's nr): acc[ii][jj] += ap[kk][ii] * bp[kk][jj],
-/// kk ascending. ap/bp are the packed [kk][mr] / [kk][nr] panels.
+/// kk ascending. ap is the packed [kk][mr] panel; row kk of the B panel
+/// starts at bp + kk * ldb — ldb = nr for a packed [kk][nr] panel, or the
+/// leading dimension of a row-major B read in place.
 using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
-                               const float* bp, float* acc);
+                               const float* bp, std::int64_t ldb, float* acc);
 
 /// Storage-precision hook applied to each operand element at pack time
 /// (before the alpha scale); null means identity (fp32 storage).
@@ -57,6 +61,25 @@ using GemmFullFn = void (*)(bool a_trans, bool b_trans, std::int64_t m,
 using AxpyFn = void (*)(float alpha, const float* x, float* y, std::int64_t n);
 using ScaleFn = void (*)(float* x, float alpha, std::int64_t n);
 
+/// The scalars of one Adam step; bc1 / bc2 are the bias corrections
+/// 1 - beta1^t / 1 - beta2^t.
+struct AdamScalars {
+  float lr;
+  float beta1;
+  float beta2;
+  float eps;
+  float weight_decay;
+  float bc1;
+  float bc2;
+};
+
+/// One Adam update with decoupled weight decay over n elements, per element
+/// in this order, each operation rounded on its own:
+///   m = beta1 * m + (1 - beta1) * g
+///   v = beta2 * v + (1 - beta2) * g * g
+///   w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * w)
+using AdamFn = void (*)(const AdamScalars& s, float* w, const float* g,
+                        float* m, float* v, std::int64_t n);
 struct KernelVariant {
   const char* name;
   std::int64_t nr;            ///< register tile width (micro-panel stride)
@@ -65,6 +88,7 @@ struct KernelVariant {
   GemmFullFn gemm_full;       ///< whole-gemm override (may be null)
   AxpyFn axpy;
   ScaleFn scale;
+  AdamFn adam;
   bool (*available)(const CpuFeatures& f);
   /// "memcmp" = results must be bit-identical to scalar; "tolerance" =
   /// precision legitimately changes, bounded by the documented gate
@@ -88,7 +112,7 @@ const KernelVariant* find_kernel_variant(std::string_view name);
 const KernelVariant& resolve_kernel_variant(std::string_view forced,
                                             const CpuFeatures& f);
 
-/// The variant every gemm/axpy/scale dispatches through. First call resolves
+/// The variant every gemm/axpy/scale/adam dispatches through. First call resolves
 /// TESSERACT_KERNEL against the host cpu_features() and caches the result.
 const KernelVariant& active_kernel_variant();
 

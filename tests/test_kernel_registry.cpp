@@ -1,8 +1,10 @@
 // Kernel variant registry: table shape, the pure resolution rule (including
 // graceful fallback when AVX is absent), the forced-variant dispatch matrix
 // with each variant checked against its declared gate (memcmp or documented
-// tolerance), bf16 round-trip bounds, elementwise dispatch, and the aligned
-// allocation contract.
+// tolerance), update-form GEMM reading B in place (against scalar and the
+// packed path), the Adam kernel (every variant memcmp-equal to scalar),
+// bf16 round-trip bounds, elementwise dispatch, and the aligned allocation
+// contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -93,6 +95,7 @@ TEST(KernelRegistry, TableShapeAndInvariants) {
     // paths it serves.
     EXPECT_NE(v.axpy, nullptr) << v.name;
     EXPECT_NE(v.scale, nullptr) << v.name;
+    EXPECT_NE(v.adam, nullptr) << v.name;
     EXPECT_TRUE(v.micro != nullptr || v.gemm_full != nullptr) << v.name;
     EXPECT_NE(v.available, nullptr) << v.name;
     const std::string gate = v.gate;
@@ -281,6 +284,163 @@ TEST(KernelDispatch, ElementwiseOpsBitIdenticalAcrossVariants) {
     Tensor s = filled({n}, 5);
     scale(s, -1.25f);
     EXPECT_TRUE(bit_identical(s, s_ref)) << v.name;
+  }
+}
+
+// ---- update-form GEMM reading B in place -----------------------------------
+
+// Signed values in [-1, 1): products of mixed signs make every rounding step
+// count, so a changed operation order or a misread element shows in memcmp.
+std::vector<float> signed_data(std::int64_t n, std::uint32_t salt) {
+  std::vector<float> out(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    const std::uint32_t h =
+        (static_cast<std::uint32_t>(i) + salt) * 2654435761u;
+    out[static_cast<std::size_t>(i)] =
+        static_cast<float>(h % 8192u) / 4096.0f - 1.0f;
+  }
+  return out;
+}
+
+// N/N and T/N products whose row-major B is read in place: n is no multiple
+// of 8 or 16 (so every j-panel ends in a packed tail), ldb > n (the row
+// stride is not the width), k is no multiple of the 64-deep k-panel, and the
+// second case spans two 256-wide j-panels.
+struct InPlaceCase {
+  Trans ta;
+  std::int64_t m, n, k;
+};
+const InPlaceCase kInPlaceCases[] = {
+    {Trans::N, 37, 53, 150},
+    {Trans::T, 21, 300, 77},
+    {Trans::N, 5, 9, 3},
+};
+
+TEST(KernelDispatch, UpdateFormWithBInPlaceMatchesScalarAndPackedPath) {
+  VariantGuard restore;
+  for (const InPlaceCase& ic : kInPlaceCases) {
+    const std::int64_t lda = (ic.ta == Trans::N ? ic.k : ic.m) + 3;
+    const std::int64_t ldb = ic.n + 11;
+    const std::vector<float> a =
+        signed_data((ic.ta == Trans::N ? ic.m : ic.k) * lda, 21);
+    const std::vector<float> b = signed_data(ic.k * ldb, 22);
+    // op(B)^T stored row-major [n][k], for the packed dot-form path.
+    std::vector<float> bt(static_cast<std::size_t>(ic.n * ic.k));
+    for (std::int64_t kk = 0; kk < ic.k; ++kk)
+      for (std::int64_t j = 0; j < ic.n; ++j)
+        bt[static_cast<std::size_t>(j * ic.k + kk)] =
+            b[static_cast<std::size_t>(kk * ldb + j)];
+    const std::vector<float> c0 = signed_data(ic.m * ic.n, 23);
+    const std::size_t c_bytes = c0.size() * sizeof(float);
+    // alpha = 1, beta = 0: the update form and the dot form both sum
+    // 0 + a0*b0 + a1*b1 + ... in ascending k, so they agree bit for bit.
+    const auto update_plain = [&] {
+      std::vector<float> c(c0.size());
+      gemm(ic.ta, Trans::N, ic.m, ic.n, ic.k, 1.0f, a.data(), lda, b.data(),
+           ldb, 0.0f, c.data(), ic.n);
+      return c;
+    };
+    const auto packed_plain = [&] {
+      std::vector<float> c(c0.size());
+      gemm(ic.ta, Trans::T, ic.m, ic.n, ic.k, 1.0f, a.data(), lda, bt.data(),
+           ic.k, 0.0f, c.data(), ic.n);
+      return c;
+    };
+    // alpha and beta both active: accumulation into an existing C.
+    const auto update_acc = [&] {
+      std::vector<float> c = c0;
+      gemm(ic.ta, Trans::N, ic.m, ic.n, ic.k, -0.75f, a.data(), lda, b.data(),
+           ldb, 0.5f, c.data(), ic.n);
+      return c;
+    };
+    force_kernel_variant("scalar");
+    const std::vector<float> ref_plain = update_plain();
+    const std::vector<float> ref_acc = update_acc();
+    for (const KernelVariant& v : kernel_variants()) {
+      if (!v.available(cpu_features())) continue;
+      force_kernel_variant(v.name);
+      const std::string where = std::string(v.name) + " case " +
+                                std::to_string(ic.m) + "x" +
+                                std::to_string(ic.n) + "x" +
+                                std::to_string(ic.k);
+      // Every variant, tolerance-gated ones included, rounds both forms
+      // alike; only the memcmp variants must also match scalar.
+      const std::vector<float> plain = update_plain();
+      EXPECT_EQ(std::memcmp(plain.data(), packed_plain().data(), c_bytes), 0)
+          << where << ": in-place B differs from the packed path";
+      if (std::string(v.gate) != "memcmp") continue;
+      EXPECT_EQ(std::memcmp(plain.data(), ref_plain.data(), c_bytes), 0)
+          << where << ": in-place B differs from scalar";
+      EXPECT_EQ(std::memcmp(update_acc().data(), ref_acc.data(), c_bytes), 0)
+          << where << ": alpha/beta update differs from scalar";
+    }
+  }
+}
+
+// ---- Adam -------------------------------------------------------------------
+
+// The optimizer loop as it stood before the registry entry, kept as the
+// reference: the scalar kernel must reproduce it and every variant the
+// scalar kernel, bit for bit.
+void reference_adam(const AdamScalars& s, float* w, const float* g, float* m,
+                    float* v, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float grad = g[i];
+    m[i] = s.beta1 * m[i] + (1.0f - s.beta1) * grad;
+    v[i] = s.beta2 * v[i] + (1.0f - s.beta2) * grad * grad;
+    const float mhat = m[i] / s.bc1;
+    const float vhat = v[i] / s.bc2;
+    w[i] -= s.lr * (mhat / (std::sqrt(vhat) + s.eps) + s.weight_decay * w[i]);
+  }
+}
+
+struct AdamState {
+  std::vector<float> w, m, v;
+  bool operator==(const AdamState& o) const {
+    const auto same = [](const std::vector<float>& x,
+                         const std::vector<float>& y) {
+      // Empty vectors may hold null data(), which memcmp must not see.
+      return x.size() == y.size() &&
+             (x.empty() ||
+              std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0);
+    };
+    return same(w, o.w) && same(m, o.m) && same(v, o.v);
+  }
+};
+
+// `steps` Adam steps over n elements, a fresh gradient each step. Odd
+// lengths exercise every SIMD remainder; weight decay on and off.
+AdamState run_adam(AdamFn adam, std::int64_t n, int steps, float wd) {
+  AdamState st{signed_data(n, 31), std::vector<float>(static_cast<std::size_t>(n)),
+               std::vector<float>(static_cast<std::size_t>(n))};
+  for (int t = 1; t <= steps; ++t) {
+    const std::vector<float> g = signed_data(n, 100u + static_cast<std::uint32_t>(t));
+    const AdamScalars s{3e-3f, 0.9f, 0.999f, 1e-8f, wd,
+                        1.0f - std::pow(0.9f, static_cast<float>(t)),
+                        1.0f - std::pow(0.999f, static_cast<float>(t))};
+    adam(s, st.w.data(), g.data(), st.m.data(), st.v.data(), n);
+  }
+  return st;
+}
+
+TEST(KernelDispatch, AdamBitIdenticalAcrossVariants) {
+  const KernelVariant* scalar = find_kernel_variant("scalar");
+  ASSERT_NE(scalar, nullptr);
+  for (const float wd : {0.0f, 0.3f}) {
+    for (const int steps : {1, 2, 7}) {
+      for (std::int64_t n = 0; n <= 67; ++n) {
+        const AdamState ref = run_adam(scalar->adam, n, steps, wd);
+        EXPECT_TRUE(run_adam(reference_adam, n, steps, wd) == ref)
+            << "scalar kernel departs from the reference loop: n=" << n
+            << " steps=" << steps << " wd=" << wd;
+        for (const KernelVariant& v : kernel_variants()) {
+          if (!v.available(cpu_features())) continue;
+          EXPECT_TRUE(run_adam(v.adam, n, steps, wd) == ref)
+              << v.name << " Adam differs from scalar: n=" << n
+              << " steps=" << steps << " wd=" << wd;
+        }
+      }
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "nn/activation.hpp"
 #include "nn/attention.hpp"
@@ -98,6 +99,48 @@ TEST(Activation, GeluKnownValues) {
   EXPECT_FLOAT_EQ(y.at(0), 0.0f);
   EXPECT_NEAR(y.at(1), 100.0f, 1e-3f);   // identity for large positive
   EXPECT_NEAR(y.at(2), 0.0f, 1e-3f);     // zero for large negative
+}
+
+// The pre-cache backward, kept as the reference: dy/dx recomputed from x
+// with its own tanh. Gelu::backward must match it bit for bit.
+Tensor reference_gelu_backward(const Tensor& x, const Tensor& dy) {
+  constexpr float kSqrt2OverPi = 0.7978845608028654f;
+  constexpr float kGeluCoef = 0.044715f;
+  Tensor dx(x.shape());
+  for (std::int64_t i = 0; i < x.numel(); ++i) {
+    const float v = x.data()[i];
+    const float u = kSqrt2OverPi * (v + kGeluCoef * v * v * v);
+    const float t = std::tanh(u);
+    const float du = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * v * v);
+    const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
+    dx.data()[i] = dy.data()[i] * grad;
+  }
+  return dx;
+}
+
+TEST(Activation, GeluBackwardBitIdenticalToReferenceFormula) {
+  Rng rng(12);
+  // Wide inputs reach both tanh saturation tails; two forwards in flight
+  // check the LIFO pairing of cached derivatives.
+  Tensor x1 = scaled(random_normal({7, 37}, rng), 4.0f);
+  Tensor x2 = random_normal({7, 37}, rng);
+  const Tensor dy1 = random_normal({7, 37}, rng);
+  const Tensor dy2 = random_normal({7, 37}, rng);
+  Gelu act;
+  const Tensor y1 = act.forward(x1);
+  act.forward(x2);
+  EXPECT_EQ(act.cached_bytes(), 2 * x1.numel() * 4);
+  const Tensor dx2 = act.backward(dy2);
+  const Tensor dx1 = act.backward(dy1);
+  EXPECT_EQ(act.in_flight(), 0u);
+  const auto same = [](const Tensor& a, const Tensor& b) {
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) * 4) == 0;
+  };
+  EXPECT_TRUE(same(dx1, reference_gelu_backward(x1, dy1)));
+  EXPECT_TRUE(same(dx2, reference_gelu_backward(x2, dy2)));
+  EXPECT_TRUE(same(y1, gelu(x1)));
 }
 
 TEST(Activation, ReluAndBackward) {

@@ -116,7 +116,9 @@ TEST(Grad, Gelu) {
   Rng rng(5);
   Tensor x = random_normal({10}, rng);
   Tensor g = random_normal({10}, rng);
-  Tensor dx = gelu_backward(x, g);
+  Gelu act;
+  act.forward(x);
+  Tensor dx = act.backward(g);
   check_input_grad([&](const Tensor& in) { return gelu(in); }, x, dx, g, 2e-2f);
 }
 
