@@ -21,6 +21,9 @@ Tensor LayerNorm::forward(const Tensor& x) {
   const float* px = x.data();
   float* py = y.data();
   float* pxh = xhat_cache_.data();
+  float* pinv = inv_std_cache_.data();
+  const float* pgamma = gamma.value.data();
+  const float* pbeta = beta.value.data();
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = px + r * f;
     // Row statistics via sum(x), sum(x^2) — the distributed layer computes
@@ -34,11 +37,13 @@ Tensor LayerNorm::forward(const Tensor& x) {
     const double m = s / static_cast<double>(f);
     const double var = s2 / static_cast<double>(f) - m * m;
     const float inv_std = static_cast<float>(1.0 / std::sqrt(var + eps_));
-    inv_std_cache_.at(r) = inv_std;
+    pinv[r] = inv_std;
+    float* xhr = pxh + r * f;
+    float* yr = py + r * f;
     for (std::int64_t i = 0; i < f; ++i) {
       const float xh = (row[i] - static_cast<float>(m)) * inv_std;
-      pxh[r * f + i] = xh;
-      py[r * f + i] = gamma.value.at(i) * xh + beta.value.at(i);
+      xhr[i] = xh;
+      yr[i] = pgamma[i] * xh + pbeta[i];
     }
   }
   return y;
@@ -52,27 +57,33 @@ Tensor LayerNorm::backward(const Tensor& dy) {
   Tensor dx(dy.shape());
   const float* pdy = dy.data();
   const float* pxh = xhat_cache_.data();
+  const float* pinv = inv_std_cache_.data();
+  const float* pgamma = gamma.value.data();
+  float* pdgamma = gamma.grad.data();
+  float* pdbeta = beta.grad.data();
+  float* pdx = dx.data();
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* dyr = pdy + r * f;
     const float* xhr = pxh + r * f;
+    float* dxr = pdx + r * f;
     // dxhat = dy * gamma; dx follows eq. (14): the two row sums below are
     // what the distributed version all-reduces.
     double sum_dxh = 0.0;
     double sum_dxh_xh = 0.0;
     for (std::int64_t i = 0; i < f; ++i) {
-      const float dxh = dyr[i] * gamma.value.at(i);
+      const float dxh = dyr[i] * pgamma[i];
       sum_dxh += dxh;
       sum_dxh_xh += static_cast<double>(dxh) * xhr[i];
-      gamma.grad.at(i) += dyr[i] * xhr[i];
-      beta.grad.at(i) += dyr[i];
+      pdgamma[i] += dyr[i] * xhr[i];
+      pdbeta[i] += dyr[i];
     }
-    const float inv_std = inv_std_cache_.at(r);
+    const float inv_std = pinv[r];
     const float mean_dxh = static_cast<float>(sum_dxh / static_cast<double>(f));
     const float mean_dxh_xh =
         static_cast<float>(sum_dxh_xh / static_cast<double>(f));
     for (std::int64_t i = 0; i < f; ++i) {
-      const float dxh = dyr[i] * gamma.value.at(i);
-      dx.data()[r * f + i] = (dxh - mean_dxh - xhr[i] * mean_dxh_xh) * inv_std;
+      const float dxh = dyr[i] * pgamma[i];
+      dxr[i] = (dxh - mean_dxh - xhr[i] * mean_dxh_xh) * inv_std;
     }
   }
   return dx;

@@ -1,15 +1,22 @@
 #include "pdgemm/block.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "tensor/kernels.hpp"
 
 namespace tsr::pdg {
 
 std::vector<Tensor> partition(const Tensor& m, int rows, int cols) {
   check(m.ndim() == 2, "partition: matrix must be 2-D");
-  check(rows > 0 && cols > 0 && m.dim(0) % rows == 0 && m.dim(1) % cols == 0,
-        "partition: dimensions " + shape_to_string(m.shape()) +
-            " not divisible by grid " + std::to_string(rows) + "x" +
-            std::to_string(cols));
+  if (!(rows > 0 && cols > 0 && m.dim(0) % rows == 0 &&
+        m.dim(1) % cols == 0)) {
+    throw std::invalid_argument("partition: dimensions " +
+                                shape_to_string(m.shape()) +
+                                " not divisible by grid " +
+                                std::to_string(rows) + "x" +
+                                std::to_string(cols));
+  }
   std::vector<Tensor> blocks;
   blocks.reserve(static_cast<std::size_t>(rows * cols));
   for (int r = 0; r < rows; ++r) {

@@ -192,7 +192,11 @@ struct FiberScheduler::Impl {
   const std::function<void(int)>* fn = nullptr;
   FiberScheduler* self = nullptr;
   std::atomic<int> live{0};
-  std::atomic<int> parked_workers{0};
+  // Low 32 bits: workers parked. High 32 bits: how many times a worker has
+  // left park. One word, so the last parker reads both in one step.
+  static constexpr std::uint64_t kParkedMask = 0xffffffffu;
+  static constexpr std::uint64_t kLeftPark = kParkedMask + 1;
+  std::atomic<std::uint64_t> park_state{0};
   std::atomic<bool> cancelled{false};
 
   // Static contiguous sharding: rank r belongs to worker r * W / nranks
@@ -223,19 +227,27 @@ struct FiberScheduler::Impl {
     for (int i = 0; i < nworkers; ++i) unpark(workers[i]);
   }
 
-  // Called by the last worker to park. All workers parked means no fiber is
-  // Running (a running fiber keeps its worker out of park), and every wake
-  // stores Runnable before its originating fiber can block — so if the scan
-  // still sees every live fiber Blocked, no wake is in flight and none can
-  // ever arrive: the cluster deadlocked. Cancel the waits; blocked fibers
-  // observe cancelled() in Mailbox::pop and throw, which unwinds their
-  // stacks and lets run() report the error.
-  void check_quiescence() {
+  // Called by the last worker to park, with the park_state its park
+  // produced. All workers parked means no fiber is Running (a running fiber
+  // keeps its worker out of park), and every wake stores Runnable before its
+  // originating fiber can block — so if the scan still sees every live
+  // fiber Blocked, no wake is in flight and none can ever arrive: the
+  // cluster deadlocked. Cancel the waits; blocked fibers observe cancelled()
+  // in Mailbox::pop and throw, which unwinds their stacks and lets run()
+  // report the error.
+  //
+  // The scan reads one fiber at a time, so it is a snapshot only if no
+  // worker left park while it ran: a worker woken just before the scan can
+  // run a Runnable fiber the scan has not reached yet, which wakes fibers
+  // the scan already read as Blocked, then blocks and parks again. Any such
+  // worker bumps the left-park count, so an unchanged park_state proves the
+  // snapshot; otherwise that worker re-checks when it parks again.
+  void check_quiescence(std::uint64_t parked_state) {
     for (int r = 0; r < nranks; ++r) {
       const int s = fibers[r].state.load();
       if (s != kBlocked && s != kDone) return;
     }
-    if (live.load() == 0) return;
+    if (live.load() == 0 || park_state.load() != parked_state) return;
     g_deadlocks.fetch_add(1, std::memory_order_relaxed);
     cancelled.store(true);
     for (int r = 0; r < nranks; ++r) {
@@ -316,7 +328,10 @@ struct FiberScheduler::Impl {
     }
     ++w.parks;
     g_parks.fetch_add(1, std::memory_order_relaxed);
-    if (parked_workers.fetch_add(1) + 1 == nworkers) check_quiescence();
+    const std::uint64_t parked_state = park_state.fetch_add(1) + 1;
+    if ((parked_state & kParkedMask) == static_cast<std::uint64_t>(nworkers)) {
+      check_quiescence(parked_state);
+    }
     {
       std::unique_lock lock(w.mu);
       w.cv.wait(lock, [&] {
@@ -325,7 +340,7 @@ struct FiberScheduler::Impl {
       });
       w.signal = false;
     }
-    parked_workers.fetch_sub(1);
+    park_state.fetch_add(kLeftPark - 1);  // one fewer parked, one more left
     w.parked.store(false);
   }
 };

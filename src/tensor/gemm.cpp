@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <vector>
+#include <stdexcept>
+#include <string>
 
 #include "runtime/worker_pool.hpp"
 #include "tensor/aligned.hpp"
@@ -45,7 +46,7 @@ namespace {
 // scalar reference.
 constexpr std::int64_t kMR = kMicroMR;  // register tile rows (all variants)
 constexpr std::int64_t kNRMax = 16;     // widest tile in the registry
-constexpr std::int64_t kKC = 64;        // k-panel depth (update form only)
+constexpr std::int64_t kKC = 256;       // k-panel depth (update form only)
 constexpr std::int64_t kMC = 64;        // i-panel height
 constexpr std::int64_t kNC = 256;       // j-panel width
 
@@ -53,49 +54,81 @@ std::int64_t round_up(std::int64_t x, std::int64_t q) {
   return (x + q - 1) / q * q;
 }
 
-// Packs op(A)[i0:i0+mc][k0:k0+kc] as ceil(mc/kMR) micro-panels of layout
-// [kk][kMR], each element scaled by `scale`, short panels zero-padded.
-// trans: element (i, kk) of op(A) is a[kk*lda + i] instead of a[i*lda + kk].
-// `q` is the variant's storage-precision hook (bf16 rounding), applied to
-// the raw element BEFORE the alpha scale so the scale stays fp32-exact.
-void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
-            std::int64_t k0, std::int64_t mc, std::int64_t kc, float scale,
-            PackQuantizeFn q, float* dst) {
+// Packs the mc x kc block of op(A) at `a` as ceil(mc/kMR) micro-panels of
+// layout [kk][kMR], each element scaled by `scale`, short panels
+// zero-padded. Element (i, kk) of the block is a[i * rs + kk * ks]. With a
+// quantize hook (bf16 rounding) it applies to the raw element BEFORE the
+// alpha scale, so the scale stays fp32-exact.
+template <bool kQuantize>
+void pack_a_panels(const float* a, std::int64_t rs, std::int64_t ks,
+                   std::int64_t mc, std::int64_t kc, float scale,
+                   PackQuantizeFn q, float* dst) {
   for (std::int64_t ip = 0; ip < mc; ip += kMR) {
     const std::int64_t mr = std::min(kMR, mc - ip);
+    const float* src = a + ip * rs;
     for (std::int64_t kk = 0; kk < kc; ++kk) {
-      for (std::int64_t ii = 0; ii < mr; ++ii) {
-        const std::int64_t i = i0 + ip + ii;
-        const std::int64_t kg = k0 + kk;
-        float e = trans ? a[kg * lda + i] : a[i * lda + kg];
-        if (q != nullptr) e = q(e);
-        dst[kk * kMR + ii] = scale * e;
+      const float* col = src + kk * ks;
+      float* out = dst + kk * kMR;
+      std::int64_t ii = 0;
+      for (; ii < mr; ++ii) {
+        out[ii] = scale * (kQuantize ? q(col[ii * rs]) : col[ii * rs]);
       }
-      for (std::int64_t ii = mr; ii < kMR; ++ii) dst[kk * kMR + ii] = 0.0f;
+      for (; ii < kMR; ++ii) out[ii] = 0.0f;
     }
     dst += kc * kMR;
   }
 }
 
-// Packs op(B)[k0:k0+kc][j0:j0+nc] as ceil(nc/vnr) micro-panels of layout
-// [kk][vnr], short panels zero-padded.
+// op(A)[i0:i0+mc][k0:k0+kc] into [kk][kMR] panels (see pack_a_panels).
+// trans: element (i, kk) of op(A) is a[kk*lda + i] instead of a[i*lda + kk].
+void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
+            std::int64_t k0, std::int64_t mc, std::int64_t kc, float scale,
+            PackQuantizeFn q, float* dst) {
+  const std::int64_t rs = trans ? 1 : lda;
+  const std::int64_t ks = trans ? lda : 1;
+  const float* src = a + i0 * rs + k0 * ks;
+  if (q == nullptr) {
+    pack_a_panels<false>(src, rs, ks, mc, kc, scale, q, dst);
+  } else {
+    pack_a_panels<true>(src, rs, ks, mc, kc, scale, q, dst);
+  }
+}
+
+// Packs the kc x nc block of op(B) at `b` as ceil(nc/vnr) micro-panels of
+// layout [kk][vnr], short panels zero-padded. Element (kk, j) of the block
+// is b[kk * ks + j * js].
+template <bool kQuantize>
+void pack_b_panels(const float* b, std::int64_t ks, std::int64_t js,
+                   std::int64_t kc, std::int64_t nc, std::int64_t vnr,
+                   PackQuantizeFn q, float* dst) {
+  for (std::int64_t jp = 0; jp < nc; jp += vnr) {
+    const std::int64_t nr = std::min(vnr, nc - jp);
+    const float* src = b + jp * js;
+    for (std::int64_t kk = 0; kk < kc; ++kk) {
+      const float* row = src + kk * ks;
+      float* out = dst + kk * vnr;
+      std::int64_t jj = 0;
+      for (; jj < nr; ++jj) {
+        out[jj] = kQuantize ? q(row[jj * js]) : row[jj * js];
+      }
+      for (; jj < vnr; ++jj) out[jj] = 0.0f;
+    }
+    dst += kc * vnr;
+  }
+}
+
+// op(B)[k0:k0+kc][j0:j0+nc] into [kk][vnr] panels (see pack_b_panels).
 // trans: element (kk, j) of op(B) is b[j*ldb + kk] instead of b[kk*ldb + j].
 void pack_b(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
             std::int64_t j0, std::int64_t kc, std::int64_t nc,
             std::int64_t vnr, PackQuantizeFn q, float* dst) {
-  for (std::int64_t jp = 0; jp < nc; jp += vnr) {
-    const std::int64_t nr = std::min(vnr, nc - jp);
-    for (std::int64_t kk = 0; kk < kc; ++kk) {
-      for (std::int64_t jj = 0; jj < nr; ++jj) {
-        const std::int64_t j = j0 + jp + jj;
-        const std::int64_t kg = k0 + kk;
-        float e = trans ? b[j * ldb + kg] : b[kg * ldb + j];
-        if (q != nullptr) e = q(e);
-        dst[kk * vnr + jj] = e;
-      }
-      for (std::int64_t jj = nr; jj < vnr; ++jj) dst[kk * vnr + jj] = 0.0f;
-    }
-    dst += kc * vnr;
+  const std::int64_t ks = trans ? 1 : ldb;
+  const std::int64_t js = trans ? ldb : 1;
+  const float* src = b + k0 * ks + j0 * js;
+  if (q == nullptr) {
+    pack_b_panels<false>(src, ks, js, kc, nc, vnr, q, dst);
+  } else {
+    pack_b_panels<true>(src, ks, js, kc, nc, vnr, q, dst);
   }
 }
 
@@ -111,31 +144,106 @@ void pack_b(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
 std::atomic<std::uint64_t> g_scratch_allocs{0};
 std::atomic<std::uint64_t> g_scratch_reuses{0};
 
+// A grow-only float buffer that is never initialised: the kernels only read
+// what a pack wrote first.
+class PackBuffer {
+ public:
+  PackBuffer() = default;
+  PackBuffer(const PackBuffer&) = delete;
+  PackBuffer& operator=(const PackBuffer&) = delete;
+  ~PackBuffer() { release(); }
+
+  float* data() const { return data_; }
+
+  // Makes room for `elems` floats; true when that took a new allocation.
+  bool grow_to(std::int64_t elems) {
+    if (elems <= capacity_) return false;
+    release();
+    data_ = AlignedAllocator<float>().allocate(static_cast<std::size_t>(elems));
+    capacity_ = elems;
+    return true;
+  }
+
+ private:
+  void release() {
+    if (data_ != nullptr) {
+      AlignedAllocator<float>().deallocate(data_,
+                                           static_cast<std::size_t>(capacity_));
+    }
+    data_ = nullptr;
+    capacity_ = 0;
+  }
+
+  float* data_ = nullptr;
+  std::int64_t capacity_ = 0;
+};
+
 struct PackScratch {
-  std::vector<float, AlignedAllocator<float>> apack;
-  std::vector<float, AlignedAllocator<float>> bpack;
+  PackBuffer apack;
+  PackBuffer bpack;
 
   // One acquisition per gemm kernel invocation on this thread: an
   // allocation if either panel buffer had to grow, a reuse otherwise.
   void acquire(std::int64_t a_elems, std::int64_t b_elems) {
-    const bool grew = static_cast<std::size_t>(a_elems) > apack.capacity() ||
-                      static_cast<std::size_t>(b_elems) > bpack.capacity();
-    apack.resize(static_cast<std::size_t>(a_elems));
-    bpack.resize(static_cast<std::size_t>(b_elems));
-    (grew ? g_scratch_allocs : g_scratch_reuses)
+    const bool grew_a = apack.grow_to(a_elems);
+    const bool grew_b = bpack.grow_to(b_elems);
+    (grew_a || grew_b ? g_scratch_allocs : g_scratch_reuses)
         .fetch_add(1, std::memory_order_relaxed);
   }
 };
 
 thread_local PackScratch t_scratch;
 
+// Copies between a full kMR x NR tile of C (row stride ldc) and the
+// accumulator (row stride NR). The extents are compile-time constants, so
+// the copies become register moves, not one memcpy call per row.
+template <std::int64_t NR>
+void load_full_tile(const float* c, std::int64_t ldc, float* acc) {
+  for (std::int64_t ii = 0; ii < kMR; ++ii) {
+    for (std::int64_t jj = 0; jj < NR; ++jj) acc[ii * NR + jj] = c[ii * ldc + jj];
+  }
+}
+template <std::int64_t NR>
+void store_full_tile(const float* acc, float* c, std::int64_t ldc) {
+  for (std::int64_t ii = 0; ii < kMR; ++ii) {
+    for (std::int64_t jj = 0; jj < NR; ++jj) c[ii * ldc + jj] = acc[ii * NR + jj];
+  }
+}
+
+// Loads the mr x nr tile of C into the accumulator (row stride vnr). A
+// ragged tile zero-fills the lanes it does not load, so the micro-kernel
+// never reads an uninitialised value; a full tile loads every lane.
+void load_tile(const float* c, std::int64_t ldc, std::int64_t mr,
+               std::int64_t nr, std::int64_t vnr, float* acc) {
+  if (mr == kMR && nr == vnr) {
+    if (vnr == 16) return load_full_tile<16>(c, ldc, acc);
+    if (vnr == 8) return load_full_tile<8>(c, ldc, acc);
+  }
+  std::fill(acc, acc + kMR * kNRMax, 0.0f);
+  for (std::int64_t ii = 0; ii < mr; ++ii) {
+    for (std::int64_t jj = 0; jj < nr; ++jj) acc[ii * vnr + jj] = c[ii * ldc + jj];
+  }
+}
+
+void store_tile(const float* acc, std::int64_t mr, std::int64_t nr,
+                std::int64_t vnr, float* c, std::int64_t ldc) {
+  if (mr == kMR && nr == vnr) {
+    if (vnr == 16) return store_full_tile<16>(acc, c, ldc);
+    if (vnr == 8) return store_full_tile<8>(acc, c, ldc);
+  }
+  for (std::int64_t ii = 0; ii < mr; ++ii) {
+    for (std::int64_t jj = 0; jj < nr; ++jj) c[ii * ldc + jj] = acc[ii * vnr + jj];
+  }
+}
+
 // Update form (N/N and T/N) over the output columns [jb, je): C += (alpha *
 // op(A)) * B with B row-major, accumulating into C per k-panel with k
 // strictly ascending.
 // The full kernel is gemm_update_cols(0, n); a parallel caller hands each
 // worker a disjoint nr-aligned column stripe. Per C element the
-// floating-point sequence depends only on the k blocking, so any column
-// partition produces bit-identical results.
+// floating-point sequence is the same for any k blocking and any column
+// partition (each k-panel resumes from the value the last one stored), so
+// every blocking produces bit-identical results.
 void gemm_update_cols(const KernelVariant& v, bool a_trans, std::int64_t m,
                       std::int64_t k, float alpha,
                       const float* a, std::int64_t lda, const float* b,
@@ -165,23 +273,14 @@ void gemm_update_cols(const KernelVariant& v, bool a_trans, std::int64_t m,
           for (std::int64_t jp = 0; jp < nc; jp += vnr) {
             const std::int64_t nr = std::min(vnr, nc - jp);
             alignas(kTensorAlignment) float acc[kMR * kNRMax];
-            std::fill(acc, acc + kMR * vnr, 0.0f);
             float* cblk = c + (i0 + ip) * ldc + j0 + jp;
-            for (std::int64_t ii = 0; ii < mr; ++ii) {
-              for (std::int64_t jj = 0; jj < nr; ++jj) {
-                acc[ii * vnr + jj] = cblk[ii * ldc + jj];
-              }
-            }
+            load_tile(cblk, ldc, mr, nr, vnr, acc);
             const bool in_place = jp < nfull;
             v.micro(kc, apack + (ip / kMR) * kc * kMR,
                     in_place ? b + k0 * ldb + j0 + jp
                              : bpack + (jp - nfull) / vnr * kc * vnr,
                     in_place ? ldb : vnr, acc);
-            for (std::int64_t ii = 0; ii < mr; ++ii) {
-              for (std::int64_t jj = 0; jj < nr; ++jj) {
-                cblk[ii * ldc + jj] = acc[ii * vnr + jj];
-              }
-            }
+            store_tile(acc, mr, nr, vnr, cblk, ldc);
           }
         }
       }
@@ -210,8 +309,7 @@ void gemm_dot_cols(const KernelVariant& v, bool a_trans, bool b_trans,
         const std::int64_t mr = std::min(kMR, mc - ip);
         for (std::int64_t jp = 0; jp < nc; jp += vnr) {
           const std::int64_t nr = std::min(vnr, nc - jp);
-          alignas(kTensorAlignment) float acc[kMR * kNRMax];
-          std::fill(acc, acc + kMR * vnr, 0.0f);
+          alignas(kTensorAlignment) float acc[kMR * kNRMax] = {};
           v.micro(k, apack + (ip / kMR) * k * kMR,
                   bpack + (jp / vnr) * k * vnr, vnr, acc);
           float* cblk = c + (i0 + ip) * ldc + j0 + jp;
@@ -266,8 +364,12 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           std::int64_t ldb, float beta, float* c, std::int64_t ldc) {
   // Scale / clear C first so the kernels can be pure accumulators.
   if (beta == 0.0f) {
-    for (std::int64_t i = 0; i < m; ++i) {
-      std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+    if (ldc == n) {
+      std::fill(c, c + m * n, 0.0f);
+    } else {
+      for (std::int64_t i = 0; i < m; ++i) {
+        std::fill(c + i * ldc, c + i * ldc + n, 0.0f);
+      }
     }
   } else if (beta != 1.0f) {
     for (std::int64_t i = 0; i < m; ++i) {
@@ -303,9 +405,11 @@ void matmul_dims(const Tensor& a, const Tensor& b, Trans ta, Trans tb,
   const std::int64_t ka = ta == Trans::N ? a.dim(1) : a.dim(0);
   const std::int64_t kb = tb == Trans::N ? b.dim(0) : b.dim(1);
   n = tb == Trans::N ? b.dim(1) : b.dim(0);
-  check(ka == kb, "matmul: inner dimensions mismatch: " +
-                      shape_to_string(a.shape()) + " x " +
-                      shape_to_string(b.shape()));
+  if (ka != kb) {
+    throw std::invalid_argument("matmul: inner dimensions mismatch: " +
+                                shape_to_string(a.shape()) + " x " +
+                                shape_to_string(b.shape()));
+  }
   k = ka;
 }
 }  // namespace

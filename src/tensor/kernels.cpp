@@ -3,15 +3,19 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "tensor/kernel_registry.hpp"
 
 namespace tsr {
 namespace {
 void check_same_numel(const Tensor& a, const Tensor& b, const char* op) {
-  check(a.numel() == b.numel(), std::string(op) + ": size mismatch " +
-                                    shape_to_string(a.shape()) + " vs " +
-                                    shape_to_string(b.shape()));
+  if (a.numel() != b.numel()) {
+    throw std::invalid_argument(std::string(op) + ": size mismatch " +
+                                shape_to_string(a.shape()) + " vs " +
+                                shape_to_string(b.shape()));
+  }
 }
 }  // namespace
 

@@ -12,16 +12,15 @@
 
 namespace tsr {
 
-void check(bool cond, const std::string& what) {
-  if (!cond) {
-    throw std::invalid_argument(what);
-  }
-}
+void check_failed(const char* what) { throw std::invalid_argument(what); }
 
 std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
   for (std::int64_t d : shape) {
-    check(d >= 0, "negative dimension in shape " + shape_to_string(shape));
+    if (d < 0) {
+      throw std::invalid_argument("negative dimension in shape " +
+                                  shape_to_string(shape));
+    }
     n *= d;
   }
   return n;
@@ -77,8 +76,11 @@ Tensor Tensor::from(std::vector<float> values, Shape shape) {
 }
 
 Tensor Tensor::from(std::span<const float> values, Shape shape) {
-  check(static_cast<std::int64_t>(values.size()) == shape_numel(shape),
-        "Tensor::from: value count does not match shape " + shape_to_string(shape));
+  if (static_cast<std::int64_t>(values.size()) != shape_numel(shape)) {
+    throw std::invalid_argument(
+        "Tensor::from: value count does not match shape " +
+        shape_to_string(shape));
+  }
   Tensor t(std::move(shape));
   if (!values.empty()) {
     std::memcpy(t.data(), values.data(), values.size() * sizeof(float));
@@ -91,50 +93,12 @@ Tensor Tensor::of(std::initializer_list<float> values) {
               Shape{static_cast<std::int64_t>(values.size())});
 }
 
-std::int64_t Tensor::dim(std::int64_t i) const {
-  if (i < 0) i += ndim();
-  check(i >= 0 && i < ndim(), "Tensor::dim: index out of range");
-  return shape_[static_cast<std::size_t>(i)];
-}
-
-namespace {
-inline std::int64_t idx2(const Shape& s, std::int64_t i, std::int64_t j) {
-  return i * s[1] + j;
-}
-inline std::int64_t idx3(const Shape& s, std::int64_t i, std::int64_t j,
-                         std::int64_t k) {
-  return (i * s[1] + j) * s[2] + k;
-}
-inline std::int64_t idx4(const Shape& s, std::int64_t i, std::int64_t j,
-                         std::int64_t k, std::int64_t l) {
-  return ((i * s[1] + j) * s[2] + k) * s[3] + l;
-}
-}  // namespace
-
-float& Tensor::at(std::int64_t i) { return data_[i]; }
-float Tensor::at(std::int64_t i) const { return data_[i]; }
-float& Tensor::at(std::int64_t i, std::int64_t j) { return data_[idx2(shape_, i, j)]; }
-float Tensor::at(std::int64_t i, std::int64_t j) const {
-  return data_[idx2(shape_, i, j)];
-}
-float& Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k) {
-  return data_[idx3(shape_, i, j, k)];
-}
-float Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k) const {
-  return data_[idx3(shape_, i, j, k)];
-}
-float& Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) {
-  return data_[idx4(shape_, i, j, k, l)];
-}
-float Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k,
-                 std::int64_t l) const {
-  return data_[idx4(shape_, i, j, k, l)];
-}
-
 Tensor Tensor::reshape(Shape new_shape) const {
-  check(shape_numel(new_shape) == numel_,
-        "Tensor::reshape: cannot reshape " + shape_to_string(shape_) + " to " +
-            shape_to_string(new_shape));
+  if (shape_numel(new_shape) != numel_) {
+    throw std::invalid_argument("Tensor::reshape: cannot reshape " +
+                                shape_to_string(shape_) + " to " +
+                                shape_to_string(new_shape));
+  }
   Tensor view;
   view.shape_ = std::move(new_shape);
   view.numel_ = numel_;

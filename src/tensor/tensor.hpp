@@ -16,6 +16,19 @@
 
 namespace tsr {
 
+/// Throws std::invalid_argument carrying `what`; the cold half of check().
+[[noreturn]] void check_failed(const char* what);
+
+/// Throwing check used across the library: aborts the computation with
+/// std::invalid_argument carrying `what` when `cond` is false. Inline and
+/// allocation-free when the check passes. A message that needs formatting
+/// (shapes, numbers) must be built only on failure: test the condition,
+/// then throw std::invalid_argument yourself (tools/check_hot_checks.py
+/// rejects eager formatting in a check() argument).
+inline void check(bool cond, const char* what) {
+  if (!cond) [[unlikely]] check_failed(what);
+}
+
 /// Shape of a tensor: up to 4 dimensions in practice, stored dynamically.
 using Shape = std::vector<std::int64_t>;
 
@@ -62,14 +75,22 @@ class Tensor {
   }
 
   /// Element access (row-major). 1-4 index overloads.
-  float& at(std::int64_t i);
-  float at(std::int64_t i) const;
-  float& at(std::int64_t i, std::int64_t j);
-  float at(std::int64_t i, std::int64_t j) const;
-  float& at(std::int64_t i, std::int64_t j, std::int64_t k);
-  float at(std::int64_t i, std::int64_t j, std::int64_t k) const;
-  float& at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l);
-  float at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) const;
+  float& at(std::int64_t i) { return data_[i]; }
+  float at(std::int64_t i) const { return data_[i]; }
+  float& at(std::int64_t i, std::int64_t j) { return data_[index(i, j)]; }
+  float at(std::int64_t i, std::int64_t j) const { return data_[index(i, j)]; }
+  float& at(std::int64_t i, std::int64_t j, std::int64_t k) {
+    return data_[index(i, j, k)];
+  }
+  float at(std::int64_t i, std::int64_t j, std::int64_t k) const {
+    return data_[index(i, j, k)];
+  }
+  float& at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) {
+    return data_[index(i, j, k, l)];
+  }
+  float at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) const {
+    return data_[index(i, j, k, l)];
+  }
 
   /// View with a new shape sharing storage; numel must match.
   Tensor reshape(Shape new_shape) const;
@@ -90,13 +111,26 @@ class Tensor {
   }
 
  private:
+  std::int64_t index(std::int64_t i, std::int64_t j) const {
+    return i * shape_[1] + j;
+  }
+  std::int64_t index(std::int64_t i, std::int64_t j, std::int64_t k) const {
+    return (i * shape_[1] + j) * shape_[2] + k;
+  }
+  std::int64_t index(std::int64_t i, std::int64_t j, std::int64_t k,
+                     std::int64_t l) const {
+    return ((i * shape_[1] + j) * shape_[2] + k) * shape_[3] + l;
+  }
+
   Shape shape_;
   std::int64_t numel_ = 0;
   std::shared_ptr<float[]> data_;
 };
 
-/// Throwing check used across the library: aborts the computation with
-/// std::invalid_argument carrying `what` when `cond` is false.
-void check(bool cond, const std::string& what);
+inline std::int64_t Tensor::dim(std::int64_t i) const {
+  if (i < 0) i += ndim();
+  check(i >= 0 && i < ndim(), "Tensor::dim: index out of range");
+  return shape_[static_cast<std::size_t>(i)];
+}
 
 }  // namespace tsr

@@ -81,11 +81,15 @@ Tensor embed_tokens(nn::Embedding& tok, const nn::Param& pos,
                     std::int64_t seq, std::int64_t hidden) {
   Tensor x = tok.forward(tokens, batch);
   check(x.dim(1) == seq, "embed_tokens: sequence length mismatch");
+  const std::int64_t x_row = x.dim(2);
+  const std::int64_t pos_row = pos.value.dim(1);
+  float* px = x.data();
+  const float* pp = pos.value.data();
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t t = 0; t < seq; ++t) {
-      for (std::int64_t e = 0; e < hidden; ++e) {
-        x.at(b, t, e) += pos.value.at(t, e);
-      }
+      float* xr = px + (b * seq + t) * x_row;
+      const float* pr = pp + t * pos_row;
+      for (std::int64_t e = 0; e < hidden; ++e) xr[e] += pr[e];
     }
   }
   return x;
@@ -127,11 +131,17 @@ void check_step_capacity(const LmDecodeState& state) {
 
 void embed_backward(nn::Embedding& tok, nn::Param& pos, const Tensor& dx) {
   tok.backward(dx);
-  for (std::int64_t b = 0; b < dx.dim(0); ++b) {
-    for (std::int64_t t = 0; t < dx.dim(1); ++t) {
-      for (std::int64_t e = 0; e < dx.dim(2); ++e) {
-        pos.grad.at(t, e) += dx.at(b, t, e);
-      }
+  const std::int64_t batch = dx.dim(0);
+  const std::int64_t seq = dx.dim(1);
+  const std::int64_t hidden = dx.dim(2);
+  const std::int64_t grad_row = pos.grad.dim(1);
+  const float* pd = dx.data();
+  float* pg = pos.grad.data();
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t t = 0; t < seq; ++t) {
+      const float* dr = pd + (b * seq + t) * hidden;
+      float* gr = pg + t * grad_row;
+      for (std::int64_t e = 0; e < hidden; ++e) gr[e] += dr[e];
     }
   }
 }

@@ -7,9 +7,12 @@
 // contract.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cfenv>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -304,8 +307,7 @@ std::vector<float> signed_data(std::int64_t n, std::uint32_t salt) {
 
 // N/N and T/N products whose row-major B is read in place: n is no multiple
 // of 8 or 16 (so every j-panel ends in a packed tail), ldb > n (the row
-// stride is not the width), k is no multiple of the 64-deep k-panel, and the
-// second case spans two 256-wide j-panels.
+// stride is not the width), and the second case spans two 256-wide j-panels.
 struct InPlaceCase {
   Trans ta;
   std::int64_t m, n, k;
@@ -373,6 +375,219 @@ TEST(KernelDispatch, UpdateFormWithBInPlaceMatchesScalarAndPackedPath) {
           << where << ": in-place B differs from scalar";
       EXPECT_EQ(std::memcmp(update_acc().data(), ref_acc.data(), c_bytes), 0)
           << where << ": alpha/beta update differs from scalar";
+    }
+  }
+}
+
+// ---- k-panels, beta = 0 and ragged tiles -----------------------------------
+
+// The scalar loops the packed kernel stands in for, one per rounding
+// discipline (gemm.cpp): C is cleared (beta = 0) or scaled first; then the
+// update form (tb = N) adds (alpha * a) * b into C for k ascending, and the
+// dot form (tb = T) sums a * b from +0 over the whole k extent and adds
+// alpha times the sum once. Every memcmp-gated variant must match it bit for
+// bit, whatever its k-panel depth and tile shape.
+void naive_gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+                std::int64_t k, float alpha, const float* a, std::int64_t lda,
+                const float* b, std::int64_t ldb, float beta, float* c,
+                std::int64_t ldc) {
+  const auto a_at = [&](std::int64_t i, std::int64_t kk) {
+    return ta == Trans::N ? a[i * lda + kk] : a[kk * lda + i];
+  };
+  for (std::int64_t i = 0; i < m; ++i) {
+    for (std::int64_t j = 0; j < n; ++j) {
+      float& cij = c[i * ldc + j];
+      if (beta == 0.0f) {
+        cij = 0.0f;
+      } else if (beta != 1.0f) {
+        cij *= beta;
+      }
+      if (tb == Trans::N) {
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          cij += (alpha * a_at(i, kk)) * b[kk * ldb + j];
+        }
+      } else {
+        float acc = 0.0f;
+        for (std::int64_t kk = 0; kk < k; ++kk) {
+          acc += a_at(i, kk) * b[j * ldb + kk];
+        }
+        cij += alpha * acc;
+      }
+    }
+  }
+}
+
+// One gemm call over caller-owned storage: op(A) is m x k, op(B) k x n, C
+// has row stride ldc >= n. Columns [n, ldc) of C are padding the call must
+// leave alone.
+struct GateCall {
+  Trans ta, tb;
+  std::int64_t m, n, k, ldc;
+  float alpha, beta;
+  std::int64_t lda() const { return ta == Trans::N ? k : m; }
+  std::int64_t ldb() const { return tb == Trans::N ? n : k; }
+  std::int64_t a_size() const { return m * k; }
+  std::int64_t b_size() const { return k * n; }
+
+  std::vector<float> run(const std::vector<float>& a, const std::vector<float>& b,
+                         std::vector<float> c, bool naive) const {
+    (naive ? naive_gemm : gemm)(ta, tb, m, n, k, alpha, a.data(), lda(),
+                                b.data(), ldb(), beta, c.data(), ldc);
+    return c;
+  }
+  std::string where(const char* variant) const {
+    return std::string(variant) + " " + (ta == Trans::N ? "N" : "T") +
+           (tb == Trans::N ? "N" : "T") + " m=" + std::to_string(m) +
+           " n=" + std::to_string(n) + " k=" + std::to_string(k) +
+           " ldc=" + std::to_string(ldc) + " beta=" + std::to_string(beta);
+  }
+};
+
+bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) == 0;
+}
+
+std::vector<float> abs_of(std::vector<float> v) {
+  for (float& x : v) x = std::fabs(x);
+  return v;
+}
+
+// k straddles the 256-deep update-form k-panel (255, 257) and spans three
+// panels (513); m and n leave ragged register tiles for 8- and 16-wide
+// variants and cross the 64-row i-panel and the 256-wide j-panel. C is
+// cleared with ldc == n (one fill) and ldc > n (row by row), or scaled.
+std::vector<GateCall> gate_calls() {
+  struct Dims {
+    std::int64_t m, n, k;
+  };
+  const Dims dims[] = {{37, 53, 255}, {9, 300, 257}, {70, 21, 513}};
+  std::vector<GateCall> calls;
+  for (const Dims& d : dims) {
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        calls.push_back({ta, tb, d.m, d.n, d.k, d.n, 1.0f, 0.0f});
+        calls.push_back({ta, tb, d.m, d.n, d.k, d.n + 5, -0.75f, 0.0f});
+        calls.push_back({ta, tb, d.m, d.n, d.k, d.n + 5, -0.75f, 0.5f});
+      }
+    }
+  }
+  return calls;
+}
+
+TEST(KernelDispatch, KPanelsBetaZeroAndRaggedTilesMatchScalarAndNaive) {
+  VariantGuard restore;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (const GateCall& gc : gate_calls()) {
+    const std::vector<float> a = signed_data(gc.a_size(), 41);
+    const std::vector<float> b = signed_data(gc.b_size(), 42);
+    // beta = 0 must overwrite C, NaNs included; padding columns keep their
+    // NaNs too, and memcmp compares them.
+    std::vector<float> c0 = signed_data(gc.m * gc.ldc, 43);
+    for (std::int64_t i = 0; i < gc.m; ++i) {
+      for (std::int64_t j = gc.n; j < gc.ldc; ++j) c0[i * gc.ldc + j] = nan;
+      if (gc.beta == 0.0f) c0[i * gc.ldc] = nan;
+    }
+    const std::vector<float> ref = gc.run(a, b, c0, /*naive=*/true);
+    // |alpha| sum |a||b| + |beta c|: the scale of each element's rounding
+    // error, for the tolerance-gated variants.
+    GateCall mag_call = gc;
+    mag_call.alpha = std::fabs(gc.alpha);
+    const std::vector<float> mag =
+        mag_call.run(abs_of(a), abs_of(b), abs_of(c0), /*naive=*/true);
+    force_kernel_variant("scalar");
+    const std::vector<float> scalar = gc.run(a, b, c0, /*naive=*/false);
+    EXPECT_TRUE(same_bytes(scalar, ref)) << gc.where("scalar") << " vs naive";
+    for (const KernelVariant& v : kernel_variants()) {
+      if (!v.available(cpu_features())) continue;
+      force_kernel_variant(v.name);
+      const std::vector<float> got = gc.run(a, b, c0, /*naive=*/false);
+      if (std::string(v.gate) == "memcmp") {
+        EXPECT_TRUE(same_bytes(got, scalar)) << gc.where(v.name) << " vs scalar";
+        EXPECT_TRUE(same_bytes(got, ref)) << gc.where(v.name) << " vs naive";
+        continue;
+      }
+      const std::string name = v.name;
+      const float tol = name == "avx2fma" ? 1e-4f : name == "bf16" ? 0.02f : 0.05f;
+      float worst = 0.0f;
+      for (std::int64_t i = 0; i < gc.m; ++i) {
+        for (std::int64_t j = 0; j < gc.n; ++j) {
+          const std::size_t e = static_cast<std::size_t>(i * gc.ldc + j);
+          worst = std::max(worst, std::fabs(got[e] - ref[e]) / mag[e]);
+        }
+        for (std::int64_t j = gc.n; j < gc.ldc; ++j) {
+          const std::size_t e = static_cast<std::size_t>(i * gc.ldc + j);
+          EXPECT_TRUE(std::isnan(got[e])) << gc.where(v.name) << " wrote padding";
+        }
+      }
+      EXPECT_LT(worst, tol) << gc.where(v.name) << " vs naive";
+    }
+  }
+}
+
+TEST(KernelDispatch, NegativeZeroProductsGivePositiveZero) {
+  // Every product is -0.0 (negative A times +0.0 B). With beta = 0, C is
+  // +0.0 plus a run of -0.0 terms, which IEEE rounds to +0.0 in both
+  // disciplines; an accumulator seeded from the first product, or a C that
+  // was never cleared, would leave -0.0 or the old value behind.
+  VariantGuard restore;
+  for (const KernelVariant& v : kernel_variants()) {
+    if (!v.available(cpu_features())) continue;
+    force_kernel_variant(v.name);
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        for (const std::int64_t pad : {0, 3}) {
+          const GateCall gc{ta, tb, 13, 21, 257, 21 + pad, 1.0f, 0.0f};
+          std::vector<float> a = abs_of(signed_data(gc.a_size(), 51));
+          for (float& x : a) x = -0.25f - x;
+          const std::vector<float> b(static_cast<std::size_t>(gc.b_size()), 0.0f);
+          const std::vector<float> c0(static_cast<std::size_t>(gc.m * gc.ldc),
+                                      -1.0f);
+          std::vector<float> want = c0;
+          for (std::int64_t i = 0; i < gc.m; ++i) {
+            std::fill_n(want.begin() + i * gc.ldc, gc.n, 0.0f);
+          }
+          EXPECT_TRUE(same_bytes(gc.run(a, b, c0, /*naive=*/true), want))
+              << gc.where("naive");
+          EXPECT_TRUE(same_bytes(gc.run(a, b, c0, /*naive=*/false), want))
+              << gc.where(v.name);
+        }
+      }
+    }
+  }
+}
+
+// Fills a stack region far deeper than any gemm frame with signalling NaNs,
+// so an accumulator lane the GEMM code reads before writing holds one.
+[[gnu::noinline]] void poison_stack() {
+  std::uint32_t words[16384];
+  std::fill_n(words, 16384, 0x7fa00000u);
+  // The stores must happen although nothing reads them back.
+  asm volatile("" : : "r"(words) : "memory");
+}
+
+TEST(KernelDispatch, RaggedTilesNeverReadUninitialisedAccumulatorLanes) {
+  // The first tile of each call is ragged (m < 4 or n below the tile
+  // width), so its accumulator starts as whatever the stack held. Lanes the
+  // tile does not cover are never stored, so a missing zero fill does not
+  // change C; it shows as FE_INVALID once those lanes hold a signalling NaN.
+  VariantGuard restore;
+  const std::vector<float> a = signed_data(3 * 40, 61);
+  const std::vector<float> b = signed_data(40 * 13, 62);
+  for (const KernelVariant& v : kernel_variants()) {
+    if (!v.available(cpu_features()) || v.micro == nullptr) continue;
+    force_kernel_variant(v.name);
+    for (const Trans tb : {Trans::N, Trans::T}) {
+      for (const std::int64_t n : {5, 13}) {
+        std::vector<float> c(static_cast<std::size_t>(3 * n), 0.25f);
+        std::feclearexcept(FE_ALL_EXCEPT);
+        poison_stack();
+        gemm(Trans::N, tb, 3, n, 40, 1.0f, a.data(), 40, b.data(),
+             tb == Trans::N ? n : 40, 1.0f, c.data(), n);
+        const bool invalid = std::fetestexcept(FE_INVALID) != 0;
+        EXPECT_FALSE(invalid) << v.name << (tb == Trans::N ? " NN" : " NT")
+                              << " n=" << n;
+      }
     }
   }
 }
