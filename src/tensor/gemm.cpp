@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "runtime/worker_pool.hpp"
 #include "tensor/aligned.hpp"
@@ -144,50 +144,20 @@ void pack_b(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
 std::atomic<std::uint64_t> g_scratch_allocs{0};
 std::atomic<std::uint64_t> g_scratch_reuses{0};
 
-// A grow-only float buffer that is never initialised: the kernels only read
-// what a pack wrote first.
-class PackBuffer {
- public:
-  PackBuffer() = default;
-  PackBuffer(const PackBuffer&) = delete;
-  PackBuffer& operator=(const PackBuffer&) = delete;
-  ~PackBuffer() { release(); }
-
-  float* data() const { return data_; }
-
-  // Makes room for `elems` floats; true when that took a new allocation.
-  bool grow_to(std::int64_t elems) {
-    if (elems <= capacity_) return false;
-    release();
-    data_ = AlignedAllocator<float>().allocate(static_cast<std::size_t>(elems));
-    capacity_ = elems;
-    return true;
-  }
-
- private:
-  void release() {
-    if (data_ != nullptr) {
-      AlignedAllocator<float>().deallocate(data_,
-                                           static_cast<std::size_t>(capacity_));
-    }
-    data_ = nullptr;
-    capacity_ = 0;
-  }
-
-  float* data_ = nullptr;
-  std::int64_t capacity_ = 0;
-};
-
 struct PackScratch {
-  PackBuffer apack;
-  PackBuffer bpack;
+  std::vector<float, AlignedAllocator<float>> apack;
+  std::vector<float, AlignedAllocator<float>> bpack;
 
   // One acquisition per gemm kernel invocation on this thread: an
-  // allocation if either panel buffer had to grow, a reuse otherwise.
+  // allocation if either panel buffer had to grow, a reuse otherwise. The
+  // buffers only grow, so the zero fill of resize() runs once per growth,
+  // not whenever the update and dot forms alternate sizes.
   void acquire(std::int64_t a_elems, std::int64_t b_elems) {
-    const bool grew_a = apack.grow_to(a_elems);
-    const bool grew_b = bpack.grow_to(b_elems);
-    (grew_a || grew_b ? g_scratch_allocs : g_scratch_reuses)
+    const bool grow_a = static_cast<std::size_t>(a_elems) > apack.size();
+    const bool grow_b = static_cast<std::size_t>(b_elems) > bpack.size();
+    if (grow_a) apack.resize(static_cast<std::size_t>(a_elems));
+    if (grow_b) bpack.resize(static_cast<std::size_t>(b_elems));
+    (grow_a || grow_b ? g_scratch_allocs : g_scratch_reuses)
         .fetch_add(1, std::memory_order_relaxed);
   }
 };

@@ -307,7 +307,9 @@ std::vector<float> signed_data(std::int64_t n, std::uint32_t salt) {
 
 // N/N and T/N products whose row-major B is read in place: n is no multiple
 // of 8 or 16 (so every j-panel ends in a packed tail), ldb > n (the row
-// stride is not the width), and the second case spans two 256-wide j-panels.
+// stride is not the width), k is no multiple of the 256-deep k-panel, the
+// last two cases cross it (so B is read from row k0 > 0 with stride ldb),
+// and the second case spans two 256-wide j-panels.
 struct InPlaceCase {
   Trans ta;
   std::int64_t m, n, k;
@@ -316,6 +318,8 @@ const InPlaceCase kInPlaceCases[] = {
     {Trans::N, 37, 53, 150},
     {Trans::T, 21, 300, 77},
     {Trans::N, 5, 9, 3},
+    {Trans::N, 11, 45, 300},
+    {Trans::T, 6, 29, 513},
 };
 
 TEST(KernelDispatch, UpdateFormWithBInPlaceMatchesScalarAndPackedPath) {

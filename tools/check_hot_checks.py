@@ -1,26 +1,16 @@
 #!/usr/bin/env python3
 """Lint: `check(cond, message)` must not format its message eagerly.
 
-`tsr::check` runs on hot paths (every Tensor::dim, every matmul, every
-reshape), and its message argument is evaluated on every call, whether the
-check passes or not. A message built with `+`, `shape_to_string` or
-`std::to_string` therefore costs a heap string (and often an ostringstream)
-per call. Such call sites must test the condition first and build the
-message only on failure, e.g.
+`tsr::check` takes a `const char*` message, so a message concatenated with
+`+`, `shape_to_string` or `std::to_string` only compiles through `.c_str()`,
+and then builds a heap string on every call, pass or fail. Such sites must
+test first and format only on failure. This flags every `check(` call, up to
+its `;`, under src/, bench/ and examples/ that mentions `c_str()`,
+`shape_to_string` or `to_string`.
 
-    if (!ok) throw std::invalid_argument("..." + shape_to_string(s));
+    python3 tools/check_hot_checks.py
 
-or pass a plain string literal to check().
-
-The scan covers every .cpp/.hpp under src/, bench/, examples/ and tools/.
-A call is any `check(` not preceded by an identifier character, `.`, `>`
-or `:` other than `tsr::`; its argument list is split at top-level commas
-and the last argument (the message) is tested with string and character
-literals blanked out, so a `+` inside a message's text does not count.
-
-    python3 tools/check_hot_checks.py [paths...]
-
-Exit status 0 = clean, 1 = findings (each printed as file:line: message).
+Exit status 0 = clean, 1 = findings (each printed as file:line).
 """
 
 import re
@@ -28,105 +18,15 @@ import sys
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
-DEFAULT_DIRS = ("src", "bench", "examples", "tools")
-CALL_RE = re.compile(r"(?<![\w.>:])(?:tsr::)?check\(")
-EAGER = (
-    (re.compile(r"\+"), "'+'"),
-    (re.compile(r"\bshape_to_string\b"), "shape_to_string"),
-    (re.compile(r"\bstd::to_string\b"), "std::to_string"),
-)
+CALL = re.compile(r"(?<![\w.>])check\([^;]*?(c_str\(\)|shape_to_string|to_string)[^;]*;")
 
-
-def blank_literals_and_comments(text):
-    """Replaces the contents of comments and string/char literals with
-    spaces (keeping newlines and the quotes), so offsets and line numbers
-    survive and no literal text can look like code."""
-    out = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if text.startswith("//", i):
-            j = text.find("\n", i)
-            j = n if j < 0 else j
-            out.append(" " * (j - i))
-            i = j
-        elif text.startswith("/*", i):
-            j = text.find("*/", i + 2)
-            j = n if j < 0 else j + 2
-            out.append(re.sub(r"[^\n]", " ", text[i:j]))
-            i = j
-        elif text.startswith('R"', i) and (i == 0 or not text[i - 1].isalnum()):
-            open_paren = text.find("(", i)
-            delim = text[i + 2:open_paren]
-            end = text.find(")" + delim + '"', open_paren)
-            j = n if end < 0 else end + len(delim) + 2
-            out.append('"' + re.sub(r"[^\n]", " ", text[i + 1:j - 1]) + '"')
-            i = j
-        elif c in "\"'":
-            j = i + 1
-            while j < n and text[j] != c:
-                j += 2 if text[j] == "\\" else 1
-            out.append(c + " " * (j - i - 1) + c)
-            i = j + 1
-        else:
-            out.append(c)
-            i += 1
-    return "".join(out)
-
-
-def call_arguments(code, start):
-    """Top-level arguments of the call whose '(' is at code[start]."""
-    depth, args, begin = 0, [], start + 1
-    for i in range(start, len(code)):
-        c = code[i]
-        if c in "([{":
-            depth += 1
-        elif c in ")]}":
-            depth -= 1
-            if depth == 0:
-                args.append(code[begin:i])
-                return args
-        elif c == "," and depth == 1:
-            args.append(code[begin:i])
-            begin = i + 1
-    return None
-
-
-def scan(path):
-    text = path.read_text(encoding="utf-8", errors="replace")
-    code = blank_literals_and_comments(text)
-    shown = path.relative_to(REPO) if path.is_relative_to(REPO) else path
-    findings = []
-    for m in CALL_RE.finditer(code):
-        args = call_arguments(code, m.end() - 1)
-        if args is None or len(args) < 2:
-            continue
-        message = args[-1]
-        for pattern, label in EAGER:
-            if pattern.search(message):
-                line = code.count("\n", 0, m.start()) + 1
-                findings.append(
-                    f"{shown}:{line}: check() message is "
-                    f"formatted on every call ({label}); build it only on "
-                    f"failure")
-                break
-    return findings
-
-
-def main(argv):
-    roots = [Path(a).resolve() for a in argv] or [REPO / d for d in DEFAULT_DIRS]
-    files = []
-    for root in roots:
-        if root.is_file():
-            files.append(root)
-        else:
-            files += sorted(p for p in root.rglob("*")
-                            if p.suffix in (".cpp", ".hpp"))
-    findings = [f for p in files for f in scan(p)]
-    for f in findings:
-        print(f)
-    return 1 if findings else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+findings = 0
+for d in ("src", "bench", "examples"):
+    for path in sorted((REPO / d).rglob("*.[ch]pp")):
+        text = path.read_text()
+        for m in CALL.finditer(text):
+            line = text.count("\n", 0, m.start()) + 1
+            print(f"{path.relative_to(REPO)}:{line}: check() formats its "
+                  f"message eagerly ({m.group(1)})")
+            findings += 1
+sys.exit(1 if findings else 0)
