@@ -9,6 +9,7 @@
 #include <cstdio>
 
 #include "perf/cost_model.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -43,6 +44,7 @@ topo::MachineSpec flat(topo::LinkParams link) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   const topo::MachineSpec melu = topo::MachineSpec::meluxina();
 
   std::printf("=== A. Wire precision (64 GPUs, h = 3072, 8 layers) ===\n");

@@ -20,6 +20,7 @@
 
 #include "obs/json.hpp"
 #include "perf/autotune.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -89,7 +90,7 @@ std::vector<perf::ScoredCandidate> run_search(const char* title,
 }  // namespace
 
 int main() {
-  perf::AutotuneConfig base = perf::AutotuneConfig::from_env();
+  perf::AutotuneConfig base = perf::AutotuneConfig::from(config_from_env());
 
   // 16 GPUs: the paper's Table 1 budget.
   perf::AutotuneConfig cfg16 = base;

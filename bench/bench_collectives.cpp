@@ -5,6 +5,7 @@
 
 #include "comm/communicator.hpp"
 #include "perf/trace.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -89,4 +90,11 @@ BENCHMARK(BM_SimulatedAllReduceTime)
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  tsr::config_from_env();
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

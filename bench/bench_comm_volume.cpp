@@ -5,7 +5,6 @@
 //   * MEASURED bytes moved by the actual implementations of Cannon, SUMMA,
 //     2.5-D and Tesseract for one C = A*B at equal processor count.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,6 +18,7 @@
 #include "perf/export.hpp"
 #include "perf/run_report.hpp"
 #include "perf/formulas.hpp"
+#include "runtime/config.hpp"
 #include "tensor/init.hpp"
 
 using namespace tsr;
@@ -91,7 +91,8 @@ struct DepthMeasured {
 };
 
 DepthMeasured measure_atb_depth(int q, int d, bool compressed) {
-  setenv("TESSERACT_COMPRESS_DEPTH", compressed ? "1" : "0", 1);
+  const bool configured = run_config().compress_depth;
+  run_config().compress_depth = compressed;
   const std::int64_t rows = 1536, inner = 192, cols = 192;
   comm::World world(q * q * d, topo::MachineSpec::meluxina());
   world.run([&](comm::Communicator& c) {
@@ -102,7 +103,7 @@ DepthMeasured measure_atb_depth(int q, int d, bool compressed) {
     b.fill(0.5f);
     (void)pdg::tesseract_atb_local(tc, a, b);
   });
-  unsetenv("TESSERACT_COMPRESS_DEPTH");
+  run_config().compress_depth = configured;
   DepthMeasured m;
   const comm::CommStats total = world.total_stats();
   m.total_bytes = total.bytes_sent;
@@ -119,6 +120,7 @@ DepthMeasured measure_atb_depth(int q, int d, bool compressed) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   std::printf("=== Analytic transmission counts (Section 3.1) ===\n");
   std::printf("%8s %14s %14s %14s %12s %12s\n", "p", "Cannon", "2.5-D",
               "Tesseract", "Cannon/Tess", "2.5D/Tess");

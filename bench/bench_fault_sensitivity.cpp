@@ -19,6 +19,7 @@
 #include "fault/fault.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/export.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -52,6 +53,7 @@ double fwd_with(const SchemeCfg& s, const fault::FaultPlan& plan) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   const SchemeCfg grids16[] = {
       {"Megatron [16]", perf::Scheme::Megatron1D, 16, 1},
       {"Optimus [4,4]", perf::Scheme::Optimus2D, 4, 1},

@@ -8,12 +8,14 @@
 #include "nn/transformer.hpp"
 #include "parallel/dist.hpp"
 #include "parallel/pipeline.hpp"
+#include "runtime/config.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
 
 using namespace tsr;
 
 int main() {
+  tsr::config_from_env();
   // Fig. 6's arrangement: dp 2 x pp 2 x (q^2 d = 8) = 32 GPUs.
   par::PipelineConfig cfg;
   cfg.stages = 2;

@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <vector>
 
+#include "runtime/config.hpp"
 #include "train/trainer.hpp"
 
 using namespace tsr::train;
 
 int main() {
+  tsr::config_from_env();
   DatasetConfig dcfg;
   dcfg.classes = 10;
   dcfg.samples_per_class = 16;

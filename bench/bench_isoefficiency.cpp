@@ -6,10 +6,12 @@
 
 #include "perf/cost_model.hpp"
 #include "perf/formulas.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
 int main() {
+  tsr::config_from_env();
   std::printf("=== Isoefficiency growth functions (Section 3.1) ===\n");
   std::printf("%8s %16s %22s %22s\n", "p", "Megatron p^3",
               "Optimus (sqrt(p)logp)^3", "Tesseract d=4");

@@ -7,6 +7,7 @@
 #include "parallel/megatron.hpp"
 #include "parallel/tesseract_linear.hpp"
 #include "perf/formulas.hpp"
+#include "runtime/config.hpp"
 #include "tensor/init.hpp"
 
 using namespace tsr;
@@ -56,6 +57,7 @@ std::int64_t megatron_local_bytes(int p, std::int64_t rows, std::int64_t in,
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   std::printf("=== Analytic memory per processor, eqs. (7)-(10) ===\n");
   std::printf("one multiplication A[a,b] x B[b,c], a = b = c = 4096, floats\n\n");
   const double n = 4096;

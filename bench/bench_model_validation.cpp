@@ -7,6 +7,7 @@
 
 #include "perf/analytic.hpp"
 #include "perf/cost_model.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -19,6 +20,7 @@ perf::LayerDims dims(std::int64_t batch) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   struct Cfg {
     const char* name;
     perf::EvalConfig cfg;

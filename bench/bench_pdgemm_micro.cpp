@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
@@ -23,6 +22,7 @@
 #include "pdgemm/summa.hpp"
 #include "pdgemm/tesseract_mm.hpp"
 #include "perf/export.hpp"
+#include "runtime/config.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernel_registry.hpp"
@@ -143,10 +143,9 @@ void run_worker_sweep() {
   perf::BenchReport report("pdgemm_micro");
   std::vector<float> ref_bits;
   double w1_ms = 0.0;
+  const int configured_workers = run_config().workers;
   for (const int w : workers) {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "%d", w);
-    setenv("TESSERACT_WORKERS", buf, 1);
+    run_config().workers = w;
     Tensor c = matmul(a, b);  // warm the pool threads and pack arenas
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < iters; ++i) c = matmul(a, b);
@@ -177,7 +176,7 @@ void run_worker_sweep() {
     jc["speedup_vs_w1"] = speedup;
     jc["bit_identical_to_w1"] = identical;
   }
-  unsetenv("TESSERACT_WORKERS");
+  run_config().workers = configured_workers;
 
   const GemmScratchStats scratch = gemm_scratch_stats();
   std::printf("  pack arenas: %llu allocations, %llu reuses\n",
@@ -196,24 +195,22 @@ void run_worker_sweep() {
 }
 
 // Kernel variant sweep: every registry entry forced in turn, timed on one
-// matmul size, and checked against its declared gate — memcmp variants must
-// match scalar bit for bit, tolerance variants must stay inside the bound
-// documented in docs/performance.md. Rows land in BENCH_kernel_variants.json
+// matmul size, and checked against its gate: each variant must match scalar
+// bit for bit (memcmp). Rows land in BENCH_kernel_variants.json
 // (bench_comm_volume appends its compression rows to the same file).
 void run_variant_sweep() {
   const std::int64_t n = 256;
   const int iters = 8;
-  // Positive data in [0.5, 1.5): no cancellation, so relative error against
-  // the scalar reference measures the variants' storage/rounding precision
-  // rather than the conditioning of the dot products (same recipe as
-  // tests/test_kernel_registry.cpp).
+  // Positive data in [0.5, 1.5): no cancellation, so a relative error against
+  // the scalar reference measures a variant's rounding rather than the
+  // conditioning of the dot products.
   Tensor a({n, n});
   Tensor b({n, n});
   for (std::int64_t i = 0; i < a.numel(); ++i) {
     const std::uint32_t ha = (static_cast<std::uint32_t>(i) + 1u) * 2654435761u;
     const std::uint32_t hb = (static_cast<std::uint32_t>(i) + 7u) * 2246822519u;
-    // Prime modulus: full-mantissa values, so products are inexact and the
-    // FMA/bf16/int8 rounding paths actually diverge from scalar.
+    // Prime modulus: full-mantissa values, so products are inexact and a
+    // variant that changed the rounding sequence would diverge from scalar.
     a.data()[i] = 0.5f + static_cast<float>(ha % 4093u) / 4093.0f;
     b.data()[i] = 0.5f + static_cast<float>(hb % 4093u) / 4093.0f;
   }
@@ -230,7 +227,7 @@ void run_variant_sweep() {
     std::snprintf(name, sizeof(name), "gemm_n256_%s", v.name);
     obs::JsonValue& jc = report.add_case(name);
     jc["variant"] = std::string(v.name);
-    jc["gate"] = std::string(v.gate);
+    jc["gate"] = "memcmp";
     if (!v.available(cpu_features())) {
       jc["available"] = false;
       std::printf("  %-8s unavailable on this host (%s)\n", v.name,
@@ -258,24 +255,14 @@ void run_variant_sweep() {
     const bool identical =
         std::memcmp(c.data(), ref.data(),
                     static_cast<std::size_t>(c.numel()) * sizeof(float)) == 0;
-    // The verdict each variant ships with: memcmp variants must be
-    // bit-identical; tolerance variants must stay inside the documented
-    // bound (avx2fma 1e-5, bf16 2e-2, int8 5e-2 relative).
-    const double bound = std::strcmp(v.name, "avx2fma") == 0 ? 1e-5
-                         : std::strcmp(v.name, "bf16") == 0  ? 2e-2
-                                                             : 5e-2;
-    const bool pass =
-        std::strcmp(v.gate, "memcmp") == 0 ? identical : max_rel <= bound;
     std::printf("  %-8s %8.2f ms  %7.2f GFLOP/s  %s (max rel err %.2e)\n",
                 v.name, ms, gflops,
-                pass ? (identical ? "bit-identical" : "within tolerance")
-                     : "GATE VIOLATION",
-                max_rel);
+                identical ? "bit-identical" : "GATE VIOLATION", max_rel);
     jc["wall_ms"] = ms;
     jc["gflops"] = gflops;
     jc["bit_identical_to_scalar"] = identical;
     jc["max_rel_err_vs_scalar"] = max_rel;
-    jc["gate_pass"] = pass;
+    jc["gate_pass"] = identical;
   }
   force_kernel_variant(nullptr);
 
@@ -312,6 +299,7 @@ void run_variant_sweep() {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tsr::config_from_env();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -12,7 +12,6 @@
 //   $ ./bench_runtime_selfperf
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -23,6 +22,7 @@
 #include "parallel/tesseract_transformer.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/export.hpp"
+#include "runtime/config.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/worker_pool.hpp"
 #include "tensor/init.hpp"
@@ -121,6 +121,7 @@ double run_table1_replay_ms() {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   const unsigned host_cores = std::thread::hardware_concurrency();
   Rng data_rng(1);
   Tensor x = random_normal({kBatch, kSeq, kHidden}, data_rng);
@@ -160,11 +161,10 @@ int main() {
   // Worker sweep: the same 8-rank step under 1, 2 and 4 scheduler workers.
   // Outputs must be byte-identical at every W (the SPMD determinism
   // contract); only the wall clock may move.
+  const int configured_workers = run_config().workers;
   std::vector<StepMeasurement> sweep;
   for (const int w : kWorkerSweep) {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "%d", w);
-    setenv("TESSERACT_WORKERS", buf, 1);
+    run_config().workers = w;
     sweep.push_back(run_tesseract_step(x, dy));
   }
   bool bit_identical = true;
@@ -208,9 +208,7 @@ int main() {
   std::printf("\nTable-1 replay (4 configs, phantom payloads):\n");
   std::vector<double> replay_ms;
   for (const int w : kWorkerSweep) {
-    char buf[8];
-    std::snprintf(buf, sizeof(buf), "%d", w);
-    setenv("TESSERACT_WORKERS", buf, 1);
+    run_config().workers = w;
     replay_ms.push_back(run_table1_replay_ms());
   }
   for (std::size_t i = 0; i < replay_ms.size(); ++i) {
@@ -227,7 +225,7 @@ int main() {
     c["wall_ms"] = replay_ms[i];
     c["speedup_vs_w1"] = speedup;
   }
-  unsetenv("TESSERACT_WORKERS");
+  run_config().workers = configured_workers;
 
   const StepMeasurement& last = sweep.back();
   std::printf("\nmailbox buffer pool (W=%d run): %lld allocations, %lld "

@@ -8,6 +8,7 @@
 
 #include "perf/analytic.hpp"
 #include "perf/cost_model.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -21,6 +22,7 @@ perf::LayerDims big_dims() {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   std::printf("=== Strong-scaling projection, h = 8192, batch 64, 8 layers ===\n");
   std::printf("(replay = exact simulated schedule; analytic = closed form)\n\n");
   std::printf("%-22s %7s %14s %14s\n", "config", "GPUs", "replay fwd(s)",

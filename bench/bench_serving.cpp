@@ -22,6 +22,7 @@
 #include "obs/live.hpp"
 #include "perf/export.hpp"
 #include "perf/run_report.hpp"
+#include "runtime/config.hpp"
 #include "serve/batcher.hpp"
 #include "topology/machine_spec.hpp"
 
@@ -104,6 +105,7 @@ std::string result_bytes(const ServingResult& r) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   const SchemeCfg schemes[] = {
       {"serial [1]", 1, 1, 1},
       {"tesseract [2,2,1]", 4, 2, 1},

@@ -20,6 +20,7 @@
 #include "perf/report.hpp"
 #include "perf/run_report.hpp"
 #include "perf/trace.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -45,6 +46,7 @@ void run_row(std::vector<perf::TableRow>& rows, const perf::EvalConfig& cfg) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   std::vector<perf::TableRow> rows;
 
   run_row(rows, {.scheme = perf::Scheme::Megatron1D, .p = 4, .dims = dims(12),

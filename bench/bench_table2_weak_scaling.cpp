@@ -7,6 +7,7 @@
 
 #include "perf/cost_model.hpp"
 #include "perf/report.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -22,6 +23,7 @@ void run_row(std::vector<perf::TableRow>& rows, perf::EvalConfig cfg) {
 }  // namespace
 
 int main() {
+  tsr::config_from_env();
   std::vector<perf::TableRow> rows;
   using perf::LayerDims;
   using perf::Scheme;

@@ -12,8 +12,8 @@
 #include "obs/json.hpp"
 #include "obs/memory.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/config.hpp"
 #include "runtime/fiber.hpp"
-#include "runtime/worker_pool.hpp"
 #include "tensor/kernel_registry.hpp"
 
 namespace tsr::comm {
@@ -125,10 +125,9 @@ World::World(int nranks, topo::MachineSpec spec)
   traces_.resize(static_cast<std::size_t>(nranks));
   flow_sends_.resize(static_cast<std::size_t>(nranks));
   flow_recvs_.resize(static_cast<std::size_t>(nranks));
-  // Environment-driven fault experiments: any World picks up TESSERACT_FAULT_*
-  // at construction, so tests and benches inject faults with no code change.
-  const fault::FaultPlan env_plan = fault::plan_from_env();
-  if (!env_plan.empty()) install_fault_plan(env_plan);
+  // A bench or tool run with TESSERACT_FAULT_* set is a fault experiment
+  // with no code change: config_from_env() put the plan in the RunConfig.
+  if (!run_config().fault.empty()) install_fault_plan(run_config().fault);
 }
 
 World::~World() = default;
@@ -394,7 +393,7 @@ void World::run(const std::function<void(Communicator&)>& fn) {
     // benchmarking these feed).
     const rt::SchedulerStats after = rt::scheduler_stats();
     metrics_.gauge_set("runtime.scheduler.workers",
-                       static_cast<double>(rt::configured_workers()));
+                       static_cast<double>(run_config().workers));
     // metric: kernel.variant
     // Index of the active kernel variant in registry order (0 = scalar), so
     // a metrics dump records which micro-kernel produced this run's math.

@@ -124,10 +124,10 @@ class World {
   void poison(const std::string& why);
 
   // ---- Fault injection ------------------------------------------------------
-  // The World constructor reads fault::plan_from_env(), so setting
-  // TESSERACT_FAULT_* makes any run — test, bench, user program — a fault
-  // experiment with no code change. install_fault_plan() is the programmatic
-  // path (perf::EvalConfig::fault and tests use it).
+  // The World constructor installs RunConfig::fault, which a bench or tool
+  // main fills from TESSERACT_FAULT_* (config_from_env), so such a run is a
+  // fault experiment with no code change. install_fault_plan() is the
+  // programmatic path (perf::EvalConfig::fault and tests use it).
 
   /// Installs a fault plan: creates the injector, applies straggler clock
   /// slowdowns and mailbox receive timeouts. A plan whose empty() is true is

@@ -1,6 +1,5 @@
 #include "comm/compress.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 #include "tensor/bf16.hpp"
@@ -36,11 +35,6 @@ void bf16_decompress(const float* src, std::int64_t n, float* dst) {
     std::memcpy(&packed, &src[pairs], sizeof(packed));
     dst[n - 1] = bf16_to_f32(static_cast<std::uint16_t>(packed & 0xffffu));
   }
-}
-
-bool compress_depth_enabled() {
-  const char* v = std::getenv("TESSERACT_COMPRESS_DEPTH");
-  return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
 }
 
 }  // namespace tsr::comm

@@ -15,9 +15,9 @@
 // same encoded bits (all-rank agreement is exact even though the values
 // differ from the uncompressed reduction by the documented tolerance).
 //
-// Enabled per run via TESSERACT_COMPRESS_DEPTH=1 (read per call so tests
-// can toggle it); the collective reports under comm.all_reduce_compressed.*
-// metrics with wire_bytes = 2 * count.
+// Enabled per run by RunConfig::compress_depth (TESSERACT_COMPRESS_DEPTH=1
+// in a bench or tool); the collective reports under
+// comm.all_reduce_compressed.* metrics with wire_bytes = 2 * count.
 #pragma once
 
 #include <cstdint>
@@ -36,9 +36,5 @@ void bf16_compress(const float* src, std::int64_t n, float* dst);
 
 /// Decodes `n` bf16 codes packed in `src` back to fp32 in dst[0..n).
 void bf16_decompress(const float* src, std::int64_t n, float* dst);
-
-/// True when TESSERACT_COMPRESS_DEPTH is set to a non-empty value other
-/// than "0" — the opt-in switch for compressed depth all-reduce.
-bool compress_depth_enabled();
 
 }  // namespace tsr::comm

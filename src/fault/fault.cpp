@@ -1,8 +1,6 @@
 #include "fault/fault.hpp"
 
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <mutex>
 #include <sstream>
 
@@ -315,114 +313,6 @@ void note_installed_plan(const FaultPlan& plan) {
 std::string active_plan_fingerprint() {
   std::lock_guard<std::mutex> lock(g_fingerprint_mu);
   return g_active_fingerprint;
-}
-
-// ---- Environment ------------------------------------------------------------
-
-namespace {
-
-bool env_int(const char* name, std::int64_t* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const long long parsed = std::strtoll(v, &end, 10);
-  if (end == v || *end != '\0') {
-    throw std::runtime_error(std::string(name) + ": not an integer: " + v);
-  }
-  *out = parsed;
-  return true;
-}
-
-bool env_double(const char* name, double* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    throw std::runtime_error(std::string(name) + ": not a number: " + v);
-  }
-  *out = parsed;
-  return true;
-}
-
-}  // namespace
-
-FaultPlan plan_from_env() {
-  if (const char* v = std::getenv("TESSERACT_FAULT_PLAN")) {
-    std::string text;
-    if (v[0] == '{') {
-      text = v;
-    } else {
-      std::ifstream in(v);
-      if (!in) {
-        throw std::runtime_error(
-            std::string("TESSERACT_FAULT_PLAN: cannot read file: ") + v);
-      }
-      std::ostringstream os;
-      os << in.rdbuf();
-      text = os.str();
-    }
-    std::string error;
-    FaultPlan plan = FaultPlan::from_json_text(text, &error);
-    if (!error.empty()) {
-      throw std::runtime_error("TESSERACT_FAULT_PLAN: " + error);
-    }
-    return plan;
-  }
-
-  FaultPlan plan;
-  bool any = false;
-  std::int64_t i = 0;
-  double d = 0.0;
-  if (env_int("TESSERACT_FAULT_SEED", &i)) {
-    plan.seed = static_cast<std::uint64_t>(i);
-    any = true;
-  }
-  if (env_int("TESSERACT_FAULT_RECV_TIMEOUT_MS", &i)) {
-    plan.recv_timeout_ms = static_cast<int>(i);
-    any = true;
-  }
-  if (env_int("TESSERACT_FAULT_KILL_RANK", &i)) {
-    KillSpec k;
-    k.rank = static_cast<int>(i);
-    if (env_int("TESSERACT_FAULT_KILL_AT_OP", &i)) k.at_op = i;
-    if (env_double("TESSERACT_FAULT_KILL_AT_TIME", &d)) k.at_time = d;
-    if (k.at_op < 0 && k.at_time < 0) k.at_op = 0;  // default: die immediately
-    plan.kills.push_back(k);
-    any = true;
-  }
-  if (env_int("TESSERACT_FAULT_SLOW_RANK", &i)) {
-    SlowRankSpec s;
-    s.rank = static_cast<int>(i);
-    s.scale = 2.0;
-    if (env_double("TESSERACT_FAULT_SLOW_SCALE", &d)) s.scale = d;
-    plan.slow_ranks.push_back(s);
-    any = true;
-  }
-  if (const char* v = std::getenv("TESSERACT_FAULT_SLOW_LINK")) {
-    // Format "src:dst"; either side may be -1 for "any".
-    SlowLinkSpec s;
-    char* end = nullptr;
-    s.src = static_cast<int>(std::strtol(v, &end, 10));
-    if (end == v || *end != ':') {
-      throw std::runtime_error(
-          std::string("TESSERACT_FAULT_SLOW_LINK: expected 'src:dst', got ") +
-          v);
-    }
-    const char* rest = end + 1;
-    s.dst = static_cast<int>(std::strtol(rest, &end, 10));
-    if (end == rest || *end != '\0') {
-      throw std::runtime_error(
-          std::string("TESSERACT_FAULT_SLOW_LINK: expected 'src:dst', got ") +
-          v);
-    }
-    s.beta_scale = 2.0;
-    if (env_double("TESSERACT_FAULT_LINK_SCALE", &d)) s.beta_scale = d;
-    plan.slow_links.push_back(s);
-    any = true;
-  }
-  if (!any) return FaultPlan{};
-  return plan;
 }
 
 }  // namespace tsr::fault

@@ -6,8 +6,9 @@
 // describes a set of deliberate departures from that ideal — rank kills,
 // per-message delays / duplicates / simulated packet loss, per-rank compute
 // stragglers and degraded links — which comm::World threads through the
-// communicator and runtime when a plan is installed (World::install_fault_plan
-// or the TESSERACT_FAULT_* environment, see docs/fault_injection.md).
+// communicator and runtime when a plan is installed (World::install_fault_plan,
+// or RunConfig::fault, which bench and tool mains read from the
+// TESSERACT_FAULT_* environment; see docs/fault_injection.md).
 //
 // Two hard guarantees:
 //   * An empty plan is indistinguishable from no plan: no injector is
@@ -189,15 +190,6 @@ std::string plan_fingerprint(const FaultPlan& plan);
 /// the envelope exists to expose.
 void note_installed_plan(const FaultPlan& plan);
 std::string active_plan_fingerprint();
-
-/// Builds a plan from the TESSERACT_FAULT_* environment. Returns an empty
-/// plan when no fault variable is set. TESSERACT_FAULT_PLAN wins when
-/// present: its value is inline JSON (if it starts with '{') or a path to a
-/// JSON plan file; the scalar variables (TESSERACT_FAULT_KILL_RANK,
-/// TESSERACT_FAULT_SLOW_RANK, ...) cover the common one-fault cases without
-/// a file. Invalid values throw std::runtime_error — a misconfigured fault
-/// experiment must fail loudly, not silently run faultless.
-FaultPlan plan_from_env();
 
 /// Cumulative injector activity, for tests and reports. All counts are
 /// exact and deterministic for a given plan + program.

@@ -8,6 +8,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include "runtime/config.hpp"
+
 namespace tsr::obs {
 
 JsonValue& JsonValue::operator[](const std::string& key) {
@@ -399,8 +401,8 @@ JsonlScan scan_jsonl(std::string_view data,
 }
 
 std::string artifact_path(const std::string& filename) {
-  const char* dir = std::getenv("TESSERACT_ARTIFACT_DIR");
-  if (dir == nullptr || *dir == '\0') return filename;
+  const std::string& dir = run_config().artifact_dir;
+  if (dir.empty()) return filename;
   if (!filename.empty() && filename.front() == '/') return filename;
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);  // best-effort; open() reports

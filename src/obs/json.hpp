@@ -120,10 +120,11 @@ struct JsonlScan {
 JsonlScan scan_jsonl(std::string_view data,
                      const std::function<void(JsonValue)>& on_line);
 
-/// Resolves a relative artifact filename against TESSERACT_ARTIFACT_DIR when
-/// that variable is set (creating the directory best-effort), so every
-/// BENCH_*/REPORT_*/TIMELINE_*/FLAME_* writer lands in one collectable
-/// directory. Absolute paths and unset env pass through unchanged.
+/// Resolves a relative artifact filename against RunConfig::artifact_dir
+/// (TESSERACT_ARTIFACT_DIR) when it is set, creating the directory
+/// best-effort, so every BENCH_*/REPORT_*/TIMELINE_*/FLAME_* writer lands in
+/// one collectable directory. Absolute paths and an unset directory pass
+/// through unchanged.
 std::string artifact_path(const std::string& filename);
 
 }  // namespace tsr::obs

@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "comm/compress.hpp"
+#include "runtime/config.hpp"
 #include "tensor/kernels.hpp"
 
 namespace tsr::par {
@@ -99,7 +99,7 @@ Tensor TesseractLayerNorm::backward(const Tensor& dy_local) {
   // grid column and the depth line.
   ctx_->comms().col.all_reduce(gb);
   if (ctx_->d() > 1) {
-    if (comm::compress_depth_enabled()) {
+    if (run_config().compress_depth) {
       ctx_->comms().depth.all_reduce_compressed(gb);
     } else {
       ctx_->comms().depth.all_reduce(gb);

@@ -1,7 +1,7 @@
 #include "parallel/tesseract_linear.hpp"
 
-#include "comm/compress.hpp"
 #include "pdgemm/tesseract_mm.hpp"
+#include "runtime/config.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
 
@@ -86,7 +86,7 @@ Tensor TesseractLinear::backward(const Tensor& dy_local) {
     ctx_->comms().col.reduce(db, /*root=*/0);
     if (ctx_->i() == 0) {
       if (ctx_->d() > 1) {
-        if (comm::compress_depth_enabled()) {
+        if (run_config().compress_depth) {
           ctx_->comms().depth.all_reduce_compressed(db.span());
         } else {
           ctx_->comms().depth.all_reduce(db);

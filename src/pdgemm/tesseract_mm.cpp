@@ -1,7 +1,7 @@
 #include "pdgemm/tesseract_mm.hpp"
 
-#include "comm/compress.hpp"
 #include "pdgemm/summa.hpp"
+#include "runtime/config.hpp"
 
 namespace tsr::pdg {
 namespace {
@@ -42,7 +42,7 @@ Tensor tesseract_atb_local(TesseractComms& tc, const Tensor& a_block,
     // Sum the per-layer partials: each layer saw only its row slice of A.
     // These B' gradient partials are the depth dimension's dominant wire
     // volume, so they are the target of the opt-in bf16 wire compression.
-    if (comm::compress_depth_enabled()) {
+    if (run_config().compress_depth) {
       tc.depth.all_reduce_compressed(partial.span());
     } else {
       tc.depth.all_reduce(partial);

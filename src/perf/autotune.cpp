@@ -2,42 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
 #include "pdgemm/block.hpp"
 #include "perf/export.hpp"
 #include "perf/trace.hpp"
+#include "runtime/config.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tsr::perf {
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const long parsed = std::strtol(v, &end, 10);
-  if (end == v || *end != '\0' || parsed < 1) {
-    throw std::runtime_error(std::string(name) + ": expected a positive " +
-                             "integer, got \"" + v + "\"");
-  }
-  return static_cast<int>(parsed);
-}
-
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0' || !(parsed >= 1.0)) {
-    throw std::runtime_error(std::string(name) + ": expected a scale >= 1, " +
-                             "got \"" + v + "\"");
-  }
-  return parsed;
-}
 
 /// Parameter elements of one encoder layer, matching nn::TransformerLayer:
 /// ln1 (gamma+beta) + attention (qkv h->3h and proj h->h, with biases) +
@@ -232,13 +207,14 @@ EvalConfig PlanCandidate::eval_config(const AutotuneConfig& cfg) const {
   return ec;
 }
 
-AutotuneConfig AutotuneConfig::from_env() {
+AutotuneConfig AutotuneConfig::from(const RunConfig& run) {
   AutotuneConfig cfg;
-  cfg.gpus = env_int("TESSERACT_PLAN_GPUS", cfg.gpus);
-  cfg.micros = env_int("TESSERACT_PLAN_MICROS", cfg.micros);
-  cfg.max_stages = env_int("TESSERACT_PLAN_MAX_STAGES", cfg.max_stages);
-  cfg.straggler_scale =
-      env_double("TESSERACT_PLAN_STRAGGLER_SCALE", cfg.straggler_scale);
+  if (run.plan_gpus > 0) cfg.gpus = run.plan_gpus;
+  if (run.plan_micros > 0) cfg.micros = run.plan_micros;
+  if (run.plan_max_stages > 0) cfg.max_stages = run.plan_max_stages;
+  if (run.plan_straggler_scale > 0) {
+    cfg.straggler_scale = run.plan_straggler_scale;
+  }
   return cfg;
 }
 

@@ -27,6 +27,10 @@
 #include "perf/cost_model.hpp"
 #include "perf/run_report.hpp"
 
+namespace tsr {
+struct RunConfig;
+}  // namespace tsr
+
 namespace tsr::perf {
 
 /// One point of the search space: a parallelization scheme plus the hybrid
@@ -81,7 +85,7 @@ struct ScoredCandidate {
 };
 
 /// The search problem: model, GPU budget, interconnect, search knobs.
-/// from_env() seeds the defaults from the TESSERACT_PLAN_* environment so
+/// from() overlays the RunConfig planner knobs (TESSERACT_PLAN_*) so
 /// `tsr_plan` and bench_autotune share one configuration surface.
 struct AutotuneConfig {
   int gpus = 64;
@@ -96,11 +100,10 @@ struct AutotuneConfig {
   double straggler_scale = 1.5;
   topo::MachineSpec spec = topo::MachineSpec::meluxina();
 
-  /// Defaults overridden by TESSERACT_PLAN_GPUS, TESSERACT_PLAN_MICROS,
-  /// TESSERACT_PLAN_MAX_STAGES and TESSERACT_PLAN_STRAGGLER_SCALE (see
-  /// docs/planning.md). Invalid values throw: a misconfigured search must
-  /// fail loudly, not silently search the wrong space.
-  static AutotuneConfig from_env();
+  /// Defaults overridden by the planner knobs of `run` that are set
+  /// (RunConfig::plan_*, read from TESSERACT_PLAN_* by config_from_env; see
+  /// docs/planning.md).
+  static AutotuneConfig from(const RunConfig& run);
 };
 
 /// Enumerates the candidate set for cfg, deterministically ordered:

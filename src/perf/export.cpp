@@ -1,10 +1,10 @@
 #include "perf/export.hpp"
 
-#include <cstdlib>
 #include <thread>
 #include <utility>
 
 #include "fault/fault.hpp"
+#include "runtime/config.hpp"
 #include "runtime/fiber.hpp"
 #include "tensor/cpu_features.hpp"
 #include "tensor/kernel_registry.hpp"
@@ -25,12 +25,7 @@ void stamp_envelope(obs::JsonValue& root, const std::string& kind) {
   root["schema_version"] = kReportSchemaVersion;
   root["kind"] = kind;
   root["backend"] = rt::fibers_enabled() ? "fibers" : "threads";
-  int workers = static_cast<int>(std::thread::hardware_concurrency());
-  if (const char* w = std::getenv("TESSERACT_WORKERS")) {
-    const int parsed = std::atoi(w);
-    if (parsed > 0) workers = parsed;
-  }
-  root["workers"] = static_cast<std::int64_t>(workers);
+  root["workers"] = static_cast<std::int64_t>(run_config().workers);
   root["host_cores"] =
       static_cast<std::int64_t>(std::thread::hardware_concurrency());
   // Which micro-kernel produced the math and what the host could run:
@@ -46,9 +41,8 @@ void stamp_envelope(obs::JsonValue& root, const std::string& kind) {
   // diffing skips them; the ledger keys perf history to them.
   root["git_sha"] = std::string(TSR_GIT_SHA);
   root["git_dirty"] = static_cast<bool>(TSR_GIT_DIRTY);
-  if (const char* label = std::getenv("TESSERACT_RUN_LABEL")) {
-    root["run_label"] = label;
-  }
+  const std::string& label = run_config().run_label;
+  if (!label.empty()) root["run_label"] = label;
 }
 
 obs::JsonValue stats_to_json(const comm::CommStats& stats) {

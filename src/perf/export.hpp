@@ -23,14 +23,14 @@ inline constexpr std::int64_t kReportSchemaVersion = 1;
 
 /// Stamps the envelope every exported document shares: `schema_version`,
 /// document `kind` ("bench", "run_report", ...), scheduler `backend`
-/// (fibers/threads), `workers` (TESSERACT_WORKERS or the hardware default),
-/// `host_cores`, the active `kernel_variant` and host `cpu_features`
+/// (fibers/threads), `workers` (RunConfig::workers, the count the scheduler
+/// uses), `host_cores`, the active `kernel_variant` and host `cpu_features`
 /// (tensor/kernel_registry.hpp), a `fault_plan` fingerprint
-/// (fault::active_plan_fingerprint, "none" when no plan was installed), and
-/// the build's `git_sha`/`git_dirty` provenance (from the CMake-generated
-/// stamp header; "unknown" outside a checkout), and — when the
-/// TESSERACT_RUN_LABEL environment variable is set — a free-form
-/// `run_label` so CI can tag artifacts per configuration. The host fields describe the environment,
+/// (fault::active_plan_fingerprint, "none" when no plan was installed), the
+/// build's `git_sha`/`git_dirty` provenance (from the CMake-generated stamp
+/// header; "unknown" outside a checkout), and — when RunConfig::run_label
+/// (TESSERACT_RUN_LABEL) is set — a free-form `run_label` so CI can tag
+/// artifacts per configuration. The host fields describe the environment,
 /// never simulated results, and report diffing skips them; `fault_plan`
 /// identifies the experiment and is deliberately NOT skipped.
 void stamp_envelope(obs::JsonValue& root, const std::string& kind);

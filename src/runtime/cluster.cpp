@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <condition_variable>
-#include <cstdlib>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "runtime/config.hpp"
 #include "runtime/fiber.hpp"
 
 namespace tsr::rt {
@@ -94,14 +94,6 @@ void watchdog_main(SpmdWatch* watch, int timeout_ms) {
 
 }  // namespace
 
-int deadlock_timeout_ms() {
-  if (const char* env = std::getenv("TESSERACT_DEADLOCK_MS")) {
-    const long v = std::atol(env);
-    if (v > 0) return static_cast<int>(v < 3600000 ? v : 3600000);
-  }
-  return 0;
-}
-
 BlockedSlot* current_blocked_slot() { return t_blocked_slot; }
 
 int current_spmd_rank() {
@@ -129,13 +121,13 @@ void run_spmd(int nranks, const std::function<void(int)>& fn) {
     return;
   }
   if (fibers_enabled()) {
-    // Cooperative backend: rank fibers sharded over TESSERACT_WORKERS
+    // Cooperative backend: rank fibers sharded over RunConfig::workers
     // worker threads. Blocking and exception contracts match the thread
     // backend, deadlocks are detected natively; see runtime/fiber.hpp.
     FiberScheduler::run(nranks, fn);
     return;
   }
-  const int watchdog_ms = deadlock_timeout_ms();
+  const int watchdog_ms = run_config().deadlock_ms;
   std::unique_ptr<SpmdWatch> watch;
   std::thread watchdog;
   if (watchdog_ms > 0) {

@@ -7,8 +7,8 @@
 // the first exception is rethrown to the caller.
 //
 // Two backends exist (selection in runtime/fiber.hpp): cooperative fibers
-// sharded over TESSERACT_WORKERS worker threads by default, and one OS
-// thread per rank under sanitizers or TESSERACT_SPMD=threads. The fiber
+// sharded over RunConfig::workers worker threads by default, and one OS
+// thread per rank under sanitizers or RunConfig::spmd_threads. The fiber
 // backend detects cluster deadlocks natively (global quiescence check); the
 // thread backend gains the same property through the watchdog below.
 #pragma once
@@ -31,19 +31,15 @@ void run_spmd(int nranks, const std::function<void(int)>& fn);
 // ---- Thread-backend deadlock watchdog --------------------------------------
 // A cluster deadlock under the thread backend used to hang the process (and
 // CI) forever; the fiber backend detects and reports it. The watchdog closes
-// the gap: when TESSERACT_DEADLOCK_MS > 0, run_spmd's thread backend spawns
-// a monitor that observes each rank's blocked state (published by
-// Mailbox::pop through the BlockedSlot of the calling rank thread). If every
-// live rank stays blocked in a receive with no mailbox progress for the
-// configured window, the watchdog cancels all waits and the ranks throw an
-// error carrying a per-rank blocked-state dump. Off by default in normal
-// builds (no false positives possible, but also no overhead unless asked);
-// tests enable it through their environment so a deadlock fails fast.
-
-/// Milliseconds of global no-progress after which the thread backend reports
-/// a deadlock; 0 (the default when TESSERACT_DEADLOCK_MS is unset) disables
-/// the watchdog. Re-read from the environment on every call.
-int deadlock_timeout_ms();
+// the gap: when RunConfig::deadlock_ms > 0 (TESSERACT_DEADLOCK_MS),
+// run_spmd's thread backend spawns a monitor that observes each rank's
+// blocked state (published by Mailbox::pop through the BlockedSlot of the
+// calling rank thread). If every live rank stays blocked in a receive with
+// no mailbox progress for the configured window, the watchdog cancels all
+// waits and the ranks throw an error carrying a per-rank blocked-state
+// dump. Off by default in normal builds (no false positives possible, but
+// also no overhead unless asked); tests enable it through their environment
+// so a deadlock fails fast.
 
 /// Blocked-state mailbox rank threads publish for the watchdog. All fields
 /// are atomics written by the owning rank thread and read by the monitor.

@@ -14,6 +14,7 @@
 #include <unistd.h>
 #endif
 
+#include "runtime/config.hpp"
 #include "runtime/worker_pool.hpp"
 
 // ---- Context switch ---------------------------------------------------------
@@ -126,20 +127,6 @@ constexpr bool kSanitizerActive = false;
 constexpr bool kSanitizerActive = false;
 #endif
 
-// Rank fibers run real layer code (transformer forwards, trace exporters),
-// so the stacks are sized like small thread stacks, not coroutine stacks.
-constexpr std::size_t kDefaultStackBytes = 1 << 20;  // 1 MiB
-
-std::size_t fiber_stack_bytes() {
-  static const std::size_t bytes = [] {
-    if (const char* env = std::getenv("TESSERACT_FIBER_STACK_KB")) {
-      const long kb = std::atol(env);
-      if (kb >= 64) return static_cast<std::size_t>(kb) * 1024;
-    }
-    return kDefaultStackBytes;
-  }();
-  return bytes;
-}
 
 // Fiber lifecycle, driven by lock-free transitions so a waker on another
 // worker can race the fiber's own suspension without losing the wake:
@@ -291,7 +278,7 @@ struct FiberScheduler::Impl {
     // worker does not occupy with sibling scheduler workers. Nested
     // schedulers keep the share of the fiber they run inside.
     if (prev_share == 0) {
-      const int budget = configured_workers() / nworkers;
+      const int budget = run_config().workers / nworkers;
       detail::t_host_share = budget > 1 ? budget : 1;
     }
 
@@ -351,10 +338,7 @@ bool fibers_enabled() {
   if (!kSwitchAvailable || kSanitizerActive || shadow_stack_active()) {
     return false;
   }
-  if (const char* env = std::getenv("TESSERACT_SPMD")) {
-    if (std::strcmp(env, "threads") == 0) return false;
-  }
-  return true;
+  return !run_config().spmd_threads;
 }
 
 SchedulerStats scheduler_stats() {
@@ -385,13 +369,13 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& fn) {
   // scheduler, and their mailbox waits resolve against the innermost
   // scheduler through the usual thread-local save/restore.
   const bool nested = t_scheduler != nullptr;
-  int nworkers = nested ? 1 : configured_workers();
+  int nworkers = nested ? 1 : run_config().workers;
   if (nworkers > nranks) nworkers = nranks;
   if (nworkers > kMaxWorkers) nworkers = kMaxWorkers;
   impl.nworkers = nworkers;
 
   impl.fibers = std::make_unique<Fiber[]>(static_cast<std::size_t>(nranks));
-  const std::size_t stack_bytes = fiber_stack_bytes();
+  const std::size_t stack_bytes = run_config().fiber_stack_bytes;
   if (!kSwitchAvailable) {
     throw std::runtime_error("FiberScheduler: no fiber switch on this architecture");
   }

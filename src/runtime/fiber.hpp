@@ -6,7 +6,7 @@
 // syscall plus a kernel context switch — on a small host that dominates the
 // real wall-clock of the paper-scale phantom replays. This scheduler runs
 // the ranks of one cluster as fibers spread over W worker threads
-// (W = TESSERACT_WORKERS, default: the hardware concurrency, clamped to the
+// (W = RunConfig::workers, default: the hardware concurrency, clamped to the
 // rank count). Ranks are sharded statically and contiguously onto workers —
 // rank r always runs on worker r * W / nranks — so ring neighbours usually
 // share a worker, a fiber never migrates between OS threads, and each
@@ -29,11 +29,11 @@
 //     failures reproducible.
 //
 // The backend is selected in rt::run_spmd: fibers by default, OS threads
-// when TESSERACT_SPMD=threads, when a sanitizer that tracks stacks is active
-// (ASan/TSan need fiber-switch annotations the switch does not provide), on
-// any architecture but x86-64 (the switch is x86-64 SysV assembly), and in
-// a process running with CET shadow stacks (the switch's cross-stack `ret`
-// would fault).
+// when RunConfig::spmd_threads is set (TESSERACT_SPMD=threads), when a
+// sanitizer that tracks stacks is active (ASan/TSan need fiber-switch
+// annotations the switch does not provide), on any architecture but x86-64
+// (the switch is x86-64 SysV assembly), and in a process running with CET
+// shadow stacks (the switch's cross-stack `ret` would fault).
 #pragma once
 
 #include <cstdint>
@@ -50,9 +50,9 @@ class FiberScheduler;
 FiberScheduler* current_scheduler();
 
 /// True when run_spmd will use the fiber backend for multi-rank clusters:
-/// x86-64, no stack-tracking sanitizer, no shadow stack, and TESSERACT_SPMD
-/// not "threads". Evaluated per call (not cached) so tests can flip
-/// TESSERACT_SPMD.
+/// x86-64, no stack-tracking sanitizer, no shadow stack, and
+/// RunConfig::spmd_threads unset. Evaluated per call (not cached) so tests
+/// can flip it.
 bool fibers_enabled();
 
 /// Handle a blocked fiber leaves with its wait object so the waker can
@@ -82,7 +82,7 @@ SchedulerStats scheduler_stats();
 
 class FiberScheduler {
  public:
-  /// Runs fn(0..nranks-1) cooperatively on min(TESSERACT_WORKERS, nranks)
+  /// Runs fn(0..nranks-1) cooperatively on min(RunConfig::workers, nranks)
   /// workers until every rank finished. Nested runs (from inside a fiber)
   /// stay single-worker on the calling thread. Exceptions thrown by ranks
   /// are captured; the lowest rank's exception is rethrown after all ranks

@@ -2,12 +2,13 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "runtime/config.hpp"
 
 namespace tsr::rt {
 
@@ -15,14 +16,8 @@ namespace detail {
 thread_local int t_host_share = 0;
 }  // namespace detail
 
-int configured_workers() {
-  if (const char* env = std::getenv("TESSERACT_WORKERS")) {
-    const long v = std::atol(env);
-    if (v >= 1) return static_cast<int>(v < 64 ? v : 64);
-  }
-  const unsigned hc = std::thread::hardware_concurrency();
-  if (hc == 0) return 1;
-  return static_cast<int>(hc < 64u ? hc : 64u);
+int gemm_parallelism() {
+  return detail::t_host_share > 0 ? detail::t_host_share : run_config().workers;
 }
 
 namespace {

@@ -10,7 +10,7 @@
 //     threads opportunistically help.
 //
 // The pool grows on demand (never shrinks) up to the worker counts callers
-// request, so TESSERACT_WORKERS=4 behaves identically on a 1-core and a
+// request, so RunConfig::workers = 4 behaves identically on a 1-core and a
 // 64-core host — only the wall-clock differs, never the results.
 #pragma once
 
@@ -18,14 +18,9 @@
 
 namespace tsr::rt {
 
-/// Host workers requested via TESSERACT_WORKERS, defaulting to the hardware
-/// concurrency. Re-read from the environment on every call so tests can
-/// sweep worker counts inside one process. Clamped to [1, 64].
-int configured_workers();
-
 namespace detail {
 /// Share of the host this thread may use for nested data parallelism:
-/// configured_workers() / scheduler workers while driving rank fibers,
+/// RunConfig::workers / scheduler workers while driving rank fibers,
 /// 0 (= "use the full budget") elsewhere. Managed by the fiber scheduler.
 extern thread_local int t_host_share;
 }  // namespace detail
@@ -33,9 +28,7 @@ extern thread_local int t_host_share;
 /// How many workers a GEMM issued from the calling thread may use without
 /// oversubscribing the host: the full configured worker count from serial
 /// code, the per-scheduler-worker share from inside a rank fiber.
-inline int gemm_parallelism() {
-  return detail::t_host_share > 0 ? detail::t_host_share : configured_workers();
-}
+int gemm_parallelism();
 
 class WorkerPool {
  public:

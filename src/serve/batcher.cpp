@@ -2,29 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
-#include <stdexcept>
 
 #include "parallel/context.hpp"
 
 namespace tsr::serve {
-
-ServingConfig serving_from_env(ServingConfig cfg) {
-  cfg.workload = workload_from_env(cfg.workload);
-  if (const char* v = std::getenv("TESSERACT_SERVE_SLOTS")) {
-    if (*v != '\0') {
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 1) {
-        throw std::runtime_error(
-            std::string("TESSERACT_SERVE_SLOTS: not a positive integer: ") + v);
-      }
-      cfg.slots = parsed;
-    }
-  }
-  return cfg;
-}
 
 double exact_quantile(std::vector<double> values, double q) {
   if (values.empty()) return 0.0;

@@ -32,10 +32,6 @@ struct ServingConfig {
   WorkloadConfig workload;
 };
 
-/// Overlays TESSERACT_SERVE_* knobs: the workload ones (see
-/// workload_from_env) plus TESSERACT_SERVE_SLOTS for the decode batch size.
-ServingConfig serving_from_env(ServingConfig cfg);
-
 struct CompletionRecord {
   std::int64_t id = 0;
   double arrival = 0.0;

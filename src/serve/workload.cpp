@@ -1,8 +1,6 @@
 #include "serve/workload.hpp"
 
 #include <cmath>
-#include <cstdlib>
-#include <stdexcept>
 
 #include "tensor/rng.hpp"
 #include "tensor/tensor.hpp"
@@ -16,13 +14,6 @@ const char* pattern_name(ArrivalPattern p) {
     case ArrivalPattern::Diurnal: return "diurnal";
   }
   return "?";
-}
-
-ArrivalPattern pattern_from_string(const std::string& s) {
-  if (s == "poisson") return ArrivalPattern::Poisson;
-  if (s == "bursty") return ArrivalPattern::Bursty;
-  if (s == "diurnal") return ArrivalPattern::Diurnal;
-  throw std::runtime_error("unknown arrival pattern: " + s);
 }
 
 double arrival_intensity(const WorkloadConfig& cfg, double t) {
@@ -92,39 +83,6 @@ std::vector<Request> generate_requests(const WorkloadConfig& cfg,
     out.push_back(std::move(r));
   }
   return out;
-}
-
-namespace {
-
-bool env_double(const char* name, double* out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    throw std::runtime_error(std::string(name) + ": not a number: " + v);
-  }
-  *out = parsed;
-  return true;
-}
-
-}  // namespace
-
-WorkloadConfig workload_from_env(WorkloadConfig cfg) {
-  if (const char* v = std::getenv("TESSERACT_SERVE_PATTERN")) {
-    if (*v != '\0') cfg.pattern = pattern_from_string(v);
-  }
-  env_double("TESSERACT_SERVE_RATE", &cfg.rate);
-  env_double("TESSERACT_SERVE_DURATION", &cfg.duration);
-  double slo_ms = 0.0;
-  if (env_double("TESSERACT_SERVE_SLO_MS", &slo_ms)) {
-    cfg.slo_latency = slo_ms / 1000.0;
-  }
-  double seed = 0.0;
-  if (env_double("TESSERACT_SERVE_SEED", &seed)) {
-    cfg.seed = static_cast<std::uint64_t>(seed);
-  }
-  return cfg;
 }
 
 }  // namespace tsr::serve

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace tsr::serve {
@@ -17,8 +16,6 @@ namespace tsr::serve {
 enum class ArrivalPattern { Poisson, Bursty, Diurnal };
 
 const char* pattern_name(ArrivalPattern p);
-/// Parses "poisson" / "bursty" / "diurnal"; throws on anything else.
-ArrivalPattern pattern_from_string(const std::string& s);
 
 struct WorkloadConfig {
   ArrivalPattern pattern = ArrivalPattern::Poisson;
@@ -56,12 +53,5 @@ double arrival_intensity(const WorkloadConfig& cfg, double t);
 /// bounds the prompt token ids. Deterministic host code, no clock involved.
 std::vector<Request> generate_requests(const WorkloadConfig& cfg,
                                        std::int64_t vocab);
-
-/// Overlays TESSERACT_SERVE_* environment knobs onto `cfg`:
-/// TESSERACT_SERVE_PATTERN (poisson|bursty|diurnal), TESSERACT_SERVE_RATE,
-/// TESSERACT_SERVE_DURATION (sim-seconds), TESSERACT_SERVE_SLO_MS
-/// (sim-milliseconds) and TESSERACT_SERVE_SEED. Unset variables leave the
-/// corresponding field untouched; malformed values throw.
-WorkloadConfig workload_from_env(WorkloadConfig cfg);
 
 }  // namespace tsr::serve

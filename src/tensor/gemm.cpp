@@ -15,10 +15,7 @@ namespace {
 
 // Packed, cache-blocked GEMM built around one register-tile micro-kernel,
 // selected per call from the kernel variant registry (kernel_registry.hpp):
-// the variant supplies the micro-kernel, its register tile width nr, and an
-// optional storage-precision hook applied at pack time (bf16). Variants
-// whose math does not fit the packed fp32 scheme (int8) override the whole
-// kernel instead via gemm_full.
+// the variant supplies the micro-kernel and its register tile width nr.
 //
 // A is repacked into contiguous [k][kMR] micro-panels, scaled by alpha in
 // the update form, so the inner loops run at unit stride regardless of the
@@ -27,11 +24,11 @@ namespace {
 // [k][nr] micro-panels except in the update form, where every full nr-wide
 // panel of a row-major B is already nr contiguous floats per k row: the
 // micro-kernel reads it where it lies, at row stride ldb. Only the ragged
-// tail panel (zero-padded) and variants with a pack-time quantize hook
-// still pack B there. Reading in place changes no floating-point operation.
+// tail panel (zero-padded) is still packed there. Reading in place changes
+// no floating-point operation.
 //
-// Numerics of the memcmp-gated variants are bit-identical to the scalar
-// loops this replaces. Two rounding disciplines exist and are preserved
+// Numerics of every variant are bit-identical to the scalar loops this
+// replaces. Two rounding disciplines exist and are preserved
 // exactly:
 //   * update form (N/N, T/N): every k-term is accumulated straight into C
 //     in ascending k order, with alpha folded into the packed A element —
@@ -56,13 +53,9 @@ std::int64_t round_up(std::int64_t x, std::int64_t q) {
 
 // Packs the mc x kc block of op(A) at `a` as ceil(mc/kMR) micro-panels of
 // layout [kk][kMR], each element scaled by `scale`, short panels
-// zero-padded. Element (i, kk) of the block is a[i * rs + kk * ks]. With a
-// quantize hook (bf16 rounding) it applies to the raw element BEFORE the
-// alpha scale, so the scale stays fp32-exact.
-template <bool kQuantize>
+// zero-padded. Element (i, kk) of the block is a[i * rs + kk * ks].
 void pack_a_panels(const float* a, std::int64_t rs, std::int64_t ks,
-                   std::int64_t mc, std::int64_t kc, float scale,
-                   PackQuantizeFn q, float* dst) {
+                   std::int64_t mc, std::int64_t kc, float scale, float* dst) {
   for (std::int64_t ip = 0; ip < mc; ip += kMR) {
     const std::int64_t mr = std::min(kMR, mc - ip);
     const float* src = a + ip * rs;
@@ -70,9 +63,7 @@ void pack_a_panels(const float* a, std::int64_t rs, std::int64_t ks,
       const float* col = src + kk * ks;
       float* out = dst + kk * kMR;
       std::int64_t ii = 0;
-      for (; ii < mr; ++ii) {
-        out[ii] = scale * (kQuantize ? q(col[ii * rs]) : col[ii * rs]);
-      }
+      for (; ii < mr; ++ii) out[ii] = scale * col[ii * rs];
       for (; ii < kMR; ++ii) out[ii] = 0.0f;
     }
     dst += kc * kMR;
@@ -83,24 +74,18 @@ void pack_a_panels(const float* a, std::int64_t rs, std::int64_t ks,
 // trans: element (i, kk) of op(A) is a[kk*lda + i] instead of a[i*lda + kk].
 void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
             std::int64_t k0, std::int64_t mc, std::int64_t kc, float scale,
-            PackQuantizeFn q, float* dst) {
+            float* dst) {
   const std::int64_t rs = trans ? 1 : lda;
   const std::int64_t ks = trans ? lda : 1;
-  const float* src = a + i0 * rs + k0 * ks;
-  if (q == nullptr) {
-    pack_a_panels<false>(src, rs, ks, mc, kc, scale, q, dst);
-  } else {
-    pack_a_panels<true>(src, rs, ks, mc, kc, scale, q, dst);
-  }
+  pack_a_panels(a + i0 * rs + k0 * ks, rs, ks, mc, kc, scale, dst);
 }
 
 // Packs the kc x nc block of op(B) at `b` as ceil(nc/vnr) micro-panels of
 // layout [kk][vnr], short panels zero-padded. Element (kk, j) of the block
 // is b[kk * ks + j * js].
-template <bool kQuantize>
 void pack_b_panels(const float* b, std::int64_t ks, std::int64_t js,
                    std::int64_t kc, std::int64_t nc, std::int64_t vnr,
-                   PackQuantizeFn q, float* dst) {
+                   float* dst) {
   for (std::int64_t jp = 0; jp < nc; jp += vnr) {
     const std::int64_t nr = std::min(vnr, nc - jp);
     const float* src = b + jp * js;
@@ -108,9 +93,7 @@ void pack_b_panels(const float* b, std::int64_t ks, std::int64_t js,
       const float* row = src + kk * ks;
       float* out = dst + kk * vnr;
       std::int64_t jj = 0;
-      for (; jj < nr; ++jj) {
-        out[jj] = kQuantize ? q(row[jj * js]) : row[jj * js];
-      }
+      for (; jj < nr; ++jj) out[jj] = row[jj * js];
       for (; jj < vnr; ++jj) out[jj] = 0.0f;
     }
     dst += kc * vnr;
@@ -121,15 +104,10 @@ void pack_b_panels(const float* b, std::int64_t ks, std::int64_t js,
 // trans: element (kk, j) of op(B) is b[j*ldb + kk] instead of b[kk*ldb + j].
 void pack_b(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
             std::int64_t j0, std::int64_t kc, std::int64_t nc,
-            std::int64_t vnr, PackQuantizeFn q, float* dst) {
+            std::int64_t vnr, float* dst) {
   const std::int64_t ks = trans ? 1 : ldb;
   const std::int64_t js = trans ? ldb : 1;
-  const float* src = b + k0 * ks + j0 * js;
-  if (q == nullptr) {
-    pack_b_panels<false>(src, ks, js, kc, nc, vnr, q, dst);
-  } else {
-    pack_b_panels<true>(src, ks, js, kc, nc, vnr, q, dst);
-  }
+  pack_b_panels(b + k0 * ks + j0 * js, ks, js, kc, nc, vnr, dst);
 }
 
 // Worker-local scratch arena for the packed panels: one per thread (pool
@@ -220,7 +198,6 @@ void gemm_update_cols(const KernelVariant& v, bool a_trans, std::int64_t m,
                       std::int64_t ldb, float* c, std::int64_t ldc,
                       std::int64_t jb, std::int64_t je) {
   const std::int64_t vnr = v.nr;
-  const bool b_in_place = v.quantize == nullptr;
   t_scratch.acquire(round_up(kMC, kMR) * kKC, round_up(kNC, vnr) * kKC);
   float* apack = t_scratch.apack.data();
   float* bpack = t_scratch.bpack.data();
@@ -230,14 +207,14 @@ void gemm_update_cols(const KernelVariant& v, bool a_trans, std::int64_t m,
       const std::int64_t nc = std::min(kNC, je - j0);
       // Columns [0, nfull) of this j-panel are read in place; the rest are
       // packed at the start of bpack.
-      const std::int64_t nfull = b_in_place ? nc / vnr * vnr : 0;
+      const std::int64_t nfull = nc / vnr * vnr;
       if (nfull < nc) {
         pack_b(/*trans=*/false, b, ldb, k0, j0 + nfull, kc, nc - nfull, vnr,
-               v.quantize, bpack);
+               bpack);
       }
       for (std::int64_t i0 = 0; i0 < m; i0 += kMC) {
         const std::int64_t mc = std::min(kMC, m - i0);
-        pack_a(a_trans, a, lda, i0, k0, mc, kc, alpha, v.quantize, apack);
+        pack_a(a_trans, a, lda, i0, k0, mc, kc, alpha, apack);
         for (std::int64_t ip = 0; ip < mc; ip += kMR) {
           const std::int64_t mr = std::min(kMR, mc - ip);
           for (std::int64_t jp = 0; jp < nc; jp += vnr) {
@@ -271,10 +248,10 @@ void gemm_dot_cols(const KernelVariant& v, bool a_trans, bool b_trans,
   float* bpack = t_scratch.bpack.data();
   for (std::int64_t j0 = jb; j0 < je; j0 += kNC) {
     const std::int64_t nc = std::min(kNC, je - j0);
-    pack_b(b_trans, b, ldb, 0, j0, k, nc, vnr, v.quantize, bpack);
+    pack_b(b_trans, b, ldb, 0, j0, k, nc, vnr, bpack);
     for (std::int64_t i0 = 0; i0 < m; i0 += kMC) {
       const std::int64_t mc = std::min(kMC, m - i0);
-      pack_a(a_trans, a, lda, i0, 0, mc, k, 1.0f, v.quantize, apack);
+      pack_a(a_trans, a, lda, i0, 0, mc, k, 1.0f, apack);
       for (std::int64_t ip = 0; ip < mc; ip += kMR) {
         const std::int64_t mr = std::min(kMR, mc - ip);
         for (std::int64_t jp = 0; jp < nc; jp += vnr) {
@@ -349,11 +326,6 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
   if (m == 0 || n == 0 || k == 0 || alpha == 0.0f) return;
 
   const KernelVariant& v = active_kernel_variant();
-  if (v.gemm_full != nullptr) {
-    v.gemm_full(ta == Trans::T, tb == Trans::T, m, n, k, alpha, a, lda, b,
-                ldb, c, ldc);
-    return;
-  }
   if (tb == Trans::N) {
     run_cols(m, n, k, v.nr, [&](std::int64_t jb, std::int64_t je) {
       gemm_update_cols(v, ta == Trans::T, m, k, alpha, a, lda, b, ldb, c, ldc,

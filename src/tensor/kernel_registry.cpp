@@ -1,12 +1,9 @@
 #include "tensor/kernel_registry.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
-#include <vector>
 
-#include "tensor/bf16.hpp"
+#include "runtime/config.hpp"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -113,32 +110,6 @@ __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
   _mm512_storeu_ps(acc + 48, c3);
 }
 
-// Fused multiply-add: one rounding per term instead of two. More accurate
-// per element but a *different* result, hence tolerance-gated and excluded
-// from auto dispatch.
-__attribute__((target("avx2,fma"))) void micro_avx2fma(std::int64_t kc,
-                                                       const float* ap,
-                                                       const float* bp,
-                                                       std::int64_t ldb,
-                                                       float* acc) {
-  __m256 c0 = _mm256_loadu_ps(acc);
-  __m256 c1 = _mm256_loadu_ps(acc + 8);
-  __m256 c2 = _mm256_loadu_ps(acc + 16);
-  __m256 c3 = _mm256_loadu_ps(acc + 24);
-  for (std::int64_t kk = 0; kk < kc; ++kk) {
-    const __m256 b = _mm256_loadu_ps(bp + kk * ldb);
-    const float* arow = ap + kk * 4;
-    c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 0), b, c0);
-    c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 1), b, c1);
-    c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 2), b, c2);
-    c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 3), b, c3);
-  }
-  _mm256_storeu_ps(acc, c0);
-  _mm256_storeu_ps(acc + 8, c1);
-  _mm256_storeu_ps(acc + 16, c2);
-  _mm256_storeu_ps(acc + 24, c3);
-}
-
 // Elementwise ops are per-element independent, so the vectorized mul+add
 // forms are bit-identical to scalar (remainder handled scalar).
 __attribute__((target("avx2"))) void axpy_avx2(float alpha, const float* x,
@@ -237,58 +208,6 @@ __attribute__((target("avx512f"))) void adam_avx512(const AdamScalars& s,
 #endif  // TSR_X86
 
 // ---------------------------------------------------------------------------
-// int8 inference path: per-tensor symmetric quantization (scale = amax/127,
-// round-to-nearest, clamp to ±127), int accumulate, one dequantized
-// `c += alpha * sa * sb * acc` per element. Serial and pure integer inside,
-// so it is deterministic across backends and worker counts by construction.
-// ---------------------------------------------------------------------------
-
-void gemm_full_int8(bool a_trans, bool b_trans, std::int64_t m, std::int64_t n,
-                    std::int64_t k, float alpha, const float* a,
-                    std::int64_t lda, const float* b, std::int64_t ldb,
-                    float* c, std::int64_t ldc) {
-  const auto a_at = [&](std::int64_t i, std::int64_t kk) {
-    return a_trans ? a[kk * lda + i] : a[i * lda + kk];
-  };
-  const auto b_at = [&](std::int64_t kk, std::int64_t j) {
-    return b_trans ? b[j * ldb + kk] : b[kk * ldb + j];
-  };
-  float amax = 0.0f, bmax = 0.0f;
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t kk = 0; kk < k; ++kk)
-      amax = std::max(amax, std::fabs(a_at(i, kk)));
-  for (std::int64_t kk = 0; kk < k; ++kk)
-    for (std::int64_t j = 0; j < n; ++j)
-      bmax = std::max(bmax, std::fabs(b_at(kk, j)));
-  const float sa = amax > 0.0f ? amax / 127.0f : 1.0f;
-  const float sb = bmax > 0.0f ? bmax / 127.0f : 1.0f;
-  const auto quant = [](float x, float s) {
-    const long q = std::lrintf(x / s);
-    return static_cast<std::int8_t>(std::clamp<long>(q, -127, 127));
-  };
-  thread_local std::vector<std::int8_t> qa, qb;
-  qa.resize(static_cast<std::size_t>(m * k));
-  qb.resize(static_cast<std::size_t>(k * n));
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t kk = 0; kk < k; ++kk)
-      qa[static_cast<std::size_t>(i * k + kk)] = quant(a_at(i, kk), sa);
-  for (std::int64_t kk = 0; kk < k; ++kk)
-    for (std::int64_t j = 0; j < n; ++j)
-      qb[static_cast<std::size_t>(kk * n + j)] = quant(b_at(kk, j), sb);
-  const float dequant = alpha * sa * sb;
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t kk = 0; kk < k; ++kk) {
-        acc += static_cast<std::int64_t>(qa[static_cast<std::size_t>(i * k + kk)]) *
-               qb[static_cast<std::size_t>(kk * n + j)];
-      }
-      c[i * ldc + j] += dequant * static_cast<float>(acc);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // The table
 // ---------------------------------------------------------------------------
 
@@ -298,24 +217,17 @@ bool avail_avx2(const CpuFeatures& f) { return f.avx2; }
 bool avail_avx512(const CpuFeatures& f) { return f.avx2 && f.avx512f; }
 #endif
 
+// Auto-dispatch picks the LAST available entry, so keep the variants in
+// ascending preference order.
 const KernelVariant kTable[] = {
-    // name, nr, micro, quantize, gemm_full, axpy, scale, adam, available,
-    // gate, auto_dispatch. Auto-dispatch resolution picks the LAST available
-    // auto entry, so keep memcmp variants in ascending preference order.
-    {"scalar", 8, micro_scalar, nullptr, nullptr, axpy_scalar, scale_scalar,
-     adam_scalar, avail_always, "memcmp", true},
+    // name, nr, micro, axpy, scale, adam, available
+    {"scalar", 8, micro_scalar, axpy_scalar, scale_scalar, adam_scalar,
+     avail_always},
 #ifdef TSR_X86
-    {"avx2", 8, micro_avx2, nullptr, nullptr, axpy_avx2, scale_avx2,
-     adam_avx2, avail_avx2, "memcmp", true},
-    {"avx512", 16, micro_avx512, nullptr, nullptr, axpy_avx2, scale_avx2,
-     adam_avx512, avail_avx512, "memcmp", true},
-    {"avx2fma", 8, micro_avx2fma, nullptr, nullptr, axpy_avx2, scale_avx2,
-     adam_avx2, avail_avx2, "tolerance", false},
+    {"avx2", 8, micro_avx2, axpy_avx2, scale_avx2, adam_avx2, avail_avx2},
+    {"avx512", 16, micro_avx512, axpy_avx2, scale_avx2, adam_avx512,
+     avail_avx512},
 #endif
-    {"bf16", 8, micro_scalar, bf16_round, nullptr, axpy_scalar, scale_scalar,
-     adam_scalar, avail_always, "tolerance", false},
-    {"int8", 8, nullptr, nullptr, gemm_full_int8, axpy_scalar, scale_scalar,
-     adam_scalar, avail_always, "tolerance", false},
 };
 
 std::atomic<const KernelVariant*> g_active{nullptr};
@@ -342,25 +254,20 @@ const KernelVariant& resolve_kernel_variant(std::string_view forced,
   }
   const KernelVariant* best = &kTable[0];
   for (const KernelVariant& v : kernel_variants()) {
-    if (v.auto_dispatch && v.available(f)) best = &v;
+    if (v.available(f)) best = &v;
   }
   return *best;
 }
 
 const KernelVariant& active_kernel_variant() {
   const KernelVariant* v = g_active.load(std::memory_order_acquire);
-  if (v == nullptr) {
-    const char* env = std::getenv("TESSERACT_KERNEL");
-    v = &resolve_kernel_variant(env != nullptr ? env : "", cpu_features());
-    g_active.store(v, std::memory_order_release);
-  }
+  if (v == nullptr) v = &force_kernel_variant(nullptr);
   return *v;
 }
 
 const KernelVariant& force_kernel_variant(const char* name) {
-  const char* env = std::getenv("TESSERACT_KERNEL");
-  const char* pick = name != nullptr ? name : (env != nullptr ? env : "");
-  const KernelVariant& v = resolve_kernel_variant(pick, cpu_features());
+  const KernelVariant& v = resolve_kernel_variant(
+      name != nullptr ? name : run_config().kernel, cpu_features());
   g_active.store(&v, std::memory_order_release);
   return v;
 }

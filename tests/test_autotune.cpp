@@ -5,12 +5,12 @@
 // configuration.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "perf/autotune.hpp"
+#include "scoped_config.hpp"
 
 namespace tsr::perf {
 namespace {
@@ -241,31 +241,30 @@ TEST(Explain, ReportComesFromTheRollupMachinery) {
   EXPECT_GT(score.step_seconds, 0.0);
 }
 
+// The planner knobs a bench or tool main reads, from a fake environment.
+AutotuneConfig from_env(const std::map<std::string, std::string>& env) {
+  return AutotuneConfig::from(parse_run_config(fake_env(env)));
+}
+
 TEST(Config, EnvOverridesAndValidation) {
-  ::setenv("TESSERACT_PLAN_GPUS", "32", 1);
-  ::setenv("TESSERACT_PLAN_MICROS", "8", 1);
-  ::setenv("TESSERACT_PLAN_MAX_STAGES", "2", 1);
-  ::setenv("TESSERACT_PLAN_STRAGGLER_SCALE", "2.5", 1);
-  AutotuneConfig cfg = AutotuneConfig::from_env();
+  AutotuneConfig cfg = from_env({{"TESSERACT_PLAN_GPUS", "32"},
+                                 {"TESSERACT_PLAN_MICROS", "8"},
+                                 {"TESSERACT_PLAN_MAX_STAGES", "2"},
+                                 {"TESSERACT_PLAN_STRAGGLER_SCALE", "2.5"}});
   EXPECT_EQ(cfg.gpus, 32);
   EXPECT_EQ(cfg.micros, 8);
   EXPECT_EQ(cfg.max_stages, 2);
   EXPECT_DOUBLE_EQ(cfg.straggler_scale, 2.5);
 
   // A misconfigured search fails loudly instead of searching the wrong space.
-  ::setenv("TESSERACT_PLAN_GPUS", "zero", 1);
-  EXPECT_THROW(AutotuneConfig::from_env(), std::runtime_error);
-  ::setenv("TESSERACT_PLAN_GPUS", "-4", 1);
-  EXPECT_THROW(AutotuneConfig::from_env(), std::runtime_error);
-  ::unsetenv("TESSERACT_PLAN_GPUS");
-  ::setenv("TESSERACT_PLAN_STRAGGLER_SCALE", "0.5", 1);
-  EXPECT_THROW(AutotuneConfig::from_env(), std::runtime_error);
+  EXPECT_THROW(from_env({{"TESSERACT_PLAN_GPUS", "zero"}}), std::runtime_error);
+  EXPECT_THROW(from_env({{"TESSERACT_PLAN_GPUS", "-4"}}), std::runtime_error);
+  EXPECT_THROW(from_env({{"TESSERACT_PLAN_STRAGGLER_SCALE", "0.5"}}),
+               std::runtime_error);
 
-  ::unsetenv("TESSERACT_PLAN_MICROS");
-  ::unsetenv("TESSERACT_PLAN_MAX_STAGES");
-  ::unsetenv("TESSERACT_PLAN_STRAGGLER_SCALE");
-  cfg = AutotuneConfig::from_env();
-  EXPECT_EQ(cfg.gpus, 64);  // back to the defaults
+  cfg = from_env({});
+  EXPECT_EQ(cfg.gpus, AutotuneConfig{}.gpus);  // the defaults
+  EXPECT_EQ(cfg.gpus, 64);
 }
 
 }  // namespace

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -14,35 +13,12 @@
 #include "comm/communicator.hpp"
 #include "comm/compress.hpp"
 #include "pdgemm/tesseract_mm.hpp"
+#include "runtime/config.hpp"
+#include "scoped_config.hpp"
 #include "tensor/bf16.hpp"
 
 namespace tsr::comm {
 namespace {
-
-// Scoped environment override (same idiom as test_fault.cpp).
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 std::vector<float> rank_data(int rank, std::int64_t n) {
   std::vector<float> v(static_cast<std::size_t>(n));
@@ -158,29 +134,20 @@ TEST(CompressedAllReduce, HalvesWireBytes) {
 TEST(CompressedAllReduce, BitIdenticalAcrossBackends) {
   struct Backend {
     const char* label;
-    const char* spmd;     // "" = default (fibers)
-    const char* workers;  // "" = default
+    bool threads;  // RunConfig::spmd_threads
+    int workers;   // 0 = the configured count
   };
   const Backend kMatrix[] = {
-      {"fibers-w1", "", "1"},
-      {"fibers-w4", "", "4"},
-      {"threads", "threads", ""},
+      {"fibers-w1", false, 1},
+      {"fibers-w4", false, 4},
+      {"threads", true, 0},
   };
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
+  ScopedRunConfig cfg;
   const std::int64_t n = 517;
   std::vector<float> reference;
   for (const Backend& b : kMatrix) {
-    if (b.spmd[0] != '\0') {
-      spmd.set(b.spmd);
-    } else {
-      spmd.clear();
-    }
-    if (b.workers[0] != '\0') {
-      workers.set(b.workers);
-    } else {
-      workers.clear();
-    }
+    cfg->spmd_threads = b.threads;
+    if (b.workers > 0) cfg->workers = b.workers;
     const std::vector<float> got = run_compressed(4, n);
     if (reference.empty()) {
       reference = got;
@@ -206,30 +173,24 @@ TEST(CompressedAllReduce, SingleRankIsIdentity) {
 // ---- gating ----------------------------------------------------------------
 
 TEST(CompressDepthGate, EnvParsing) {
-  EnvGuard env("TESSERACT_COMPRESS_DEPTH");
-  env.clear();
-  EXPECT_FALSE(compress_depth_enabled());
-  env.set("0");
-  EXPECT_FALSE(compress_depth_enabled());
-  env.set("1");
-  EXPECT_TRUE(compress_depth_enabled());
-  env.set("true");
-  EXPECT_TRUE(compress_depth_enabled());
-  env.set("");
-  EXPECT_FALSE(compress_depth_enabled());
+  const auto parse = [](const char* value) {
+    return parse_run_config(fake_env({{"TESSERACT_COMPRESS_DEPTH", value}}))
+        .compress_depth;
+  };
+  EXPECT_FALSE(parse_run_config(fake_env({})).compress_depth);
+  EXPECT_FALSE(parse("0"));
+  EXPECT_TRUE(parse("1"));
+  EXPECT_TRUE(parse("true"));
+  EXPECT_FALSE(parse(""));
 }
 
 TEST(CompressDepthGate, TesseractDepthAllReduceSwitchesCollective) {
-  EnvGuard env("TESSERACT_COMPRESS_DEPTH");
+  ScopedRunConfig cfg;
   const int q = 2, d = 2;
   const std::int64_t rows = 24, inner = 8, cols = 8;
   // Per-rank partials; the atb depth reduction sums them across layers.
   for (const bool compressed : {false, true}) {
-    if (compressed) {
-      env.set("1");
-    } else {
-      env.clear();
-    }
+    cfg->compress_depth = compressed;
     World world(q * q * d);
     world.run([&](Communicator& c) {
       pdg::TesseractComms tc = pdg::TesseractComms::create(c, q, d);

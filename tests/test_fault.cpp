@@ -4,8 +4,8 @@
 // the threads-backend deadlock watchdog.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,63 +13,30 @@
 #include "comm/communicator.hpp"
 #include "fault/fault.hpp"
 #include "fault/injector.hpp"
+#include "runtime/config.hpp"
+#include "scoped_config.hpp"
 #include "topology/machine_spec.hpp"
 
 namespace tsr::fault {
 namespace {
 
-// Scoped environment override (same idiom as test_runtime.cpp): sets or
-// clears a variable for one test, restores the previous value on destruction.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
 // The backend/worker matrix the fault semantics must be invariant across.
-// An empty spmd string means "leave the default" (fibers, or threads under
-// sanitizers — both must behave identically anyway, which is the point).
+// workers 0 keeps the configured count.
 struct Backend {
   const char* label;
-  const char* spmd;     // "" = default
-  const char* workers;  // "" = default
+  bool threads;  // RunConfig::spmd_threads
+  int workers;
 };
 
 const Backend kMatrix[] = {
-    {"fibers-w1", "", "1"},
-    {"fibers-w4", "", "4"},
-    {"threads", "threads", ""},
+    {"fibers-w1", false, 1},
+    {"fibers-w4", false, 4},
+    {"threads", true, 0},
 };
 
-void apply_backend(const Backend& b, EnvGuard& spmd, EnvGuard& workers) {
-  if (b.spmd[0] != '\0') {
-    spmd.set(b.spmd);
-  } else {
-    spmd.clear();
-  }
-  if (b.workers[0] != '\0') {
-    workers.set(b.workers);
-  } else {
-    workers.clear();
-  }
+void apply_backend(const Backend& b, ScopedRunConfig& cfg) {
+  cfg->spmd_threads = b.threads;
+  if (b.workers > 0) cfg->workers = b.workers;
 }
 
 constexpr int kRanks = 8;  // the [2,2,2] Tesseract grid
@@ -175,44 +142,55 @@ TEST(FaultPlan, MalformedJsonReportsError) {
   EXPECT_TRUE(p.empty());
 }
 
+// The plan a bench or tool main reads, parsed from a fake environment.
+FaultPlan plan_from(const std::map<std::string, std::string>& env) {
+  return parse_run_config(fake_env(env)).fault;
+}
+
 TEST(FaultPlan, EnvScalarsBuildPlan) {
-  EnvGuard plan("TESSERACT_FAULT_PLAN");
-  EnvGuard seed("TESSERACT_FAULT_SEED");
-  EnvGuard kill("TESSERACT_FAULT_KILL_RANK");
-  EnvGuard kill_op("TESSERACT_FAULT_KILL_AT_OP");
-  EnvGuard slow("TESSERACT_FAULT_SLOW_RANK");
-  EnvGuard scale("TESSERACT_FAULT_SLOW_SCALE");
-  plan.clear();
-  seed.set("9");
-  kill.set("2");
-  kill_op.set("15");
-  slow.set("0");
-  scale.set("3.0");
-  const FaultPlan p = plan_from_env();
+  EXPECT_TRUE(plan_from({}).empty());
+  const FaultPlan p = plan_from({{"TESSERACT_FAULT_SEED", "9"},
+                                 {"TESSERACT_FAULT_KILL_RANK", "2"},
+                                 {"TESSERACT_FAULT_KILL_AT_OP", "15"},
+                                 {"TESSERACT_FAULT_SLOW_RANK", "0"},
+                                 {"TESSERACT_FAULT_SLOW_SCALE", "3.0"},
+                                 {"TESSERACT_FAULT_SLOW_LINK", "1:-1"}});
   EXPECT_EQ(p.seed, 9u);
   ASSERT_EQ(p.kills.size(), 1u);
   EXPECT_EQ(p.kills[0].rank, 2);
   EXPECT_EQ(p.kills[0].at_op, 15);
   ASSERT_EQ(p.slow_ranks.size(), 1u);
   EXPECT_DOUBLE_EQ(p.slow_ranks[0].scale, 3.0);
+  ASSERT_EQ(p.slow_links.size(), 1u);
+  EXPECT_EQ(p.slow_links[0].src, 1);
+  EXPECT_EQ(p.slow_links[0].dst, -1);
+  EXPECT_DOUBLE_EQ(p.slow_links[0].beta_scale, 2.0);
+  // A kill with no trigger dies at its first operation.
+  EXPECT_EQ(plan_from({{"TESSERACT_FAULT_KILL_RANK", "1"}}).kills[0].at_op, 0);
 }
 
 TEST(FaultPlan, EnvInlineJsonWins) {
-  EnvGuard plan("TESSERACT_FAULT_PLAN");
-  EnvGuard kill("TESSERACT_FAULT_KILL_RANK");
-  kill.set("5");  // must be ignored: TESSERACT_FAULT_PLAN takes precedence
-  plan.set("{\"seed\": 77, \"slow_ranks\": [{\"rank\": 1, \"scale\": 2.0}]}");
-  const FaultPlan p = plan_from_env();
+  // TESSERACT_FAULT_KILL_RANK must be ignored: the plan takes precedence.
+  const FaultPlan p = plan_from(
+      {{"TESSERACT_FAULT_KILL_RANK", "5"},
+       {"TESSERACT_FAULT_PLAN",
+        "{\"seed\": 77, \"slow_ranks\": [{\"rank\": 1, \"scale\": 2.0}]}"}});
   EXPECT_EQ(p.seed, 77u);
   EXPECT_TRUE(p.kills.empty());
   ASSERT_EQ(p.slow_ranks.size(), 1u);
   EXPECT_EQ(p.slow_ranks[0].rank, 1);
 }
 
-TEST(FaultPlan, EnvInvalidJsonThrows) {
-  EnvGuard plan("TESSERACT_FAULT_PLAN");
-  plan.set("{not json");
-  EXPECT_THROW(plan_from_env(), std::runtime_error);
+TEST(FaultPlan, EnvMalformedValuesThrow) {
+  EXPECT_THROW(plan_from({{"TESSERACT_FAULT_PLAN", "{not json"}}),
+               std::runtime_error);
+  EXPECT_THROW(plan_from({{"TESSERACT_FAULT_KILL_RANK", "two"}}),
+               std::runtime_error);
+  EXPECT_THROW(plan_from({{"TESSERACT_FAULT_SLOW_RANK", "0"},
+                          {"TESSERACT_FAULT_SLOW_SCALE", "2x"}}),
+               std::runtime_error);
+  EXPECT_THROW(plan_from({{"TESSERACT_FAULT_SLOW_LINK", "1-2"}}),
+               std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,15 +202,14 @@ TEST(FaultPlan, EnvInvalidJsonThrows) {
 // (slowdown 1.0) must produce byte-identical payloads, identical byte
 // counters and identical simulated clocks, on every backend.
 TEST(FaultNull, EmptyPlanIsByteIdentical) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   comm::World base_world(kRanks, topo::MachineSpec::meluxina());
   const RunResult base = run_workload(base_world);
 
   for (const Backend& b : kMatrix) {
-    apply_backend(b, spmd, workers);
+    apply_backend(b, cfg);
 
     comm::World no_plan(kRanks, topo::MachineSpec::meluxina());
     EXPECT_EQ(no_plan.fault_injector(), nullptr);
@@ -272,14 +249,13 @@ TEST(FaultNull, EmptyPlanIsByteIdentical) {
 // must observe the same failed-rank set, and the injector's report must be
 // identical across the whole matrix.
 TEST(FaultKill, SurvivorsAgreeOnFailedSetAcrossBackends) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
+  ScopedRunConfig cfg;
 
   FaultPlan plan;
   plan.kills.push_back(KillSpec{3, 40, -1.0});
 
   for (const Backend& b : kMatrix) {
-    apply_backend(b, spmd, workers);
+    apply_backend(b, cfg);
     comm::World world(kRanks, topo::MachineSpec::meluxina());
     world.install_fault_plan(plan);
 
@@ -325,10 +301,9 @@ TEST(FaultKill, SurvivorsAgreeOnFailedSetAcrossBackends) {
 // Injected kill + tight deadlock watchdog (threads backend): the structured
 // PeerFailure must win; the watchdog's blocked-rank dump must never fire.
 TEST(FaultKill, ComposesWithThreadsWatchdog) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  spmd.set("threads");
-  watchdog.set("400");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = true;
+  cfg->deadlock_ms = 400;
 
   FaultPlan plan;
   plan.kills.push_back(KillSpec{1, 10, -1.0});
@@ -351,13 +326,9 @@ TEST(FaultKill, ComposesWithThreadsWatchdog) {
 // Time-triggered kill: fires when the victim's simulated clock passes the
 // threshold, and the trigger is deterministic (same sim schedule every run).
 TEST(FaultKill, SimTimeTriggerIsDeterministic) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-
   auto run_once = [&](const Backend& b) {
-    EnvGuard s("TESSERACT_SPMD");
-    EnvGuard w("TESSERACT_WORKERS");
-    apply_backend(b, s, w);
+    ScopedRunConfig cfg;
+    apply_backend(b, cfg);
     FaultPlan plan;
     plan.kills.push_back(KillSpec{5, -1, 1e-4});
     comm::World world(kRanks, topo::MachineSpec::meluxina());
@@ -387,10 +358,9 @@ TEST(FaultKill, SimTimeTriggerIsDeterministic) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultStraggler, SlowRankInflatesMakespanDeterministically) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   comm::World base_world(kRanks, topo::MachineSpec::meluxina());
   const RunResult base = run_workload(base_world);
 
@@ -399,7 +369,7 @@ TEST(FaultStraggler, SlowRankInflatesMakespanDeterministically) {
 
   double first = -1.0;
   for (const Backend& b : kMatrix) {
-    apply_backend(b, spmd, workers);
+    apply_backend(b, cfg);
     comm::World world(kRanks, topo::MachineSpec::meluxina());
     world.install_fault_plan(plan);
     const RunResult r = run_workload(world);
@@ -416,10 +386,9 @@ TEST(FaultStraggler, SlowRankInflatesMakespanDeterministically) {
 }
 
 TEST(FaultStraggler, SlowLinkInflatesMakespan) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   comm::World base_world(kRanks, topo::MachineSpec::meluxina());
   const RunResult base = run_workload(base_world);
 
@@ -437,10 +406,9 @@ TEST(FaultStraggler, SlowLinkInflatesMakespan) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultMessage, SeededDelayIsReproducible) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
 
   FaultPlan plan;
   plan.seed = 1234;
@@ -476,10 +444,9 @@ TEST(FaultMessage, SeededDelayIsReproducible) {
 }
 
 TEST(FaultMessage, DropChargesBoundedRetransmitBackoff) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   comm::World base_world(kRanks, topo::MachineSpec::meluxina());
   const RunResult base = run_workload(base_world);
 
@@ -500,10 +467,9 @@ TEST(FaultMessage, DropChargesBoundedRetransmitBackoff) {
 }
 
 TEST(FaultMessage, DuplicatesAreDiscardedAndHarmless) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   comm::World base_world(kRanks, topo::MachineSpec::meluxina());
   const RunResult base = run_workload(base_world);
 
@@ -511,7 +477,7 @@ TEST(FaultMessage, DuplicatesAreDiscardedAndHarmless) {
   plan.duplicates.push_back(DuplicateSpec{-1, -1, 1.0, -1});
 
   for (const Backend& b : kMatrix) {
-    apply_backend(b, spmd, workers);
+    apply_backend(b, cfg);
     comm::World world(kRanks, topo::MachineSpec::meluxina());
     world.install_fault_plan(plan);
     const RunResult r = run_workload(world);
@@ -532,10 +498,9 @@ TEST(FaultMessage, DuplicatesAreDiscardedAndHarmless) {
 // ---------------------------------------------------------------------------
 
 TEST(FaultTimeout, BlockedRecvTimesOutOnThreadsBackend) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  spmd.set("threads");
-  watchdog.set("30000");  // far beyond the timeout: RecvTimeout must win
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = true;
+  cfg->deadlock_ms = 30000;  // far beyond the timeout: RecvTimeout must win
 
   FaultPlan plan;
   plan.recv_timeout_ms = 200;
@@ -584,13 +549,13 @@ TEST(FaultTimeout, ReinstallResetsMailboxRecvTimeouts) {
   }
 }
 
-// Env-driven install: a World constructed while TESSERACT_FAULT_* is set
-// picks the plan up with no code change.
-TEST(FaultEnv, WorldConstructorReadsEnvironment) {
-  EnvGuard slow("TESSERACT_FAULT_SLOW_RANK");
-  EnvGuard scale("TESSERACT_FAULT_SLOW_SCALE");
-  slow.set("0");
-  scale.set("4.0");
+// Config-driven install: a World constructed while RunConfig::fault holds a
+// plan (a bench main that read TESSERACT_FAULT_*) picks it up with no code
+// change.
+TEST(FaultEnv, WorldConstructorInstallsConfiguredPlan) {
+  ScopedRunConfig cfg;
+  cfg->fault = plan_from({{"TESSERACT_FAULT_SLOW_RANK", "0"},
+                          {"TESSERACT_FAULT_SLOW_SCALE", "4.0"}});
   comm::World world(2, topo::MachineSpec::meluxina());
   ASSERT_NE(world.fault_injector(), nullptr);
   EXPECT_DOUBLE_EQ(world.clock(0).slowdown(), 4.0);

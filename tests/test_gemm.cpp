@@ -2,9 +2,9 @@
 // alpha/beta handling, batched matmul, and a parameterized size sweep.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 
+#include "scoped_config.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
@@ -153,11 +153,12 @@ TEST(GemmParallel, BitIdenticalAcrossWorkerCounts) {
   Tensor b = random_normal({k, n}, rng);
   Tensor bt = random_normal({n, k}, rng);
 
-  setenv("TESSERACT_WORKERS", "1", 1);
+  ScopedRunConfig cfg;
+  cfg->workers = 1;
   Tensor c_upd_1 = matmul(a, b);
   Tensor c_dot_1 = matmul(a, bt, Trans::N, Trans::T);
-  for (const char* w : {"2", "4"}) {
-    setenv("TESSERACT_WORKERS", w, 1);
+  for (const int w : {2, 4}) {
+    cfg->workers = w;
     Tensor c_upd = matmul(a, b);
     Tensor c_dot = matmul(a, bt, Trans::N, Trans::T);
     EXPECT_EQ(std::memcmp(c_upd.data(), c_upd_1.data(),
@@ -169,7 +170,6 @@ TEST(GemmParallel, BitIdenticalAcrossWorkerCounts) {
               0)
         << "dot form differs at W=" << w;
   }
-  unsetenv("TESSERACT_WORKERS");
 }
 
 // A steady-state stream of same-shape GEMMs must hit the worker-local pack

@@ -5,13 +5,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
 #include "obs/json.hpp"
 #include "obs/ledger.hpp"
+#include "scoped_config.hpp"
 
 namespace {
 
@@ -436,10 +436,11 @@ TEST(Gate, MixedSchemaVersionRejectedStructurally) {
 
 // ---- artifact-dir redirection ---------------------------------------------
 
-TEST(ArtifactPath, RedirectsRelativeNamesWhenEnvSet) {
-  unsetenv("TESSERACT_ARTIFACT_DIR");
+TEST(ArtifactPath, RedirectsRelativeNamesWhenDirSet) {
+  tsr::ScopedRunConfig cfg;
+  cfg->artifact_dir = "";
   EXPECT_EQ(tsr::obs::artifact_path("BENCH_x.json"), "BENCH_x.json");
-  setenv("TESSERACT_ARTIFACT_DIR", "test_ledger_artifacts", 1);
+  cfg->artifact_dir = "test_ledger_artifacts";
   EXPECT_EQ(tsr::obs::artifact_path("BENCH_x.json"),
             "test_ledger_artifacts/BENCH_x.json");
   // Absolute paths are explicit destinations; never redirected.
@@ -448,7 +449,6 @@ TEST(ArtifactPath, RedirectsRelativeNamesWhenEnvSet) {
   std::ofstream out(tsr::obs::artifact_path("probe.txt"));
   EXPECT_TRUE(static_cast<bool>(out));
   out.close();
-  unsetenv("TESSERACT_ARTIFACT_DIR");
   std::remove("test_ledger_artifacts/probe.txt");
   std::remove("test_ledger_artifacts");
 }

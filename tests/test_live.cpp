@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -23,37 +22,11 @@
 #include "perf/export.hpp"
 #include "perf/run_report.hpp"
 #include "perf/trace.hpp"
+#include "scoped_config.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tsr {
 namespace {
-
-// Scoped environment override (same idiom as test_runtime.cpp): the runtime
-// re-reads TESSERACT_WORKERS / TESSERACT_SPMD on every run, so flipping the
-// scheduler backend between World::run calls in one process is supported.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 // Small Tesseract [2,2,2] phantom replay: 8 ranks, finishes in well under a
 // second of wall time, covers compute charges, collectives and waits.
@@ -175,18 +148,16 @@ TEST(LiveSampler, CumulativeCountersAreMonotone) {
 
 TEST(LiveSampler, TimelineBitIdenticalAcrossBackends) {
   const double interval = clean_makespan() / 24.0;
-  EnvGuard workers("TESSERACT_WORKERS");
-  EnvGuard backend("TESSERACT_SPMD");
+  ScopedRunConfig run;
 
-  workers.set("1");
-  backend.clear();
+  run->workers = 1;
+  run->spmd_threads = false;
   const std::string w1 =
       run_with_timeline("TIMELINE_test_w1.json", interval);
-  workers.set("4");
+  run->workers = 4;
   const std::string w4 =
       run_with_timeline("TIMELINE_test_w4.json", interval);
-  workers.clear();
-  backend.set("threads");
+  run->spmd_threads = true;
   const std::string threads =
       run_with_timeline("TIMELINE_test_threads.json", interval);
 

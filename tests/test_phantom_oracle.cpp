@@ -11,50 +11,26 @@
 
 #include <bit>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "scoped_config.hpp"
 
 namespace tsr::comm {
 namespace {
 
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
 // Scheduler configurations every case runs under.
 struct Backend {
   const char* name;
-  const char* spmd;  // TESSERACT_SPMD value, nullptr = default (fibers)
-  const char* workers;
+  bool threads;  // RunConfig::spmd_threads
+  int workers;
 };
 constexpr Backend kBackends[] = {
-    {"fibers W=1", nullptr, "1"},
-    {"fibers W=4", nullptr, "4"},
-    {"threads", "threads", "1"},
+    {"fibers W=1", false, 1},
+    {"fibers W=4", false, 4},
+    {"threads", true, 1},
 };
 
 topo::MachineSpec spec_with_nodes_of(int gpus_per_node) {
@@ -147,15 +123,10 @@ void expect_same(const Outcome& fast, const Outcome& oracle,
 
 void check_on_every_backend(int n, const topo::MachineSpec& spec,
                             const Program& program, const std::string& label) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
+  ScopedRunConfig cfg;
   for (const Backend& b : kBackends) {
-    if (b.spmd != nullptr) {
-      spmd.set(b.spmd);
-    } else {
-      spmd.clear();
-    }
-    workers.set(b.workers);
+    cfg->spmd_threads = b.threads;
+    cfg->workers = b.workers;
     expect_same(run(n, spec, /*oracle=*/false, program),
                 run(n, spec, /*oracle=*/true, program),
                 label + " [" + b.name + "]");
@@ -226,7 +197,7 @@ INSTANTIATE_TEST_SUITE_P(
                       GroupCase{8, 4}, GroupCase{2, 1}, GroupCase{3, 1},
                       GroupCase{5, 1}, GroupCase{8, 1}, GroupCase{8, 8}),
     [](const ::testing::TestParamInfo<GroupCase>& info) {
-      return "g" + std::to_string(info.param.g) + "_per_node" +
+      return std::string("g") + std::to_string(info.param.g) + "_per_node" +
              std::to_string(info.param.gpus_per_node);
     });
 

@@ -10,6 +10,7 @@
 
 #include "comm/communicator.hpp"
 #include "fault/fault.hpp"
+#include "obs/json.hpp"
 #include "parallel/dist.hpp"
 #include "parallel/tesseract_transformer.hpp"
 #include "perf/run_report.hpp"
@@ -273,8 +274,11 @@ TEST(RunReport, WriteRunReportEmitsJsonAndHtml) {
     c.all_reduce(v);
   });
   ASSERT_TRUE(write_run_report(world, "unit_test_tmp"));
-  std::ifstream json_in("REPORT_unit_test_tmp.json");
-  std::ifstream html_in("REPORT_unit_test_tmp.html");
+  // The writer lands in RunConfig::artifact_dir; read from the same place.
+  const std::string json_path = obs::artifact_path("REPORT_unit_test_tmp.json");
+  const std::string html_path = obs::artifact_path("REPORT_unit_test_tmp.html");
+  std::ifstream json_in(json_path);
+  std::ifstream html_in(html_path);
   EXPECT_TRUE(json_in.good());
   EXPECT_TRUE(html_in.good());
   std::stringstream ss;
@@ -282,8 +286,8 @@ TEST(RunReport, WriteRunReportEmitsJsonAndHtml) {
   std::string err;
   (void)obs::json_parse(ss.str(), &err);
   EXPECT_TRUE(err.empty()) << err;
-  std::remove("REPORT_unit_test_tmp.json");
-  std::remove("REPORT_unit_test_tmp.html");
+  std::remove(json_path.c_str());
+  std::remove(html_path.c_str());
 }
 
 }  // namespace

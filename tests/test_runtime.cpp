@@ -7,9 +7,9 @@
 #include <atomic>
 #include <cfenv>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <map>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,9 +21,11 @@
 #include "parallel/tesseract_transformer.hpp"
 #include "runtime/barrier.hpp"
 #include "runtime/cluster.hpp"
+#include "runtime/config.hpp"
 #include "runtime/fiber.hpp"
 #include "runtime/sim_clock.hpp"
 #include "runtime/worker_pool.hpp"
+#include "scoped_config.hpp"
 #include "tensor/init.hpp"
 
 #if defined(__x86_64__)
@@ -32,34 +34,6 @@
 
 namespace tsr::rt {
 namespace {
-
-// Scoped environment override: sets (or clears) a variable for one test and
-// restores the previous value on destruction. The runtime re-reads
-// TESSERACT_WORKERS / TESSERACT_SPMD / TESSERACT_DEADLOCK_MS on every run,
-// so changing them between World::run calls inside one process is supported.
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
 
 TEST(Barrier, RejectsNonPositiveCount) {
   EXPECT_THROW(Barrier(0), std::invalid_argument);
@@ -177,29 +151,75 @@ TEST(Scheduler, BackendSelection) {
   EXPECT_FALSE(fibers_enabled());
 #else
   {
-    EnvGuard spmd("TESSERACT_SPMD");
-    spmd.clear();
+    ScopedRunConfig cfg;
+    cfg->spmd_threads = false;
     EXPECT_TRUE(fibers_enabled());
-    spmd.set("threads");
+    cfg->spmd_threads = true;
     EXPECT_FALSE(fibers_enabled());
   }
 #endif
 }
 
-TEST(Scheduler, ConfiguredWorkersReadsEnv) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  workers.set("3");
-  EXPECT_EQ(configured_workers(), 3);
-  workers.set("999");
-  EXPECT_EQ(configured_workers(), 64);  // clamped
-  workers.set("1");
-  EXPECT_EQ(configured_workers(), 1);
+RunConfig parse_env(const std::map<std::string, std::string>& env) {
+  return parse_run_config(fake_env(env));
+}
+
+TEST(RunConfigParse, WorkersClampedToRange) {
+  EXPECT_EQ(parse_env({{"TESSERACT_WORKERS", "3"}}).workers, 3);
+  EXPECT_EQ(parse_env({{"TESSERACT_WORKERS", "999"}}).workers, 64);
+  EXPECT_EQ(parse_env({{"TESSERACT_WORKERS", "1"}}).workers, 1);
+  const int host = parse_env({}).workers;
+  EXPECT_GE(host, 1);
+  EXPECT_LE(host, 64);
+  EXPECT_EQ(parse_env({{"TESSERACT_WORKERS", "0"}}).workers, host);
+  EXPECT_THROW(parse_env({{"TESSERACT_WORKERS", "four"}}), std::runtime_error);
+}
+
+TEST(RunConfigParse, ExecutionFields) {
+  const RunConfig unset = parse_env({});
+  EXPECT_FALSE(unset.spmd_threads);
+  EXPECT_TRUE(unset.kernel.empty());
+  EXPECT_EQ(unset.fiber_stack_bytes, std::size_t{1} << 20);
+  EXPECT_TRUE(unset.artifact_dir.empty());
+  EXPECT_TRUE(unset.run_label.empty());
+  const RunConfig set = parse_env({{"TESSERACT_SPMD", "threads"},
+                                   {"TESSERACT_KERNEL", "avx2"},
+                                   {"TESSERACT_FIBER_STACK_KB", "256"},
+                                   {"TESSERACT_ARTIFACT_DIR", "out"},
+                                   {"TESSERACT_RUN_LABEL", "ci"}});
+  EXPECT_TRUE(set.spmd_threads);
+  EXPECT_EQ(set.kernel, "avx2");
+  EXPECT_EQ(set.fiber_stack_bytes, std::size_t{256} * 1024);
+  EXPECT_EQ(set.artifact_dir, "out");
+  EXPECT_EQ(set.run_label, "ci");
+  // Below the 64 KiB floor the default stack stays.
+  EXPECT_EQ(parse_env({{"TESSERACT_FIBER_STACK_KB", "8"}}).fiber_stack_bytes,
+            std::size_t{1} << 20);
+}
+
+// Execution fields come from the shell on first use; result fields only
+// through config_from_env(), which no test binary calls.
+TEST(RunConfigParse, ExecutionParseIgnoresResultFields) {
+  const std::map<std::string, std::string> env = {
+      {"TESSERACT_WORKERS", "2"},
+      {"TESSERACT_COMPRESS_DEPTH", "1"},
+      {"TESSERACT_FAULT_SLOW_RANK", "0"},
+      {"TESSERACT_PLAN_GPUS", "16"}};
+  const RunConfig exec = parse_execution_config(fake_env(env));
+  EXPECT_EQ(exec.workers, 2);
+  EXPECT_FALSE(exec.compress_depth);
+  EXPECT_TRUE(exec.fault.empty());
+  EXPECT_EQ(exec.plan_gpus, 0);
+  const RunConfig full = parse_env(env);
+  EXPECT_TRUE(full.compress_depth);
+  EXPECT_FALSE(full.fault.empty());
+  EXPECT_EQ(full.plan_gpus, 16);
 }
 
 TEST(Scheduler, MultiWorkerRunsEveryRankExactlyOnce) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  for (const char* w : {"2", "4", "7"}) {
-    workers.set(w);
+  ScopedRunConfig cfg;
+  for (const int w : {2, 4, 7}) {
+    cfg->workers = w;
     std::vector<std::atomic<int>> counts(16);
     run_spmd(16, [&](int r) { counts[static_cast<std::size_t>(r)]++; });
     for (const auto& c : counts) EXPECT_EQ(c.load(), 1);
@@ -207,8 +227,8 @@ TEST(Scheduler, MultiWorkerRunsEveryRankExactlyOnce) {
 }
 
 TEST(Scheduler, MultiWorkerPropagatesLowestRankError) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  workers.set("4");
+  ScopedRunConfig cfg;
+  cfg->workers = 4;
   EXPECT_THROW(
       run_spmd(8,
                [&](int r) {
@@ -222,8 +242,8 @@ TEST(Scheduler, MultiWorkerPropagatesLowestRankError) {
 // handoff path hard. The payload rotation proves no message was lost or
 // misrouted; the stats delta proves the cross-worker path actually ran.
 TEST(Scheduler, CrossWorkerWakeStress) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  workers.set("4");
+  ScopedRunConfig cfg;
+  cfg->workers = 4;
   const int g = 8;
   const int rounds = 200;
   const SchedulerStats before = scheduler_stats();
@@ -252,10 +272,9 @@ TEST(Scheduler, CrossWorkerWakeStress) {
 // instead of hanging; under sanitizers (threads fallback) the watchdog set
 // here catches the same cycle. Either way the test terminates with a throw.
 TEST(Scheduler, DeadlockDetectedAcrossWorkers) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  workers.set("2");
-  watchdog.set("500");
+  ScopedRunConfig cfg;
+  cfg->workers = 2;
+  cfg->deadlock_ms = 500;
   comm::World world(4);
   EXPECT_THROW(world.run([&](comm::Communicator& c) {
                  (void)c.recv((c.rank() + 1) % 4, 77);  // never sent
@@ -263,23 +282,22 @@ TEST(Scheduler, DeadlockDetectedAcrossWorkers) {
                std::runtime_error);
 }
 
-TEST(Watchdog, TimeoutParsesEnv) {
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  watchdog.clear();
-  EXPECT_EQ(deadlock_timeout_ms(), 0);  // off by default
-  watchdog.set("250");
-  EXPECT_EQ(deadlock_timeout_ms(), 250);
-  watchdog.set("0");
-  EXPECT_EQ(deadlock_timeout_ms(), 0);
+TEST(Watchdog, TimeoutParses) {
+  EXPECT_EQ(parse_env({}).deadlock_ms, 0);  // off by default
+  EXPECT_EQ(parse_env({{"TESSERACT_DEADLOCK_MS", "250"}}).deadlock_ms, 250);
+  EXPECT_EQ(parse_env({{"TESSERACT_DEADLOCK_MS", "0"}}).deadlock_ms, 0);
+  EXPECT_EQ(parse_env({{"TESSERACT_DEADLOCK_MS", "99999999"}}).deadlock_ms,
+            3600000);
+  EXPECT_THROW(parse_env({{"TESSERACT_DEADLOCK_MS", "1s"}}),
+               std::runtime_error);
 }
 
 // Threads backend under the watchdog: a true all-ranks-blocked cycle throws
 // a diagnosis naming every blocked rank instead of hanging CI forever.
 TEST(Watchdog, ThreadsBackendDeadlockThrows) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  spmd.set("threads");
-  watchdog.set("300");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = true;
+  cfg->deadlock_ms = 300;
   comm::World world(3);
   try {
     world.run([&](comm::Communicator& c) {
@@ -302,10 +320,9 @@ TEST(Watchdog, ThreadsBackendDeadlockThrows) {
 // A healthy run under a tight watchdog must NOT trip it: epochs advance on
 // every completed pop, so progress resets the verdict window.
 TEST(Watchdog, NoFalsePositiveOnProgress) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  spmd.set("threads");
-  watchdog.set("200");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = true;
+  cfg->deadlock_ms = 200;
   comm::World world(4);
   world.run([&](comm::Communicator& c) {
     std::vector<float> v{1.0f};
@@ -355,22 +372,21 @@ bool bits_equal(const std::vector<float>& a, const std::vector<float>& b) {
 // the same step must produce byte-identical tensors for every worker count
 // and for the OS-thread backend.
 TEST(Determinism, TesseractStepInvariantAcrossWorkersAndBackends) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  EnvGuard spmd("TESSERACT_SPMD");
-  spmd.clear();
-  workers.set("1");
+  ScopedRunConfig cfg;
+  cfg->spmd_threads = false;
+  cfg->workers = 1;
   const StepResult base = tesseract_step();
   ASSERT_FALSE(base.y.empty());
   ASSERT_FALSE(base.dx.empty());
-  for (const char* w : {"2", "4"}) {
-    workers.set(w);
+  for (const int w : {2, 4}) {
+    cfg->workers = w;
     const StepResult r = tesseract_step();
     EXPECT_TRUE(bits_equal(r.y, base.y)) << "y differs at W=" << w;
     EXPECT_TRUE(bits_equal(r.dx, base.dx)) << "dx differs at W=" << w;
   }
-  spmd.set("threads");
-  for (const char* w : {"1", "4"}) {
-    workers.set(w);
+  cfg->spmd_threads = true;
+  for (const int w : {1, 4}) {
+    cfg->workers = w;
     const StepResult r = tesseract_step();
     EXPECT_TRUE(bits_equal(r.y, base.y)) << "y differs on threads W=" << w;
     EXPECT_TRUE(bits_equal(r.dx, base.dx)) << "dx differs on threads W=" << w;
@@ -380,8 +396,8 @@ TEST(Determinism, TesseractStepInvariantAcrossWorkersAndBackends) {
 // Nested worlds (a rank opening an inner cluster) must stay on the worker
 // thread of the outer fiber and still complete under multi-worker sharding.
 TEST(Scheduler, NestedWorldInsideFiber) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  workers.set("4");
+  ScopedRunConfig cfg;
+  cfg->workers = 4;
   std::atomic<int> inner_total{0};
   run_spmd(4, [&](int) {
     run_spmd(2, [&](int) { inner_total.fetch_add(1); });
@@ -395,19 +411,14 @@ TEST(Scheduler, NestedWorldInsideFiber) {
 // them there exactly as it reaches a blocked receive.
 
 struct BackendCase {
-  const char* spmd;  // TESSERACT_SPMD, nullptr = default (fibers)
-  const char* workers;
+  bool threads;  // RunConfig::spmd_threads; false = fibers
+  int workers;
 };
-constexpr BackendCase kAllBackends[] = {
-    {nullptr, "1"}, {nullptr, "4"}, {"threads", "4"}};
+constexpr BackendCase kAllBackends[] = {{false, 1}, {false, 4}, {true, 4}};
 
-void select_backend(EnvGuard& spmd, EnvGuard& workers, const BackendCase& b) {
-  if (b.spmd != nullptr) {
-    spmd.set(b.spmd);
-  } else {
-    spmd.clear();
-  }
-  workers.set(b.workers);
+void select_backend(ScopedRunConfig& cfg, const BackendCase& b) {
+  cfg->spmd_threads = b.threads;
+  cfg->workers = b.workers;
 }
 
 std::string run_error(comm::World& world,
@@ -421,12 +432,10 @@ std::string run_error(comm::World& world,
 }
 
 TEST(PhantomRendezvous, ThrowingRankUnwindsParkedPeers) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  watchdog.set("20000");
+  ScopedRunConfig cfg;
+  cfg->deadlock_ms = 20000;
   for (const BackendCase& b : kAllBackends) {
-    select_backend(spmd, workers, b);
+    select_backend(cfg, b);
     comm::World world(6, topo::MachineSpec::meluxina());
     const std::string err = run_error(world, [&](comm::Communicator& c) {
       c.phantom_all_reduce(1 << 20);  // one clean meeting first
@@ -440,12 +449,10 @@ TEST(PhantomRendezvous, ThrowingRankUnwindsParkedPeers) {
 }
 
 TEST(PhantomRendezvous, SkippedCollectiveIsReportedAsDeadlock) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
-  EnvGuard watchdog("TESSERACT_DEADLOCK_MS");
-  watchdog.set("300");  // threads backend: the watchdog reports the cycle
+  ScopedRunConfig cfg;
+  cfg->deadlock_ms = 300;  // threads backend: the watchdog reports the cycle
   for (const BackendCase& b : kAllBackends) {
-    select_backend(spmd, workers, b);
+    select_backend(cfg, b);
     comm::World world(4, topo::MachineSpec::meluxina());
     const std::string err = run_error(world, [&](comm::Communicator& c) {
       if (c.rank() != 3) c.phantom_broadcast(0, 4096);  // rank 3 skips it
@@ -469,9 +476,9 @@ int throw_after_switches(comm::Communicator& c, int depth, int round) {
 }
 
 TEST(FiberSwitch, ExceptionCaughtInsideFiberAcrossSwitches) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  for (const char* w : {"1", "4"}) {
-    workers.set(w);
+  ScopedRunConfig cfg;
+  for (const int w : {1, 4}) {
+    cfg->workers = w;
     comm::World world(8);
     std::vector<int> caught(8, 0);
     world.run([&](comm::Communicator& c) {
@@ -493,8 +500,8 @@ TEST(FiberSwitch, ExceptionCaughtInsideFiberAcrossSwitches) {
 // Rounding modes live in MXCSR and the x87 control word, which belong to the
 // thread of control: the switch saves and restores both per fiber.
 TEST(FiberSwitch, RoundingModeDoesNotLeakAcrossFibers) {
-  EnvGuard workers("TESSERACT_WORKERS");
-  workers.set("1");  // both fibers on one worker thread
+  ScopedRunConfig cfg;
+  cfg->workers = 1;  // both fibers on one worker thread
   const unsigned default_rc = _mm_getcsr() & 0x6000u;
   ASSERT_EQ(std::fegetround(), FE_TONEAREST);
   comm::World world(2);

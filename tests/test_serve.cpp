@@ -11,6 +11,7 @@
 
 #include "comm/communicator.hpp"
 #include "fault/fault.hpp"
+#include "scoped_config.hpp"
 #include "serve/batcher.hpp"
 #include "serve/engine.hpp"
 #include "serve/queue.hpp"
@@ -21,53 +22,23 @@
 namespace tsr::serve {
 namespace {
 
-class EnvGuard {
- public:
-  explicit EnvGuard(const char* name) : name_(name) {
-    if (const char* v = std::getenv(name)) {
-      had_ = true;
-      old_ = v;
-    }
-  }
-  ~EnvGuard() {
-    if (had_) {
-      setenv(name_, old_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-  void set(const std::string& value) { setenv(name_, value.c_str(), 1); }
-  void clear() { unsetenv(name_); }
-
- private:
-  const char* name_;
-  bool had_ = false;
-  std::string old_;
-};
-
+// The backend/worker matrix serving must be invariant across; workers 0
+// keeps the configured count.
 struct Backend {
   const char* label;
-  const char* spmd;     // "" = default
-  const char* workers;  // "" = default
+  bool threads;  // RunConfig::spmd_threads
+  int workers;
 };
 
 const Backend kMatrix[] = {
-    {"fibers-w1", "", "1"},
-    {"fibers-w4", "", "4"},
-    {"threads", "threads", ""},
+    {"fibers-w1", false, 1},
+    {"fibers-w4", false, 4},
+    {"threads", true, 0},
 };
 
-void apply_backend(const Backend& b, EnvGuard& spmd, EnvGuard& workers) {
-  if (b.spmd[0] != '\0') {
-    spmd.set(b.spmd);
-  } else {
-    spmd.clear();
-  }
-  if (b.workers[0] != '\0') {
-    workers.set(b.workers);
-  } else {
-    workers.clear();
-  }
+void apply_backend(const Backend& b, ScopedRunConfig& run) {
+  run->spmd_threads = b.threads;
+  if (b.workers > 0) run->workers = b.workers;
 }
 
 train::LmConfig small_lm() {
@@ -89,7 +60,8 @@ std::string stream_bytes(const std::vector<Request>& reqs) {
                   r.arrival, r.deadline);
     out += buf;
     for (int t : r.prompt) out += std::to_string(t) + ",";
-    out += "d" + std::to_string(r.decode_len) + ";";
+    out += 'd';
+    out += std::to_string(r.decode_len) + ";";
   }
   return out;
 }
@@ -111,8 +83,7 @@ WorkloadConfig small_workload(ArrivalPattern p) {
 // ---- Arrival-process determinism (PR-3 matrix, extended to serving) --------
 
 TEST(ServeWorkload, ArrivalStreamsBitIdenticalAcrossBackends) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
+  ScopedRunConfig run;
   const ArrivalPattern patterns[] = {ArrivalPattern::Poisson,
                                      ArrivalPattern::Bursty,
                                      ArrivalPattern::Diurnal};
@@ -124,7 +95,7 @@ TEST(ServeWorkload, ArrivalStreamsBitIdenticalAcrossBackends) {
   }
   for (const Backend& b : kMatrix) {
     SCOPED_TRACE(b.label);
-    apply_backend(b, spmd, workers);
+    apply_backend(b, run);
     comm::World world(4, topo::MachineSpec::meluxina());
     std::vector<std::string> per_rank(4);
     world.run([&](comm::Communicator& c) {
@@ -159,21 +130,6 @@ TEST(ServeWorkload, IntensityMatchesPattern) {
   EXPECT_DOUBLE_EQ(arrival_intensity(w, 0.0), w.rate);
   EXPECT_GT(arrival_intensity(w, w.diurnal_period * 0.25), w.rate);
   EXPECT_LT(arrival_intensity(w, w.diurnal_period * 0.75), w.rate);
-}
-
-TEST(ServeWorkload, EnvOverridesApply) {
-  EnvGuard pattern("TESSERACT_SERVE_PATTERN");
-  EnvGuard rate("TESSERACT_SERVE_RATE");
-  EnvGuard slo("TESSERACT_SERVE_SLO_MS");
-  pattern.set("diurnal");
-  rate.set("55.5");
-  slo.set("125");
-  WorkloadConfig w = workload_from_env(WorkloadConfig{});
-  EXPECT_EQ(w.pattern, ArrivalPattern::Diurnal);
-  EXPECT_DOUBLE_EQ(w.rate, 55.5);
-  EXPECT_DOUBLE_EQ(w.slo_latency, 0.125);
-  rate.set("bogus");
-  EXPECT_THROW(workload_from_env(WorkloadConfig{}), std::runtime_error);
 }
 
 // ---- Admission queue -------------------------------------------------------
@@ -393,13 +349,12 @@ std::string result_bytes(const ServingResult& r) {
 }
 
 TEST(ServingLoop, DeterministicAcrossBackends) {
-  EnvGuard spmd("TESSERACT_SPMD");
-  EnvGuard workers("TESSERACT_WORKERS");
+  ScopedRunConfig run;
   const ServingConfig cfg = small_serving(ArrivalPattern::Bursty);
   std::vector<std::string> runs;
   for (const Backend& b : kMatrix) {
     SCOPED_TRACE(b.label);
-    apply_backend(b, spmd, workers);
+    apply_backend(b, run);
     comm::World world(4, topo::MachineSpec::meluxina());
     ServingResult res = run_serving(world, cfg);
     EXPECT_GT(res.completed.size() + static_cast<std::size_t>(res.shed.total()),

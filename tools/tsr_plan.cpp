@@ -33,6 +33,7 @@
 #include "obs/json.hpp"
 #include "perf/autotune.hpp"
 #include "perf/run_report.hpp"
+#include "runtime/config.hpp"
 
 using namespace tsr;
 
@@ -170,7 +171,7 @@ void print_score(const perf::PlanCandidate& cand, const perf::PlanScore& s) {
 }
 
 int cmd_plan(int argc, char** argv) {
-  perf::AutotuneConfig cfg = perf::AutotuneConfig::from_env();
+  perf::AutotuneConfig cfg = perf::AutotuneConfig::from(run_config());
   std::string out_path = "BENCH_autotune.json";
   for (int i = 0; i < argc;) {
     if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc) {
@@ -231,7 +232,7 @@ int cmd_plan(int argc, char** argv) {
 }
 
 int cmd_explain(int argc, char** argv) {
-  perf::AutotuneConfig cfg = perf::AutotuneConfig::from_env();
+  perf::AutotuneConfig cfg = perf::AutotuneConfig::from(run_config());
   perf::PlanCandidate cand;
   bool have_scheme = false;
   std::string out_path;
@@ -318,6 +319,7 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
+    tsr::config_from_env();
     if (cmd == "plan") return cmd_plan(argc - 2, argv + 2);
     if (cmd == "explain") return cmd_explain(argc - 2, argv + 2);
     if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);

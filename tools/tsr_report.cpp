@@ -41,6 +41,7 @@
 #include "parallel/tesseract_transformer.hpp"
 #include "perf/flame.hpp"
 #include "perf/run_report.hpp"
+#include "runtime/config.hpp"
 #include "tensor/init.hpp"
 
 using namespace tsr;
@@ -234,6 +235,7 @@ int cmd_diff(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  tsr::config_from_env();
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   if (cmd == "gen") return cmd_gen(argc - 2, argv + 2);
