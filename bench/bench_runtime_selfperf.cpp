@@ -102,20 +102,34 @@ StepMeasurement run_tesseract_step(const Tensor& x, const Tensor& dy) {
 
 // Phantom replay of representative Table-1 configurations: the same
 // scheduler/mailbox-bound workload bench_table1_strong_scaling times, one
-// evaluation per listed config.
-double run_table1_replay_ms() {
+// evaluation per listed config, at `layers` layers. Besides the wall time it
+// sums the deterministic phantom counts, which show how many collectives
+// were simulated and how many of them ran a compiled program: with one
+// layer most keys are called once or twice, so compiling barely starts.
+struct ReplayMeasurement {
+  double wall_ms = 0.0;
+  comm::PhantomCounts counts;
+};
+
+ReplayMeasurement run_table1_replay(int layers) {
   const perf::LayerDims dims{12, 512, 3072, 64};
   const std::vector<perf::EvalConfig> configs = {
-      {.scheme = perf::Scheme::Megatron1D, .p = 16, .dims = dims, .layers = 24},
-      {.scheme = perf::Scheme::Optimus2D, .q = 4, .dims = dims, .layers = 24},
-      {.scheme = perf::Scheme::Tesseract, .q = 2, .d = 2, .dims = dims,
-       .layers = 24},
-      {.scheme = perf::Scheme::Tesseract, .q = 4, .d = 2, .dims = dims,
-       .layers = 24},
+      {.scheme = perf::Scheme::Megatron1D, .p = 16, .dims = dims},
+      {.scheme = perf::Scheme::Optimus2D, .q = 4, .dims = dims},
+      {.scheme = perf::Scheme::Tesseract, .q = 2, .d = 2, .dims = dims},
+      {.scheme = perf::Scheme::Tesseract, .q = 4, .d = 2, .dims = dims},
   };
+  ReplayMeasurement m;
   const auto t0 = std::chrono::steady_clock::now();
-  for (const perf::EvalConfig& cfg : configs) (void)perf::evaluate(cfg);
-  return ms_since(t0);
+  for (perf::EvalConfig cfg : configs) {
+    cfg.layers = layers;
+    const comm::PhantomCounts c = perf::evaluate(cfg).phantom;
+    m.counts.replays += c.replays;
+    m.counts.compiles += c.compiles;
+    m.counts.compiled_runs += c.compiled_runs;
+  }
+  m.wall_ms = ms_since(t0);
+  return m;
 }
 
 }  // namespace
@@ -204,26 +218,47 @@ int main() {
               bit_identical ? "yes" : "NO — determinism violation");
 
   // Table-1 phantom replay per worker count: scheduler + mailbox throughput
-  // with analytic GEMM charging, i.e. pure runtime overhead scaling.
+  // with analytic GEMM charging, i.e. pure runtime overhead scaling. The
+  // 24-layer replay is the paper's; the one-layer replay is what a planner
+  // stage pays, where compiling has little to amortize.
   std::printf("\nTable-1 replay (4 configs, phantom payloads):\n");
-  std::vector<double> replay_ms;
-  for (const int w : kWorkerSweep) {
-    run_config().workers = w;
-    replay_ms.push_back(run_table1_replay_ms());
-  }
-  for (std::size_t i = 0; i < replay_ms.size(); ++i) {
-    const int w = kWorkerSweep[i];
-    const double speedup = replay_ms[0] / replay_ms[i];
-    char label[48];
-    std::snprintf(label, sizeof(label), "table1 replay, W=%d", w);
-    std::printf("%-34s %12.1f ms      (%.2fx vs W=1)\n", label, replay_ms[i],
-                speedup);
-    char name[32];
-    std::snprintf(name, sizeof(name), "table1_replay_w%d", w);
-    obs::JsonValue& c = report.add_case(name);
-    c["workers"] = static_cast<std::int64_t>(w);
-    c["wall_ms"] = replay_ms[i];
-    c["speedup_vs_w1"] = speedup;
+  for (const int layers : {24, 1}) {
+    std::vector<ReplayMeasurement> replays;
+    for (const int w : kWorkerSweep) {
+      run_config().workers = w;
+      replays.push_back(run_table1_replay(layers));
+    }
+    for (std::size_t i = 0; i < replays.size(); ++i) {
+      const int w = kWorkerSweep[i];
+      const ReplayMeasurement& m = replays[i];
+      const double speedup = replays[0].wall_ms / m.wall_ms;
+      char label[48];
+      std::snprintf(label, sizeof(label), "table1 replay, %d layer%s, W=%d",
+                    layers, layers == 1 ? "" : "s", w);
+      std::printf("%-34s %12.1f ms      (%.2fx vs W=1)\n", label, m.wall_ms,
+                  speedup);
+      char name[40];
+      if (layers == 1) {
+        std::snprintf(name, sizeof(name), "table1_replay_1layer_w%d", w);
+      } else {
+        std::snprintf(name, sizeof(name), "table1_replay_w%d", w);
+      }
+      obs::JsonValue& c = report.add_case(name);
+      c["workers"] = static_cast<std::int64_t>(w);
+      c["wall_ms"] = m.wall_ms;
+      c["speedup_vs_w1"] = speedup;
+      c["collectives_simulated"] =
+          static_cast<std::int64_t>(m.counts.replays + m.counts.compiled_runs);
+      c["plans_compiled"] = static_cast<std::int64_t>(m.counts.compiles);
+      c["compiled_runs"] = static_cast<std::int64_t>(m.counts.compiled_runs);
+    }
+    const comm::PhantomCounts& c = replays[0].counts;
+    std::printf("  %d layer%s: %llu collectives simulated, %llu plans "
+                "compiled, %llu compiled runs\n",
+                layers, layers == 1 ? "" : "s",
+                static_cast<unsigned long long>(c.replays + c.compiled_runs),
+                static_cast<unsigned long long>(c.compiles),
+                static_cast<unsigned long long>(c.compiled_runs));
   }
   run_config().workers = configured_workers;
 

@@ -579,25 +579,38 @@ Message Communicator::recv_msg(int src_grank, std::uint64_t tag) {
 }
 
 template <class Impl>
-void Communicator::phantom_collective(Impl&& impl) {
+void Communicator::phantom_collective(CollectiveKind kind, int root,
+                                      std::int64_t bytes,
+                                      std::int64_t logical_bytes,
+                                      Impl&& impl) {
   if (size() == 1 || !world_->per_collective_phantoms()) {
     impl();
     return;
   }
-  const std::uint64_t tag = collective_tag(seq_);  // the tag impl will draw
   Rendezvous& rdv = world_->rendezvous();
-  std::vector<WireOp>& ops = rdv.recorder(world_rank());
-  ops.clear();
-  record_ = &ops;
-  try {
-    impl();
-  } catch (...) {  // impl's argument checks may throw
+  if (meetings_ == nullptr) meetings_ = &rdv.meetings(comm_id_, group_);
+  Rendezvous::Collective& collective =
+      rdv.collective(*meetings_, grank_, kind, root, bytes);
+  const std::vector<WireOp>* ops = nullptr;
+  if (!Rendezvous::records(collective)) {
+    // All the impl does besides its wire operations.
+    stats().record_collective(kind, logical_bytes);
+    ++seq_;
+  } else {
+    std::vector<WireOp>& recorded = rdv.recorder(world_rank());
+    recorded.clear();
+    record_ = &recorded;
+    try {
+      impl();
+    } catch (...) {  // impl's argument checks may throw
+      record_ = nullptr;
+      throw;
+    }
     record_ = nullptr;
-    throw;
+    ops = &recorded;
   }
-  record_ = nullptr;
-  if (rdv.arrive(group(), grank_, tag, ops)) {
-    (void)world_->mailbox(world_rank()).pop(world_rank(), tag);
+  if (rdv.arrive(*meetings_, collective, grank_, ops)) {
+    (void)world_->mailbox(world_rank()).pop(world_rank(), Rendezvous::kWakeTag);
   }
 }
 
@@ -675,7 +688,7 @@ void Communicator::sendrecv(int dst, std::span<const float> send_data, int src,
   // Span + logical record mirror phantom_sendrecv exactly, keeping the
   // real/phantom statistics parity the replay harness depends on.
   TraceSpan span(this, "sendrecv", bytes);
-  stats().record_collective("sendrecv", bytes);
+  stats().record_collective(CollectiveKind::Sendrecv, bytes);
   send(dst, tag, send_data);
   Message m = recv_msg(src, user_tag(tag));
   check(m.payload != nullptr && m.payload->size() == recv_data.size(),
@@ -691,7 +704,7 @@ void Communicator::barrier() {
   const int g = size();
   if (g == 1) return;
   const std::uint64_t tag = next_tag();
-  stats().record_collective("barrier", 0);
+  stats().record_collective(CollectiveKind::Barrier, 0);
   // Dissemination barrier: ceil(log2 g) rounds of zero-byte exchanges.
   for (int dist = 1; dist < g; dist <<= 1) {
     static const float dummy = 0.0f;
@@ -707,7 +720,7 @@ void Communicator::broadcast_impl(float* data, std::int64_t count,
   const int g = size();
   check(root >= 0 && root < g, "broadcast: root out of range");
   const std::uint64_t tag = next_tag();
-  stats().record_collective("broadcast", total_bytes);
+  stats().record_collective(CollectiveKind::Broadcast, total_bytes);
   if (g == 1) return;
 
   if (total_bytes >= kPipelinedCollectiveBytes) {
@@ -814,7 +827,8 @@ void Communicator::broadcast(std::span<float> data, int root) {
 }
 
 void Communicator::phantom_broadcast(int root, std::int64_t bytes) {
-  phantom_collective([&] { broadcast_impl(nullptr, 0, bytes, root); });
+  phantom_collective(CollectiveKind::Broadcast, root, bytes, bytes,
+                     [&] { broadcast_impl(nullptr, 0, bytes, root); });
 }
 
 void Communicator::reduce_impl(float* data, std::int64_t count,
@@ -823,7 +837,7 @@ void Communicator::reduce_impl(float* data, std::int64_t count,
   const int g = size();
   check(root >= 0 && root < g, "reduce: root out of range");
   const std::uint64_t tag = next_tag();
-  stats().record_collective("reduce", total_bytes);
+  stats().record_collective(CollectiveKind::Reduce, total_bytes);
   if (g == 1) return;
 
   if (total_bytes >= kPipelinedCollectiveBytes) {
@@ -913,15 +927,16 @@ void Communicator::reduce(std::span<float> data, int root, ReduceOp op) {
 }
 
 void Communicator::phantom_reduce(int root, std::int64_t bytes) {
-  phantom_collective(
-      [&] { reduce_impl(nullptr, 0, bytes, root, ReduceOp::Sum); });
+  phantom_collective(CollectiveKind::Reduce, root, bytes, bytes, [&] {
+    reduce_impl(nullptr, 0, bytes, root, ReduceOp::Sum);
+  });
 }
 
 void Communicator::all_reduce_impl(float* data, std::int64_t count,
                                    std::int64_t total_bytes, ReduceOp op) {
   TraceSpan span(this, "all_reduce", total_bytes);
   const int g = size();
-  stats().record_collective("all_reduce", total_bytes);
+  stats().record_collective(CollectiveKind::AllReduce, total_bytes);
   if (g == 1) return;
   const std::uint64_t tag = next_tag();
   const int right = (grank_ + 1) % g;
@@ -991,7 +1006,9 @@ void Communicator::all_reduce(std::span<float> data, ReduceOp op) {
 }
 
 void Communicator::phantom_all_reduce(std::int64_t bytes) {
-  phantom_collective([&] { all_reduce_impl(nullptr, 0, bytes, ReduceOp::Sum); });
+  phantom_collective(CollectiveKind::AllReduce, 0, bytes, bytes, [&] {
+    all_reduce_impl(nullptr, 0, bytes, ReduceOp::Sum);
+  });
 }
 
 void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
@@ -1001,7 +1018,7 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
   const std::int64_t wire_total = 2 * count;
   TraceSpan span(this, "all_reduce_compressed", wire_total);
   const int g = size();
-  stats().record_collective("all_reduce_compressed", wire_total);
+  stats().record_collective(CollectiveKind::AllReduceCompressed, wire_total);
   if (g == 1) return;
   const std::uint64_t tag = next_tag();
   const int right = (grank_ + 1) % g;
@@ -1060,7 +1077,7 @@ void Communicator::all_gather_impl(const float* local, float* out,
                                    std::int64_t chunk_bytes) {
   TraceSpan span(this, "all_gather", chunk_bytes * size());
   const int g = size();
-  stats().record_collective("all_gather", chunk_bytes * g);
+  stats().record_collective(CollectiveKind::AllGather, chunk_bytes * g);
   const bool real = out != nullptr;
   if (real) {
     std::memcpy(out + grank_ * chunk_count, local,
@@ -1100,6 +1117,7 @@ void Communicator::all_gather(std::span<const float> local,
 
 void Communicator::phantom_all_gather(std::int64_t bytes_per_rank) {
   phantom_collective(
+      CollectiveKind::AllGather, 0, bytes_per_rank, bytes_per_rank * size(),
       [&] { all_gather_impl(nullptr, nullptr, 0, bytes_per_rank); });
 }
 
@@ -1108,7 +1126,7 @@ void Communicator::reduce_scatter_impl(const float* data, float* out,
                                        std::int64_t total_bytes, ReduceOp op) {
   TraceSpan span(this, "reduce_scatter", total_bytes);
   const int g = size();
-  stats().record_collective("reduce_scatter", total_bytes);
+  stats().record_collective(CollectiveKind::ReduceScatter, total_bytes);
   const bool real = data != nullptr;
   if (g == 1) {
     if (real) {
@@ -1173,7 +1191,8 @@ void Communicator::reduce_scatter(std::span<const float> data,
 }
 
 void Communicator::phantom_reduce_scatter(std::int64_t total_bytes) {
-  phantom_collective([&] {
+  phantom_collective(CollectiveKind::ReduceScatter, 0, total_bytes,
+                     total_bytes, [&] {
     reduce_scatter_impl(nullptr, nullptr, 0, total_bytes, ReduceOp::Sum);
   });
 }
@@ -1185,7 +1204,7 @@ void Communicator::gather(std::span<const float> local, std::span<float> out,
   const int g = size();
   check(root >= 0 && root < g, "gather: root out of range");
   const std::uint64_t tag = next_tag();
-  stats().record_collective("gather",
+  stats().record_collective(CollectiveKind::Gather,
                             static_cast<std::int64_t>(local.size() * sizeof(float)) * g);
   if (grank_ == root) {
     check(out.size() == local.size() * static_cast<std::size_t>(g),
@@ -1215,7 +1234,7 @@ void Communicator::scatter(std::span<const float> in, std::span<float> local,
   const int g = size();
   check(root >= 0 && root < g, "scatter: root out of range");
   const std::uint64_t tag = next_tag();
-  stats().record_collective("scatter",
+  stats().record_collective(CollectiveKind::Scatter,
                             static_cast<std::int64_t>(local.size() * sizeof(float)) * g);
   if (grank_ == root) {
     check(in.size() == local.size() * static_cast<std::size_t>(g),
@@ -1246,7 +1265,7 @@ void Communicator::all_to_all(std::span<const float> in, std::span<float> out) {
   check(in.size() == out.size() && in.size() % static_cast<std::size_t>(g) == 0,
         "all_to_all: sizes must match and divide the group size");
   const std::size_t chunk = in.size() / static_cast<std::size_t>(g);
-  stats().record_collective("all_to_all",
+  stats().record_collective(CollectiveKind::AllToAll,
                             static_cast<std::int64_t>(in.size() * sizeof(float)));
   const std::uint64_t tag = next_tag();
   std::copy(in.begin() + static_cast<std::ptrdiff_t>(grank_ * chunk),
@@ -1273,7 +1292,7 @@ void Communicator::all_to_all(std::span<const float> in, std::span<float> out) {
 void Communicator::phantom_sendrecv(int dst, int src, std::int64_t bytes) {
   TraceSpan span(this, "sendrecv", bytes);
   const std::uint64_t tag = next_tag();
-  stats().record_collective("sendrecv", bytes);
+  stats().record_collective(CollectiveKind::Sendrecv, bytes);
   send_msg(dst, tag, nullptr, 0, bytes);
   (void)recv_msg(src, tag);
 }

@@ -360,12 +360,16 @@ class Communicator {
   std::uint64_t next_tag();
   std::uint64_t user_tag(std::uint64_t tag) const;
 
-  // Runs a phantom collective's *_impl. Per collective when the World allows
-  // it: the impl runs in record mode, then the member meets its group in the
-  // World's Rendezvous and, unless it arrived last or receives nothing,
-  // waits on its mailbox until the last member has replayed the schedule.
+  // Runs the phantom collective (kind, root, bytes), which logs
+  // `logical_bytes` in CommStats. Per collective when the World allows it:
+  // on the member's first two calls of the key the impl runs in record
+  // mode; on later ones the member only logs the call and draws its tag, as
+  // the impl would. Either way it then meets its group in the World's
+  // Rendezvous and, unless it arrived last or receives nothing, waits on its
+  // mailbox until the last member has simulated the collective.
   template <class Impl>
-  void phantom_collective(Impl&& impl);
+  void phantom_collective(CollectiveKind kind, int root, std::int64_t bytes,
+                          std::int64_t logical_bytes, Impl&& impl);
 
   // Records [construction, destruction) of the enclosing collective as a
   // span on this rank's simulated timeline when tracing is enabled, and a
@@ -430,6 +434,9 @@ class Communicator {
   // Non-null while phantom_collective records: send_msg / recv_msg append
   // here instead of touching the mailbox.
   std::vector<WireOp>* record_ = nullptr;
+  // This communicator's meetings in the World's Rendezvous; looked up by
+  // the first per-collective phantom call.
+  Rendezvous::Meetings* meetings_ = nullptr;
 };
 
 /// Accumulates src into dst according to op.

@@ -1,7 +1,9 @@
 #include "comm/rendezvous.hpp"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <thread>
 
 #include "comm/communicator.hpp"
 
@@ -19,19 +21,17 @@ struct WireCounts {
 // Communicator::send_msg's timing model, step for step: the sender's NIC is
 // busy for bytes * beta (scaled by its slowdown), then the message lands
 // alpha later. Returns the arrival stamp.
-double charge_send(const topo::MachineSpec& spec, rt::SimClock& clock,
-                   int src_w, int dst_w, std::int64_t bytes,
-                   WireCounts& counts) {
-  const topo::LinkType link = spec.link(src_w, dst_w);
-  double arrival = clock.now();
-  if (link != topo::LinkType::Self) {
-    const topo::LinkParams& params = spec.params(link);
-    clock.advance(static_cast<double>(bytes) * params.beta);
-    arrival = clock.now() + params.alpha;
-  }
+double send_arrival(const topo::MachineSpec& spec, rt::SimClock& clock,
+                    topo::LinkType link, std::int64_t bytes) {
+  if (link == topo::LinkType::Self) return clock.now();
+  const topo::LinkParams& params = spec.params(link);
+  clock.advance(static_cast<double>(bytes) * params.beta);
+  return clock.now() + params.alpha;
+}
+
+void count_send(topo::LinkType link, std::int64_t bytes, WireCounts& counts) {
   ++counts.msgs;
   (link == topo::LinkType::InterNode ? counts.inter : counts.intra) += bytes;
-  return arrival;
 }
 
 void add_counts(CommStats& stats, const WireCounts& counts) {
@@ -41,39 +41,192 @@ void add_counts(CommStats& stats, const WireCounts& counts) {
   stats.bytes_inter_node += counts.inter;
 }
 
+// Calls on one communicator that may be in flight at once before a member
+// takes the locked late path. Only a member that received nothing in its
+// last calls runs ahead of its group, and rarely by more than a call or
+// two. At least 2: a woken member must not reach the slot it just left
+// before its runner frees it.
+constexpr std::size_t kSlots = 4;
+static_assert(kSlots >= 2);
+
+enum StepOp : std::uint32_t { kSendIntra, kSendInter, kSelfSend, kRecv };
+
+// One wire operation of a compiled program. A send busies its member's NIC
+// for `busy` seconds (bytes * beta, before the slowdown) and writes its
+// arrival stamp to arrival slot `slot`; the receive it matches reads that
+// slot.
+struct Step {
+  double busy = 0.0;
+  std::int32_t member = 0;  // group rank
+  std::uint32_t slot : 30;
+  std::uint32_t op : 2;  // StepOp
+};
+static_assert(sizeof(Step) == 16);
+
+Step send_step(const topo::MachineSpec& spec, topo::LinkType link,
+               std::int64_t bytes, int member, std::int32_t slot) {
+  Step s{0.0, member, static_cast<std::uint32_t>(slot), kSelfSend};
+  if (link != topo::LinkType::Self) {
+    s.busy = static_cast<double>(bytes) * spec.params(link).beta;
+    s.op = link == topo::LinkType::IntraNode ? kSendIntra : kSendInter;
+  }
+  return s;
+}
+
+// A member's place in one call on a communicator.
+struct Seat {
+  rt::SimClock entry;  // the member's clock at arrival
+  Rendezvous::Plan* plan = nullptr;  // the collective it called
+  const std::vector<WireOp>* ops = nullptr;  // null when arrived compiled
+  std::vector<WireOp> own_ops;  // a detached member's copy (it records on)
+  // Received nothing: charged its own sends at arrival and left, so the run
+  // neither writes it back nor wakes it.
+  bool detached = false;
+};
+
+void take_seat(Seat& seat, const rt::SimClock& entry, Rendezvous::Plan& plan,
+               const std::vector<WireOp>* ops, bool detached) {
+  seat.entry = entry;
+  seat.plan = &plan;
+  seat.detached = detached;
+  if (ops != nullptr && detached) {
+    seat.own_ops.assign(ops->begin(), ops->end());
+    seat.ops = &seat.own_ops;
+  } else {
+    seat.ops = ops;  // untouched until this member is woken
+  }
+}
+
+// One call on a communicator in flight.
+struct Slot {
+  std::atomic<std::uint64_t> instance{0};  // the call this slot serves
+  std::atomic<std::size_t> arrived{0};
+};
+
+// A message of the replay in flight to a member.
+struct Pending {
+  int src = 0;  // sender's group rank; -1 once consumed
+  double arrival = 0.0;
+  std::int32_t slot = 0;  // the send's arrival slot in the program
+};
+
+// A member's replay state.
+struct ReplayMember {
+  rt::SimClock clock;  // the member's clock at arrival, then replayed
+  std::size_t pc = 0;  // next op to execute
+  int waiting_on = -1;  // group rank this member's recv waits for
+  std::size_t head = 0;  // inbox entries before head are consumed
+  std::vector<Pending> inbox;
+  WireCounts counts;
+};
+
+// Working state of a communicator's runs. The vectors keep their capacity,
+// so the steady state allocates nothing.
+struct Scratch {
+  std::vector<ReplayMember> members;
+  std::vector<int> ready;  // runnable group ranks
+  std::vector<rt::SimClock> clocks;
+  std::vector<double> arrivals;
+};
+
+// For each member, the first member on its node and the first member with
+// its rank: groups with equal lists have equal link classes between every
+// pair of members, so a program compiled on one runs on the other.
+std::vector<int> link_classes(const topo::MachineSpec& spec,
+                              const std::vector<int>& ranks) {
+  std::vector<int> out;
+  out.reserve(2 * ranks.size());
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    int node = 0;
+    while (spec.link(ranks[static_cast<std::size_t>(node)], ranks[i]) ==
+           topo::LinkType::InterNode) {
+      ++node;
+    }
+    int self = 0;
+    while (ranks[static_cast<std::size_t>(self)] != ranks[i]) ++self;
+    out.push_back(node);
+    out.push_back(self);
+  }
+  return out;
+}
+
 }  // namespace
 
-struct Rendezvous::Meeting {
-  enum class State { Free, Open, Replaying };
-
-  // A message of the replay in flight to a member.
-  struct Pending {
-    int src = 0;  // sender's group rank; -1 once consumed
-    double arrival = 0.0;
-  };
-
+struct Rendezvous::Plan {
   struct Member {
-    const std::vector<WireOp>* ops = nullptr;  // null until seated
-    std::vector<WireOp> own_ops;  // a detached member's copy (it records on)
-    // Received nothing: charged its own sends at arrival and left, so the
-    // replay neither writes it back nor wakes it.
-    bool detached = false;
-
-    // Replay state.
-    rt::SimClock clock;       // the member's clock at arrival, then replayed
-    std::size_t pc = 0;       // next op to execute
-    int waiting_on = -1;      // group rank this member's recv waits for
-    std::size_t head = 0;     // inbox entries before head are consumed
-    std::vector<Pending> inbox;
     WireCounts counts;
+    bool detached = false;  // receives nothing
   };
 
-  State state = State::Free;
-  std::uint64_t tag = 0;
-  std::vector<int> ranks;  // world ranks, group order
-  std::vector<Member> members;
-  std::size_t arrived = 0;
-  std::vector<int> ready;  // runnable group ranks
+  explicit Plan(std::size_t group_size) : members(group_size) {}
+
+  // Program, written by the one replay that claims `compiling` and
+  // read-only once `ready`.
+  std::vector<Step> steps;
+  std::vector<Member> members;  // per group rank
+  std::int32_t nsends = 0;
+  std::atomic<bool> compiling{false};
+  std::atomic<bool> ready{false};
+};
+
+struct Rendezvous::Collective {
+  std::int64_t bytes;
+  int root;
+  CollectiveKind kind;
+  Plan* plan;
+  std::uint64_t calls = 0;  // calls this member made of it
+};
+
+struct Rendezvous::Meetings {
+  struct Member {
+    std::uint64_t calls = 0;  // phantom calls it arrived at
+    std::vector<Collective> collectives;  // in order of first call
+    std::size_t next = 0;  // where the next lookup starts
+  };
+
+  // A member that reached its call `instance` while the slot was still
+  // serving an earlier call; the slot's runner seats it on release.
+  struct Late {
+    std::uint64_t instance = 0;
+    int grank = 0;
+    Seat seat;  // its ops point to own_ops when `copied`; fixed up on move
+    bool copied = false;
+  };
+
+  Meetings(std::uint32_t id, std::shared_ptr<const std::vector<int>> group,
+            std::size_t link_classes)
+      : comm_id(id),
+        ranks_owner(std::move(group)),
+        ranks(*ranks_owner),
+        links(link_classes),
+        members(ranks.size()),
+        seats(kSlots * ranks.size()) {
+    for (std::size_t i = 0; i < kSlots; ++i) slots[i].instance.store(i);
+  }
+
+  // Slot k's seats, one per group rank.
+  Seat* seats_of(std::size_t k) { return &seats[k * ranks.size()]; }
+
+  std::uint32_t comm_id;
+  std::shared_ptr<const std::vector<int>> ranks_owner;
+  const std::vector<int>& ranks;  // world ranks, group order
+  std::size_t links;              // Rendezvous::links_ index
+
+  // Member i's fields are touched by its own thread only.
+  std::vector<Member> members;  // per group rank
+
+  // Meetings. Every member makes the same sequence of phantom calls on a
+  // communicator, so member i's n-th call (members[i].calls) meets the
+  // others' n-th in slot n % kSlots. Calls complete in order, and each
+  // call's runner finishes before the next call's runner starts: the next
+  // call needs every member, and a member that waits for this one is woken
+  // only after its run.
+  std::array<Slot, kSlots> slots;
+  std::vector<Seat> seats;  // kSlots x group size
+  Scratch scratch;  // used by one run at a time
+  std::mutex late_mu;
+  std::atomic<std::size_t> late_count{0};
+  std::vector<Late> late;  // guarded by late_mu
 };
 
 Rendezvous::Rendezvous(World& world)
@@ -81,151 +234,339 @@ Rendezvous::Rendezvous(World& world)
 
 Rendezvous::~Rendezvous() = default;
 
-void Rendezvous::reset() {
+Rendezvous::Meetings& Rendezvous::meetings(
+    std::uint32_t comm_id,
+    const std::shared_ptr<const std::vector<int>>& group) {
   std::lock_guard lock(mu_);
-  for (auto& m : meetings_) m->state = Meeting::State::Free;
+  for (const auto& c : comms_) {
+    if (c->comm_id == comm_id && c->ranks == *group) return *c;
+  }
+  std::vector<int> classes = link_classes(world_.spec(), *group);
+  auto it = std::find(links_.begin(), links_.end(), classes);
+  const auto links = static_cast<std::size_t>(it - links_.begin());
+  if (it == links_.end()) links_.push_back(std::move(classes));
+  comms_.push_back(std::make_unique<Meetings>(comm_id, group, links));
+  return *comms_.back();
 }
 
-bool Rendezvous::arrive(const std::vector<int>& group, int grank,
-                        std::uint64_t tag, const std::vector<WireOp>& ops) {
+Rendezvous::Collective& Rendezvous::collective(Meetings& comm, int grank,
+                                               CollectiveKind kind, int root,
+                                               std::int64_t bytes) {
+  Meetings::Member& m = comm.members[static_cast<std::size_t>(grank)];
+  std::vector<Collective>& known = m.collectives;
+  // A layer repeats its collectives in the order of their first calls, so
+  // the scan starts after the last one found and usually stops at once.
+  const std::size_t n = known.size();
+  for (std::size_t i = 0, j = m.next; i < n; ++i, j = j + 1 == n ? 0 : j + 1) {
+    Collective& c = known[j];
+    if (c.bytes == bytes && c.root == root && c.kind == kind) {
+      m.next = j + 1 == n ? 0 : j + 1;
+      return c;
+    }
+  }
+  Plan* plan = nullptr;
+  {
+    std::lock_guard lock(mu_);
+    std::unique_ptr<Plan>& p = plans_[PlanKey{comm.links, kind, root, bytes}];
+    if (p == nullptr) p = std::make_unique<Plan>(comm.ranks.size());
+    plan = p.get();
+  }
+  known.push_back({bytes, root, kind, plan});
+  m.next = 0;
+  return known.back();
+}
+
+bool Rendezvous::records(const Collective& c) {
+  return c.calls < 2 || !c.plan->ready.load(std::memory_order_acquire);
+}
+
+void Rendezvous::reset() {
+  std::lock_guard lock(mu_);
+  for (const auto& c : comms_) {
+    for (Meetings::Member& m : c->members) m.calls = 0;
+    for (std::size_t i = 0; i < kSlots; ++i) {
+      c->slots[i].instance.store(i);
+      c->slots[i].arrived.store(0);
+    }
+    c->late.clear();
+    c->late_count.store(0);
+  }
+}
+
+PhantomCounts Rendezvous::counts() const {
+  return {replays_.load(), compiles_.load(), compiled_runs_.load()};
+}
+
+bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
+                        const std::vector<WireOp>* ops) {
+  Plan& p = *c.plan;
+  const std::uint64_t call = c.calls++;
+  const topo::MachineSpec& spec = world_.spec();
   const auto me = static_cast<std::size_t>(grank);
-  const int me_w = group[me];
-  const rt::SimClock entry = world_.clock(me_w);
-  const bool detached = std::none_of(ops.begin(), ops.end(),
-                                     [](const WireOp& op) { return !op.send; });
+  const int me_w = comm.ranks[me];
+  rt::SimClock& clock = world_.clock(me_w);
+  const rt::SimClock entry = clock;
+  const bool detached =
+      ops != nullptr
+          ? std::none_of(ops->begin(), ops->end(),
+                         [](const WireOp& op) { return !op.send; })
+          : p.members[me].detached;
   if (detached) {
     // Own thread, own clock and stats: nothing to wait for.
     WireCounts counts;
-    for (const WireOp& op : ops) {
-      (void)charge_send(world_.spec(), world_.clock(me_w), me_w,
-                        group[static_cast<std::size_t>(op.peer)], op.bytes,
-                        counts);
+    if (ops != nullptr) {
+      for (const WireOp& op : *ops) {
+        const topo::LinkType link =
+            spec.link(me_w, comm.ranks[static_cast<std::size_t>(op.peer)]);
+        (void)send_arrival(spec, clock, link, op.bytes);
+        count_send(link, op.bytes, counts);
+      }
+    } else {
+      for (const Step& s : p.steps) {
+        if (s.member == grank) clock.advance(s.busy);  // all sends
+      }
+      counts = p.members[me].counts;
     }
     add_counts(world_.stats(me_w), counts);
   }
-  Meeting* m = nullptr;
-  {
-    std::lock_guard lock(mu_);
-    Meeting* free_slot = nullptr;
-    for (auto& p : meetings_) {
-      if (p->state == Meeting::State::Open) {
-        // A taken seat means a second communicator over the same group
-        // reused the tag; that call belongs to a later meeting.
-        if (p->tag == tag && p->ranks == group &&
-            p->members[me].ops == nullptr) {
-          m = p.get();
-          break;
-        }
-      } else if (p->state == Meeting::State::Free && free_slot == nullptr) {
-        free_slot = p.get();
-      }
+
+  const std::uint64_t n = comm.members[me].calls++;
+  const std::size_t k = n % kSlots;
+  Slot& slot = comm.slots[k];
+  if (slot.instance.load(std::memory_order_acquire) != n) {
+    // The slot still serves call n - kSlots: this member left that many
+    // calls early, having received nothing in them. Queue its seat for the
+    // slot's runner to move in on release.
+    std::lock_guard lock(comm.late_mu);
+    comm.late_count.fetch_add(1);
+    if (slot.instance.load() != n) {
+      Meetings::Late& l = comm.late.emplace_back();
+      l.instance = n;
+      l.grank = grank;
+      take_seat(l.seat, entry, p, ops, detached);
+      l.copied = l.seat.ops == &l.seat.own_ops;
+      return !detached;
     }
-    if (m == nullptr) {
-      if (free_slot == nullptr) {
-        meetings_.push_back(std::make_unique<Meeting>());
-        free_slot = meetings_.back().get();
-      }
-      m = free_slot;
-      m->state = Meeting::State::Open;
-      m->tag = tag;
-      m->ranks.assign(group.begin(), group.end());
-      m->members.resize(group.size());
-      for (Meeting::Member& s : m->members) s.ops = nullptr;
-      m->arrived = 0;
-    }
-    Meeting::Member& seat = m->members[me];
-    seat.detached = detached;
-    seat.clock = entry;
-    if (detached) {
-      seat.own_ops.assign(ops.begin(), ops.end());
-      seat.ops = &seat.own_ops;
-    } else {
-      seat.ops = &ops;  // untouched until this member is woken
-    }
-    if (++m->arrived < group.size()) return !detached;
-    m->state = Meeting::State::Replaying;
+    comm.late_count.fetch_sub(1);  // freed meanwhile: take the seat
+  }
+  take_seat(comm.seats_of(k)[me], entry, p, ops, detached);
+  if (slot.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 <
+      comm.ranks.size()) {
+    return !detached;
   }
   // Every waiting member is parked on its mailbox and touches neither its
-  // op list nor its clock or stats until the wake below, so the replay runs
-  // outside the lock.
-  replay(*m);
-  for (std::size_t i = 0; i < m->members.size(); ++i) {
-    if (i == me || m->members[i].detached) continue;
-    Message wake;
-    wake.src = m->ranks[i];
-    wake.tag = tag;
-    world_.mailbox(m->ranks[i]).push(std::move(wake));
-  }
-  replays_.fetch_add(1, std::memory_order_relaxed);
-  std::lock_guard lock(mu_);
-  m->state = Meeting::State::Free;
+  // op list nor its clock or stats until the wake.
+  simulate(comm, k, me, call);
+  release(comm, k, n + kSlots);
   return false;
 }
 
-void Rendezvous::replay(Meeting& m) {
-  using Member = Meeting::Member;
-  const topo::MachineSpec& spec = world_.spec();
-  const int g = static_cast<int>(m.ranks.size());
-  m.ready.clear();
-  for (int i = g - 1; i >= 0; --i) {
-    Member& s = m.members[static_cast<std::size_t>(i)];
-    s.pc = 0;
-    s.waiting_on = -1;
-    s.head = 0;
-    s.inbox.clear();
-    s.counts = WireCounts{};
-    m.ready.push_back(i);  // popped in group-rank order
+void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner,
+                          std::uint64_t call) {
+  const Seat* seats = comm.seats_of(k);
+  Plan& p = *seats[runner].plan;
+  bool recorded = true;
+  for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
+    if (seats[i].plan != &p) {
+      throw std::runtime_error(
+          "phantom collective: members called different collectives");
+    }
+    recorded = recorded && seats[i].ops != nullptr;
   }
+  // Every member calls a collective the same number of times, so `call` is
+  // the same on all of them: the first two calls replay, later ones run
+  // compiled. A member that skipped recording saw the plan compiled.
+  if (!recorded || (call >= 2 && p.ready.load(std::memory_order_acquire))) {
+    run_compiled(comm, p, k);
+    compiled_runs_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    // The second call compiles, unless another communicator sharing the
+    // plan did or is doing it; then it waits until that finishes, so the
+    // third call always finds the program. A compile never yields, so the
+    // other one runs on another thread.
+    const bool compile = call == 1 &&
+                         !p.ready.load(std::memory_order_acquire) &&
+                         !p.compiling.exchange(true);
+    try {
+      replay(comm, p, k, compile);
+    } catch (...) {
+      if (compile) p.compiling.store(false);  // a later call may compile
+      throw;
+    }
+    replays_.fetch_add(1, std::memory_order_relaxed);
+    while (call == 1 && !p.ready.load(std::memory_order_acquire) &&
+           p.compiling.load()) {
+      std::this_thread::yield();
+    }
+  }
+  for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
+    if (i == runner || seats[i].detached) continue;
+    Message wake;
+    wake.src = comm.ranks[i];
+    wake.tag = kWakeTag;
+    world_.mailbox(comm.ranks[i]).push(std::move(wake));
+  }
+}
+
+void Rendezvous::release(Meetings& comm, std::size_t k, std::uint64_t next) {
+  Slot& slot = comm.slots[k];
+  slot.arrived.store(0, std::memory_order_relaxed);
+  slot.instance.store(next);
+  // Seat the members that arrived for `next` while the slot was busy. The
+  // runner of this slot's last call has not yet made its next call, so
+  // they cannot be all of `next`'s members.
+  if (comm.late_count.load() == 0) return;
+  std::lock_guard lock(comm.late_mu);
+  std::size_t seated = 0;
+  for (auto it = comm.late.begin(); it != comm.late.end();) {
+    if (it->instance != next) {
+      ++it;
+      continue;
+    }
+    Seat& seat = comm.seats_of(k)[static_cast<std::size_t>(it->grank)];
+    seat = std::move(it->seat);
+    if (it->copied) seat.ops = &seat.own_ops;
+    it = comm.late.erase(it);
+    ++seated;
+  }
+  if (seated > 0) {
+    comm.late_count.fetch_sub(seated);
+    slot.arrived.fetch_add(seated, std::memory_order_acq_rel);
+  }
+}
+
+void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
+                        bool compile) {
+  const topo::MachineSpec& spec = world_.spec();
+  const std::vector<int>& ranks = comm.ranks;
+  const int g = static_cast<int>(ranks.size());
+  const Seat* seats = comm.seats_of(k);
+  Scratch& sc = comm.scratch;
+  sc.members.resize(static_cast<std::size_t>(g));
+  sc.ready.clear();
+  std::size_t nops = 0;
+  for (int i = g - 1; i >= 0; --i) {
+    ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
+    m.clock = seats[i].entry;
+    m.pc = 0;
+    m.waiting_on = -1;
+    m.head = 0;
+    m.inbox.clear();
+    m.counts = WireCounts{};
+    sc.ready.push_back(i);  // popped in group-rank order
+    nops += seats[i].ops->size();
+  }
+  if (compile) {
+    p.steps.clear();
+    p.steps.reserve(nops);
+  }
+  std::int32_t nsends = 0;
   // Run each member until its next receive finds no message; a send that
   // satisfies a waiting receiver makes it runnable again. Each member's
   // clock depends only on its own ops and the arrival stamps it receives,
-  // so the visiting order cannot change the result.
-  while (!m.ready.empty()) {
-    const int i = m.ready.back();
-    m.ready.pop_back();
-    Member& s = m.members[static_cast<std::size_t>(i)];
-    const std::vector<WireOp>& ops = *s.ops;
-    const int src_w = m.ranks[static_cast<std::size_t>(i)];
-    while (s.pc < ops.size()) {
-      const WireOp& op = ops[s.pc];
+  // so the visiting order cannot change the result, and the order taken is
+  // a valid program order for the compiled run.
+  while (!sc.ready.empty()) {
+    const int i = sc.ready.back();
+    sc.ready.pop_back();
+    ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
+    const std::vector<WireOp>& ops = *seats[i].ops;
+    const int src_w = ranks[static_cast<std::size_t>(i)];
+    while (m.pc < ops.size()) {
+      const WireOp& op = ops[m.pc];
       if (op.send) {
-        const double arrival =
-            charge_send(spec, s.clock, src_w,
-                        m.ranks[static_cast<std::size_t>(op.peer)], op.bytes,
-                        s.counts);
-        Member& d = m.members[static_cast<std::size_t>(op.peer)];
-        d.inbox.push_back({i, arrival});
+        const topo::LinkType link =
+            spec.link(src_w, ranks[static_cast<std::size_t>(op.peer)]);
+        const double arrival = send_arrival(spec, m.clock, link, op.bytes);
+        count_send(link, op.bytes, m.counts);
+        if (compile) {
+          p.steps.push_back(send_step(spec, link, op.bytes, i, nsends));
+        }
+        ReplayMember& d = sc.members[static_cast<std::size_t>(op.peer)];
+        d.inbox.push_back({i, arrival, nsends++});
         if (d.waiting_on == i) {
           d.waiting_on = -1;
-          m.ready.push_back(op.peer);
+          sc.ready.push_back(op.peer);
         }
       } else {
         // Messages of one (src, dst) pair match in send order.
-        std::size_t k = s.head;
-        while (k < s.inbox.size() && s.inbox[k].src != op.peer) ++k;
-        if (k == s.inbox.size()) {
-          s.waiting_on = op.peer;
+        std::size_t j = m.head;
+        while (j < m.inbox.size() && m.inbox[j].src != op.peer) ++j;
+        if (j == m.inbox.size()) {
+          m.waiting_on = op.peer;
           break;
         }
-        s.clock.advance_to(s.inbox[k].arrival);
-        s.inbox[k].src = -1;
-        while (s.head < s.inbox.size() && s.inbox[s.head].src < 0) ++s.head;
+        m.clock.advance_to(m.inbox[j].arrival);
+        if (compile) {
+          p.steps.push_back(
+              {0.0, i, static_cast<std::uint32_t>(m.inbox[j].slot), kRecv});
+        }
+        m.inbox[j].src = -1;
+        while (m.head < m.inbox.size() && m.inbox[m.head].src < 0) ++m.head;
       }
-      ++s.pc;
+      ++m.pc;
     }
   }
-  for (const Member& s : m.members) {
-    if (s.pc != s.ops->size() || s.head != s.inbox.size()) {
+  for (int i = 0; i < g; ++i) {
+    const ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
+    if (m.pc != seats[i].ops->size() || m.head != m.inbox.size()) {
       throw std::runtime_error(
           "phantom collective: members recorded mismatched schedules");
     }
   }
   for (int i = 0; i < g; ++i) {
-    const Member& s = m.members[static_cast<std::size_t>(i)];
-    if (s.detached) continue;  // already charged itself at arrival
-    const int w = m.ranks[static_cast<std::size_t>(i)];
-    world_.clock(w) = s.clock;
-    add_counts(world_.stats(w), s.counts);
+    const auto ui = static_cast<std::size_t>(i);
+    const ReplayMember& m = sc.members[ui];
+    if (compile) {
+      p.members[ui].counts = m.counts;
+      p.members[ui].detached = seats[i].detached;
+    }
+    if (seats[i].detached) continue;  // charged itself at arrival
+    world_.clock(ranks[ui]) = m.clock;
+    add_counts(world_.stats(ranks[ui]), m.counts);
+  }
+  if (compile) {
+    p.nsends = nsends;
+    p.ready.store(true, std::memory_order_release);
+    compiles_.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void Rendezvous::run_compiled(Meetings& comm, const Plan& p, std::size_t k) {
+  const topo::MachineSpec& spec = world_.spec();
+  const std::vector<int>& ranks = comm.ranks;
+  const std::size_t g = ranks.size();
+  const Seat* seats = comm.seats_of(k);
+  const double intra_alpha = spec.params(topo::LinkType::IntraNode).alpha;
+  const double inter_alpha = spec.params(topo::LinkType::InterNode).alpha;
+  Scratch& sc = comm.scratch;
+  sc.clocks.resize(g);
+  for (std::size_t i = 0; i < g; ++i) sc.clocks[i] = seats[i].entry;
+  sc.arrivals.resize(static_cast<std::size_t>(p.nsends));
+  for (const Step& s : p.steps) {
+    rt::SimClock& clock = sc.clocks[static_cast<std::size_t>(s.member)];
+    double& arrival = sc.arrivals[static_cast<std::size_t>(s.slot)];
+    switch (s.op) {
+      case kSendIntra:
+        clock.advance(s.busy);
+        arrival = clock.now() + intra_alpha;
+        break;
+      case kSendInter:
+        clock.advance(s.busy);
+        arrival = clock.now() + inter_alpha;
+        break;
+      case kSelfSend:
+        arrival = clock.now();
+        break;
+      default:
+        clock.advance_to(arrival);
+        break;
+    }
+  }
+  for (std::size_t i = 0; i < g; ++i) {
+    if (p.members[i].detached) continue;  // charged itself at arrival
+    world_.clock(ranks[i]) = sc.clocks[i];
+    add_counts(world_.stats(ranks[i]), p.members[i].counts);
   }
 }
 

@@ -14,6 +14,21 @@ void CommStats::record_msg(std::int64_t bytes, bool inter_node) {
   }
 }
 
+const char* collective_name(CollectiveKind kind) {
+  static constexpr const char* kNames[kCollectiveKinds] = {
+      "barrier",    "broadcast",      "reduce",  "all_reduce",
+      "all_reduce_compressed",        "all_gather", "reduce_scatter",
+      "gather",     "scatter",        "all_to_all", "sendrecv"};
+  return kNames[static_cast<std::size_t>(kind)];
+}
+
+void CommStats::record_collective(CollectiveKind kind, std::int64_t bytes) {
+  OpStats*& op = by_kind_.entry[static_cast<std::size_t>(kind)];
+  if (op == nullptr) op = &collectives[collective_name(kind)];
+  op->calls += 1;
+  op->bytes += bytes;
+}
+
 void CommStats::record_collective(std::string_view name, std::int64_t bytes) {
   auto it = collectives.find(name);
   if (it == collectives.end()) it = collectives.emplace(name, OpStats{}).first;

@@ -8,6 +8,8 @@
 //     (what the paper's formulas count).
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -15,6 +17,25 @@
 #include <string_view>
 
 namespace tsr::comm {
+
+/// The Communicator's built-in collectives, in CommStats' fixed index order.
+enum class CollectiveKind : std::uint8_t {
+  Barrier,
+  Broadcast,
+  Reduce,
+  AllReduce,
+  AllReduceCompressed,
+  AllGather,
+  ReduceScatter,
+  Gather,
+  Scatter,
+  AllToAll,
+  Sendrecv,
+};
+inline constexpr std::size_t kCollectiveKinds = 11;
+
+/// The key a kind's calls are recorded under ("broadcast", "all_reduce", ...).
+const char* collective_name(CollectiveKind kind);
 
 struct OpStats {
   std::int64_t calls = 0;
@@ -30,9 +51,13 @@ struct CommStats {
 
   // Logical level, keyed by collective name ("broadcast", "all_reduce", ...).
   // Transparent comparator: lookups by string_view build no std::string.
+  // Entries are only ever added (reset() starts a fresh map).
   std::map<std::string, OpStats, std::less<>> collectives;
 
   void record_msg(std::int64_t bytes, bool inter_node);
+  /// Per-call update of a built-in collective: after the kind's first call
+  /// it touches the cached map entry, with no string compare.
+  void record_collective(CollectiveKind kind, std::int64_t bytes);
   void record_collective(std::string_view name, std::int64_t bytes);
   /// Accumulates `other` into this (for cluster-wide totals).
   void merge(const CommStats& other);
@@ -42,6 +67,21 @@ struct CommStats {
   std::int64_t collective_bytes() const;
   /// Multi-line human-readable report.
   std::string to_string() const;
+
+ private:
+  // Entry of `collectives` per built-in kind, filled on the kind's first
+  // call. Map nodes never move, so the pointers stay valid; a copy starts
+  // with an empty cache because its pointers would name the source's map.
+  struct KindCache {
+    std::array<OpStats*, kCollectiveKinds> entry{};
+    KindCache() = default;
+    KindCache(const KindCache&) {}
+    KindCache& operator=(const KindCache&) {
+      entry = {};
+      return *this;
+    }
+  };
+  KindCache by_kind_;
 };
 
 }  // namespace tsr::comm

@@ -79,6 +79,7 @@ EvalResult evaluate(const EvalConfig& cfg) {
   Measurement bwd = measure(world, replay(true));
   res.bwd_seconds = bwd.sim_seconds;
   res.bwd_stats = bwd.total_stats;
+  res.phantom = world.rendezvous().counts();
 
   // The paper's text defines throughput as batch / time, but its printed
   // numbers are iteration rates: Table 1 Megatron-4 has

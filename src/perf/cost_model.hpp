@@ -6,6 +6,7 @@
 
 #include <string>
 
+#include "comm/rendezvous.hpp"
 #include "comm/stats.hpp"
 #include "fault/fault.hpp"
 #include "obs/expect.hpp"
@@ -45,6 +46,8 @@ struct EvalResult {
   double inference = 0.0;     ///< iterations / s: 1 / fwd
   comm::CommStats fwd_stats;  ///< aggregate comm of one forward pass
   comm::CommStats bwd_stats;
+  /// How the replay simulated its phantom collectives (host-side counts).
+  comm::PhantomCounts phantom;
 };
 
 /// Runs the phantom replay and derives the table metrics the way the

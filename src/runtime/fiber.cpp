@@ -286,8 +286,13 @@ struct FiberScheduler::Impl {
       bool ran = false;
       for (int r = w.first; r < w.last; ++r) {
         Fiber& f = fibers[r];
+        // Load first, so a sweep runs the locked CAS only on runnable
+        // fibers, not on every blocked one.
         int expected = kRunnable;
-        if (!f.state.compare_exchange_strong(expected, kRunning)) continue;
+        if (f.state.load() != kRunnable ||
+            !f.state.compare_exchange_strong(expected, kRunning)) {
+          continue;
+        }
         ran = true;
         ++w.resumes;
         t_current_rank = r;

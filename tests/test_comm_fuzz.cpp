@@ -7,9 +7,11 @@
 
 #include <bit>
 #include <numeric>
+#include <string>
 #include <tuple>
 
 #include "comm/communicator.hpp"
+#include "scoped_config.hpp"
 #include "tensor/rng.hpp"
 
 namespace tsr::comm {
@@ -197,8 +199,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SubgroupFuzz, ::testing::Range(0, 8));
 // message by message on a metered one (the oracle): every member's clock
 // after every call must agree bit for bit, and the wire counters exactly.
 // Draws cover ragged byte counts on both sides of the 64 KiB protocol
-// switch, random roots, node sizes, stragglers and concurrent row/column
-// subgroups.
+// switch, random roots, node sizes, stragglers, concurrent row/column
+// subgroups and two communicators over the same ranks (a second handle on
+// the row, and a split of the world). The drawn schedule runs three times
+// with different local work before each call, so every key is replayed,
+// compiled, and then run compiled from fresh entry clocks.
 class PhantomFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
@@ -210,7 +215,7 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
   spec.gpus_per_node = per_node_choices[rng.next_below(4)];
   struct Op {
     int kind;   // 0 bcast, 1 reduce, 2 all_reduce, 3 all_gather, 4 r_scatter
-    int group;  // 0 world, 1 row, 2 column
+    int group;  // 0 world, 1 row, 2 column, 3 row again, 4 world split
     int root;
     std::int64_t bytes;
     double work;  // local seconds charged before the call
@@ -219,7 +224,7 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
   for (int i = 0; i < 40; ++i) {
     Op op;
     op.kind = static_cast<int>(rng.next_below(5));
-    op.group = static_cast<int>(rng.next_below(3));
+    op.group = static_cast<int>(rng.next_below(5));
     op.root = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(q)));
     op.bytes = static_cast<std::int64_t>(
         rng.next_below(2) == 0 ? rng.next_below(70000)
@@ -245,47 +250,67 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
         row_ranks.push_back(i * q + t);
         col_ranks.push_back(t * q + j);
       }
-      Communicator groups[3] = {c, c.subgroup(row_ranks),
-                                c.subgroup(col_ranks)};
-      for (const Op& op : schedule) {
-        Communicator& g = groups[op.group];
-        c.clock().advance(op.work * (1 + c.rank() % 3));
-        const int root = op.root % g.size();
-        switch (op.kind) {
-          case 0: g.phantom_broadcast(root, op.bytes); break;
-          case 1: g.phantom_reduce(root, op.bytes); break;
-          case 2: g.phantom_all_reduce(op.bytes); break;
-          case 3: g.phantom_all_gather(op.bytes); break;
-          default: g.phantom_reduce_scatter(op.bytes); break;
+      Communicator groups[5] = {c, c.subgroup(row_ranks),
+                                c.subgroup(col_ranks), c.subgroup(row_ranks),
+                                c.split(0, c.rank())};
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const Op& op : schedule) {
+          Communicator& g = groups[op.group];
+          c.clock().advance(op.work * (1 + (c.rank() + pass) % 3));
+          const int root = op.root % g.size();
+          switch (op.kind) {
+            case 0: g.phantom_broadcast(root, op.bytes); break;
+            case 1: g.phantom_reduce(root, op.bytes); break;
+            case 2: g.phantom_all_reduce(op.bytes); break;
+            case 3: g.phantom_all_gather(op.bytes); break;
+            default: g.phantom_reduce_scatter(op.bytes); break;
+          }
+          clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
         }
-        clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
       }
     });
     std::vector<CommStats> stats;
     for (int r = 0; r < n; ++r) stats.push_back(world.stats(r));
-    return std::make_tuple(clocks, stats, world.rendezvous().replays());
+    return std::make_tuple(clocks, stats, world.rendezvous().replays(),
+                           world.rendezvous().compiled_runs());
   };
-  const auto [fast_clocks, fast_stats, fast_replays] = run(false);
-  const auto [ref_clocks, ref_stats, ref_replays] = run(true);
-  EXPECT_GT(fast_replays, 0u);
-  EXPECT_EQ(ref_replays, 0u);
-  for (int r = 0; r < n; ++r) {
-    const auto& a = fast_clocks[static_cast<std::size_t>(r)];
-    const auto& b = ref_clocks[static_cast<std::size_t>(r)];
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t k = 0; k < a.size(); ++k) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
-                std::bit_cast<std::uint64_t>(b[k]))
-          << "rank " << r << " call " << k << " q=" << q
-          << " gpus_per_node=" << spec.gpus_per_node;
+  // Every scheduler backend: fibers on one and on four workers, threads.
+  struct Backend {
+    bool threads;
+    int workers;
+  };
+  ScopedRunConfig cfg;
+  for (const Backend b : {Backend{false, 1}, Backend{false, 4},
+                          Backend{true, 1}}) {
+    cfg->spmd_threads = b.threads;
+    cfg->workers = b.workers;
+    SCOPED_TRACE(b.threads ? "threads"
+                           : "fibers W=" + std::to_string(b.workers));
+    const auto [fast_clocks, fast_stats, fast_replays, fast_compiled] =
+        run(false);
+    const auto [ref_clocks, ref_stats, ref_replays, ref_compiled] = run(true);
+    EXPECT_GT(fast_replays, 0u);
+    EXPECT_GT(fast_compiled, 0u);
+    EXPECT_EQ(ref_replays, 0u);
+    EXPECT_EQ(ref_compiled, 0u);
+    for (int r = 0; r < n; ++r) {
+      const auto& a = fast_clocks[static_cast<std::size_t>(r)];
+      const auto& b = ref_clocks[static_cast<std::size_t>(r)];
+      ASSERT_EQ(a.size(), b.size());
+      for (std::size_t k = 0; k < a.size(); ++k) {
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
+                  std::bit_cast<std::uint64_t>(b[k]))
+            << "rank " << r << " call " << k << " q=" << q
+            << " gpus_per_node=" << spec.gpus_per_node;
+      }
+      const CommStats& sa = fast_stats[static_cast<std::size_t>(r)];
+      const CommStats& sb = ref_stats[static_cast<std::size_t>(r)];
+      EXPECT_EQ(sa.msgs_sent, sb.msgs_sent) << "rank " << r;
+      EXPECT_EQ(sa.bytes_intra_node, sb.bytes_intra_node) << "rank " << r;
+      EXPECT_EQ(sa.bytes_inter_node, sb.bytes_inter_node) << "rank " << r;
+      EXPECT_EQ(sa.collective_calls(), sb.collective_calls()) << "rank " << r;
+      EXPECT_EQ(sa.collective_bytes(), sb.collective_bytes()) << "rank " << r;
     }
-    const CommStats& sa = fast_stats[static_cast<std::size_t>(r)];
-    const CommStats& sb = ref_stats[static_cast<std::size_t>(r)];
-    EXPECT_EQ(sa.msgs_sent, sb.msgs_sent) << "rank " << r;
-    EXPECT_EQ(sa.bytes_intra_node, sb.bytes_intra_node) << "rank " << r;
-    EXPECT_EQ(sa.bytes_inter_node, sb.bytes_inter_node) << "rank " << r;
-    EXPECT_EQ(sa.collective_calls(), sb.collective_calls()) << "rank " << r;
-    EXPECT_EQ(sa.collective_bytes(), sb.collective_bytes()) << "rank " << r;
   }
 }
 

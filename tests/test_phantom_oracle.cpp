@@ -1,12 +1,15 @@
 // Collective-granularity phantom collectives against their message-level
-// oracle. A plain World simulates each phantom collective in one replay at a
-// rendezvous; the same program on a World with metrics enabled sends every
-// empty message through the mailboxes. Every member's clock after every call
-// must match bit for bit, and its CommStats exactly, on every scheduler
-// backend: group sizes 2..64, both sides of the 64 KiB pipelined threshold,
-// ragged byte counts, every root, staggered clocks with a straggler, intra-
-// and inter-node links, and row and column sub-communicators in flight at
-// once.
+// oracle. A plain World simulates each phantom collective at a rendezvous:
+// the first two calls of a (communicator, kind, root, bytes) key replay the
+// members' recorded schedules, the second also compiles them, and every
+// later call runs the compiled program. The same program on a World with
+// metrics enabled sends every empty message through the mailboxes. Every
+// member's clock after every call must match bit for bit, and its CommStats
+// exactly, on every scheduler backend: group sizes 2..64, both sides of the
+// 64 KiB pipelined threshold, ragged byte counts, every root, each key
+// issued three times from differently staggered clocks, stragglers, intra-
+// and inter-node links, row and column sub-communicators in flight at once,
+// and two communicators over the same ranks.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -54,6 +57,7 @@ struct Outcome {
   std::vector<std::vector<Snapshot>> snaps;  // per world rank
   std::vector<CommStats> stats;
   std::uint64_t replays = 0;
+  std::uint64_t compiled_runs = 0;
 };
 
 void snap(Communicator& c, std::vector<Snapshot>& out) {
@@ -83,6 +87,7 @@ Outcome run(int n, const topo::MachineSpec& spec, bool oracle,
   });
   for (int r = 0; r < n; ++r) out.stats.push_back(world.stats(r));
   out.replays = world.rendezvous().replays();
+  out.compiled_runs = world.rendezvous().compiled_runs();
   return out;
 }
 
@@ -118,7 +123,10 @@ void expect_same(const Outcome& fast, const Outcome& oracle,
     }
   }
   EXPECT_GT(fast.replays, 0u) << label << ": fast path never engaged";
+  EXPECT_GT(fast.compiled_runs, 0u) << label << ": no compiled program ran";
   EXPECT_EQ(oracle.replays, 0u) << label << ": oracle left the message path";
+  EXPECT_EQ(oracle.compiled_runs, 0u)
+      << label << ": oracle left the message path";
 }
 
 void check_on_every_backend(int n, const topo::MachineSpec& spec,
@@ -141,29 +149,31 @@ std::vector<std::int64_t> byte_counts(int g) {
           3 * 65536 + 5};
 }
 
+// Each key is issued this many times, so the third call onwards runs the
+// program the second compiled.
+constexpr int kRepeats = 3;
+
 // Every collective at every byte count; broadcast and reduce from roots in
-// `roots`.
+// `roots`. Every call is issued kRepeats times in a row, each from freshly
+// staggered clocks.
 Program all_collectives(int g, const std::vector<int>& roots) {
   return [g, roots](Communicator& c, std::vector<Snapshot>& out) {
     int step = 0;
-    for (std::int64_t bytes : byte_counts(g)) {
-      for (int root : roots) {
+    auto repeat = [&](const std::function<void()>& call) {
+      for (int k = 0; k < kRepeats; ++k) {
         stagger(c, step++);
-        c.phantom_broadcast(root, bytes);
-        snap(c, out);
-        stagger(c, step++);
-        c.phantom_reduce(root, bytes);
+        call();
         snap(c, out);
       }
-      stagger(c, step++);
-      c.phantom_all_reduce(bytes);
-      snap(c, out);
-      stagger(c, step++);
-      c.phantom_all_gather(bytes);
-      snap(c, out);
-      stagger(c, step++);
-      c.phantom_reduce_scatter(bytes);
-      snap(c, out);
+    };
+    for (std::int64_t bytes : byte_counts(g)) {
+      for (int root : roots) {
+        repeat([&] { c.phantom_broadcast(root, bytes); });
+        repeat([&] { c.phantom_reduce(root, bytes); });
+      }
+      repeat([&] { c.phantom_all_reduce(bytes); });
+      repeat([&] { c.phantom_all_gather(bytes); });
+      repeat([&] { c.phantom_reduce_scatter(bytes); });
     }
   };
 }
@@ -212,6 +222,10 @@ TEST(PhantomOracle64, PaperScaleWorld) {
 // Rows (intra-node) and columns (inter-node) of a 4 x 4 grid run their
 // collectives concurrently: the meetings of different groups are in flight
 // at once, and a row's call k shares its sequence number with a column's.
+// A second handle on each row (the same communicator id) and a split of the
+// world (same ranks, another id) interleave their calls with the first
+// ones, and rows and columns issue one key in common over different links.
+// The whole schedule runs three times, so every key also runs compiled.
 TEST(PhantomOracle64, RowAndColumnSubcommunicatorsInFlight) {
   constexpr int q = 4;
   const Program grid = [](Communicator& c, std::vector<Snapshot>& out) {
@@ -224,29 +238,67 @@ TEST(PhantomOracle64, RowAndColumnSubcommunicatorsInFlight) {
     }
     Communicator row = c.subgroup(row_ranks);
     Communicator col = c.subgroup(col_ranks);
+    Communicator row_again = c.subgroup(row_ranks);
+    Communicator world_split = c.split(0, c.rank());
     int step = 0;
-    for (std::int64_t bytes : byte_counts(q)) {
-      for (int root = 0; root < q; ++root) {
-        stagger(c, step++);
-        row.phantom_broadcast(root, bytes);
+    for (int pass = 0; pass < kRepeats; ++pass) {
+      for (std::int64_t bytes : byte_counts(q)) {
+        for (int root = 0; root < q; ++root) {
+          stagger(c, step++);
+          row.phantom_broadcast(root, bytes);
+          snap(c, out);
+          col.phantom_reduce((root + 1) % q, bytes);
+          snap(c, out);
+        }
+        col.phantom_all_reduce(bytes);
         snap(c, out);
-        col.phantom_reduce((root + 1) % q, bytes);
+        row.phantom_reduce_scatter(bytes);
+        snap(c, out);
+        stagger(c, step++);
+        row.phantom_all_gather(bytes);
+        snap(c, out);
+        col.phantom_all_gather(bytes + 4);
+        snap(c, out);
+        c.phantom_all_reduce(bytes);  // the whole grid
+        snap(c, out);
+        stagger(c, step++);
+        row_again.phantom_broadcast(1, bytes);
+        snap(c, out);
+        row.phantom_broadcast(1, bytes);
+        snap(c, out);
+        col.phantom_broadcast(1, bytes);  // same key, inter-node links
+        snap(c, out);
+        world_split.phantom_all_reduce(bytes);
+        snap(c, out);
+        world_split.phantom_reduce(2, bytes);
+        snap(c, out);
+        c.phantom_reduce(2, bytes);
         snap(c, out);
       }
-      col.phantom_all_reduce(bytes);
-      snap(c, out);
-      row.phantom_reduce_scatter(bytes);
-      snap(c, out);
-      stagger(c, step++);
-      row.phantom_all_gather(bytes);
-      snap(c, out);
-      col.phantom_all_gather(bytes + 4);
-      snap(c, out);
-      c.phantom_all_reduce(bytes);  // the whole grid
-      snap(c, out);
     }
   };
   check_on_every_backend(q * q, spec_with_nodes_of(q), grid, "4x4 grid");
+}
+
+// Members that receive nothing (a small broadcast's root, a reduce tree's
+// leaves) never wait, so they can run many calls of one key ahead of their
+// group, more than the plan has meeting slots for.
+TEST(PhantomOracle64, DetachedMembersRunAheadOfTheirGroup) {
+  const Program ahead = [](Communicator& c, std::vector<Snapshot>& out) {
+    for (int k = 0; k < 12; ++k) {
+      stagger(c, k);
+      c.phantom_broadcast(0, 4096);
+      snap(c, out);
+    }
+    for (int k = 0; k < 12; ++k) {
+      stagger(c, k);
+      c.phantom_reduce(k % 2, 100);
+      snap(c, out);
+    }
+    c.phantom_all_reduce(4096);  // the laggards catch up
+    snap(c, out);
+  };
+  check_on_every_backend(8, spec_with_nodes_of(4), ahead, "run-ahead");
 }
 
 // A single-member group has nothing to simulate: no meeting, no messages.
