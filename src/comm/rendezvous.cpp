@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <deque>
 #include <stdexcept>
-#include <thread>
 
 #include "comm/communicator.hpp"
 
@@ -129,43 +129,28 @@ struct Scratch {
   std::vector<double> arrivals;
 };
 
-// For each member, the first member on its node and the first member with
-// its rank: groups with equal lists have equal link classes between every
-// pair of members, so a program compiled on one runs on the other.
-std::vector<int> link_classes(const topo::MachineSpec& spec,
-                              const std::vector<int>& ranks) {
-  std::vector<int> out;
-  out.reserve(2 * ranks.size());
-  for (std::size_t i = 0; i < ranks.size(); ++i) {
-    int node = 0;
-    while (spec.link(ranks[static_cast<std::size_t>(node)], ranks[i]) ==
-           topo::LinkType::InterNode) {
-      ++node;
-    }
-    int self = 0;
-    while (ranks[static_cast<std::size_t>(self)] != ranks[i]) ++self;
-    out.push_back(node);
-    out.push_back(self);
-  }
-  return out;
-}
-
 }  // namespace
 
 struct Rendezvous::Plan {
   struct Member {
     WireCounts counts;
     bool detached = false;  // receives nothing
+    // A detached member's NIC times: sends[first, first + count).
+    std::uint32_t first = 0;
+    std::uint32_t count = 0;
   };
 
-  explicit Plan(std::size_t group_size) : members(group_size) {}
+  Plan(CollectiveKind k, int r, std::int64_t b) : bytes(b), root(r), kind(k) {}
 
-  // Program, written by the one replay that claims `compiling` and
-  // read-only once `ready`.
+  std::int64_t bytes;
+  int root;
+  CollectiveKind kind;
+  // Program, written by the communicator's second replay of the collective
+  // and read-only once `ready`.
   std::vector<Step> steps;
   std::vector<Member> members;  // per group rank
+  std::vector<double> sends;    // detached members' NIC times, per member
   std::int32_t nsends = 0;
-  std::atomic<bool> compiling{false};
   std::atomic<bool> ready{false};
 };
 
@@ -193,12 +178,10 @@ struct Rendezvous::Meetings {
     bool copied = false;
   };
 
-  Meetings(std::uint32_t id, std::shared_ptr<const std::vector<int>> group,
-            std::size_t link_classes)
+  Meetings(std::uint32_t id, std::shared_ptr<const std::vector<int>> group)
       : comm_id(id),
         ranks_owner(std::move(group)),
         ranks(*ranks_owner),
-        links(link_classes),
         members(ranks.size()),
         seats(kSlots * ranks.size()) {
     for (std::size_t i = 0; i < kSlots; ++i) slots[i].instance.store(i);
@@ -210,7 +193,10 @@ struct Rendezvous::Meetings {
   std::uint32_t comm_id;
   std::shared_ptr<const std::vector<int>> ranks_owner;
   const std::vector<int>& ranks;  // world ranks, group order
-  std::size_t links;              // Rendezvous::links_ index
+
+  // One plan per collective (kind, root, bytes), in order of first call;
+  // guarded by Rendezvous::mu_. A deque never moves its elements.
+  std::deque<Plan> plans;
 
   // Member i's fields are touched by its own thread only.
   std::vector<Member> members;  // per group rank
@@ -241,11 +227,7 @@ Rendezvous::Meetings& Rendezvous::meetings(
   for (const auto& c : comms_) {
     if (c->comm_id == comm_id && c->ranks == *group) return *c;
   }
-  std::vector<int> classes = link_classes(world_.spec(), *group);
-  auto it = std::find(links_.begin(), links_.end(), classes);
-  const auto links = static_cast<std::size_t>(it - links_.begin());
-  if (it == links_.end()) links_.push_back(std::move(classes));
-  comms_.push_back(std::make_unique<Meetings>(comm_id, group, links));
+  comms_.push_back(std::make_unique<Meetings>(comm_id, group));
   return *comms_.back();
 }
 
@@ -267,9 +249,10 @@ Rendezvous::Collective& Rendezvous::collective(Meetings& comm, int grank,
   Plan* plan = nullptr;
   {
     std::lock_guard lock(mu_);
-    std::unique_ptr<Plan>& p = plans_[PlanKey{comm.links, kind, root, bytes}];
-    if (p == nullptr) p = std::make_unique<Plan>(comm.ranks.size());
-    plan = p.get();
+    for (Plan& p : comm.plans) {
+      if (p.bytes == bytes && p.root == root && p.kind == kind) plan = &p;
+    }
+    if (plan == nullptr) plan = &comm.plans.emplace_back(kind, root, bytes);
   }
   known.push_back({bytes, root, kind, plan});
   m.next = 0;
@@ -322,10 +305,11 @@ bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
         count_send(link, op.bytes, counts);
       }
     } else {
-      for (const Step& s : p.steps) {
-        if (s.member == grank) clock.advance(s.busy);  // all sends
+      const Plan::Member& m = p.members[me];
+      for (std::uint32_t j = 0; j < m.count; ++j) {
+        clock.advance(p.sends[m.first + j]);
       }
-      counts = p.members[me].counts;
+      counts = m.counts;
     }
     add_counts(world_.stats(me_w), counts);
   }
@@ -365,39 +349,23 @@ void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner,
                           std::uint64_t call) {
   const Seat* seats = comm.seats_of(k);
   Plan& p = *seats[runner].plan;
-  bool recorded = true;
   for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
     if (seats[i].plan != &p) {
       throw std::runtime_error(
           "phantom collective: members called different collectives");
     }
-    recorded = recorded && seats[i].ops != nullptr;
   }
-  // Every member calls a collective the same number of times, so `call` is
-  // the same on all of them: the first two calls replay, later ones run
-  // compiled. A member that skipped recording saw the plan compiled.
-  if (!recorded || (call >= 2 && p.ready.load(std::memory_order_acquire))) {
+  // Only this communicator's runs compile its plans, and its calls run in
+  // order, so a member that skipped recording saw the plan compiled by an
+  // earlier call, and if the plan is not compiled every member recorded.
+  // Every member calls a collective equally often, so `call` is the same on
+  // all of them: the first two calls replay and the second compiles.
+  if (p.ready.load(std::memory_order_acquire)) {
     run_compiled(comm, p, k);
     compiled_runs_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    // The second call compiles, unless another communicator sharing the
-    // plan did or is doing it; then it waits until that finishes, so the
-    // third call always finds the program. A compile never yields, so the
-    // other one runs on another thread.
-    const bool compile = call == 1 &&
-                         !p.ready.load(std::memory_order_acquire) &&
-                         !p.compiling.exchange(true);
-    try {
-      replay(comm, p, k, compile);
-    } catch (...) {
-      if (compile) p.compiling.store(false);  // a later call may compile
-      throw;
-    }
+    replay(comm, p, k, call >= 1);
     replays_.fetch_add(1, std::memory_order_relaxed);
-    while (call == 1 && !p.ready.load(std::memory_order_acquire) &&
-           p.compiling.load()) {
-      std::this_thread::yield();
-    }
   }
   for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
     if (i == runner || seats[i].detached) continue;
@@ -459,6 +427,7 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
   if (compile) {
     p.steps.clear();
     p.steps.reserve(nops);
+    p.members.resize(static_cast<std::size_t>(g));
   }
   std::int32_t nsends = 0;
   // Run each member until its next receive finds no message; a send that
@@ -526,6 +495,17 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
     add_counts(world_.stats(ranks[ui]), m.counts);
   }
   if (compile) {
+    // A detached member replays only its own sends, in its program order.
+    p.sends.clear();
+    for (int i = 0; i < g; ++i) {
+      Plan::Member& m = p.members[static_cast<std::size_t>(i)];
+      if (!m.detached) continue;
+      m.first = static_cast<std::uint32_t>(p.sends.size());
+      for (const Step& s : p.steps) {
+        if (s.member == i && s.op != kSelfSend) p.sends.push_back(s.busy);
+      }
+      m.count = static_cast<std::uint32_t>(p.sends.size()) - m.first;
+    }
     p.nsends = nsends;
     p.ready.store(true, std::memory_order_release);
     compiles_.fetch_add(1, std::memory_order_relaxed);

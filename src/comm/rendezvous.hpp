@@ -18,8 +18,8 @@
 //    receiver: advance_to(arrival), per-(src, dst) FIFO. The second call's
 //    replay is also the compiler: it writes the order it executed as a flat
 //    program (per step: member, send / self-send / recv, NIC time, arrival
-//    slot; per member: wire counts and whether it receives anything). A key
-//    called once pays nothing for compiling.
+//    slot; per member: wire counts, whether it receives anything and, if
+//    not, its own NIC times). A key called once pays nothing for compiling.
 //  * Compiled runs (every later call). A member skips record mode and only
 //    deposits its entry clock; the last to arrive runs the flat program with
 //    the same arithmetic, no matching and no per-member op lists.
@@ -32,16 +32,14 @@
 // its own sends at once and leaves, as it would on the message path, and the
 // run only reads its entry clock.
 //
-// A program depends on the group only through the link classes between its
-// members, so communicators whose members pair up into the same self,
-// intra- and inter-node links (the rows of a grid, say) share one Plan;
-// whichever reaches its second call first compiles it. Meetings are per
-// communicator: every member makes the same sequence of phantom calls on
-// it, and the n-th call of each meets in slot n of a small ring. A call
-// whose key the member has seen on that communicator takes no lock and
-// hashes nothing: a short scan of the member's own list and one atomic
-// arrival count. Plans live as long as their World, and every count above
-// (replays, compiles, compiled runs) is a function of the program alone.
+// Meetings and plans are per communicator: every member makes the same
+// sequence of phantom calls on it, and the n-th call of each meets in slot n
+// of a small ring. Its calls run one after another, so the run that
+// compiles a plan always finishes before a later call reads it. A call whose
+// key the member has seen on that communicator takes no lock and hashes
+// nothing: a short scan of the member's own list and one atomic arrival
+// count. Plans live as long as their World, and every count above (replays,
+// compiles, compiled runs) is a function of the program alone.
 //
 // The message path stays the reference: traced, metered, live and faulted
 // runs and every real-payload collective use it, and the tests compare both
@@ -49,9 +47,7 @@
 #pragma once
 
 #include <atomic>
-#include <compare>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -81,8 +77,7 @@ struct PhantomCounts {
 /// Per-World meeting point and plan table of phantom collectives.
 class Rendezvous {
  public:
-  /// A compiled program and its compile state, shared by every
-  /// communicator whose members pair up into the same link classes.
+  /// A communicator's compiled program of one collective.
   struct Plan;
   /// One communicator's meeting slots and its members' collectives.
   struct Meetings;
@@ -112,8 +107,8 @@ class Rendezvous {
                          int root, std::int64_t bytes);
 
   /// True when the member's next call of `c` must record its op list: its
-  /// first two calls replay, and a later one records only if it finds the
-  /// plan still being compiled.
+  /// first two calls replay, and a later one records only if it runs ahead
+  /// of the call that compiles the plan.
   static bool records(const Collective& c);
 
   /// Group rank `grank` of `comm` arrives at its next phantom collective,
@@ -135,11 +130,7 @@ class Rendezvous {
   /// and their programs stay.
   void reset();
 
-  /// Calls replayed from recorded op lists so far (tests check the fast
-  /// path engaged).
-  std::uint64_t replays() const { return replays_.load(); }
-  /// Calls run from a compiled program so far.
-  std::uint64_t compiled_runs() const { return compiled_runs_.load(); }
+  /// What this World has simulated so far (tests check which path ran).
   PhantomCounts counts() const;
 
  private:
@@ -153,20 +144,8 @@ class Rendezvous {
 
   World& world_;
   std::vector<std::vector<WireOp>> recorders_;  // per world rank
-  std::mutex mu_;  // guards comms_, links_ and plans_
+  std::mutex mu_;  // guards comms_ and each Meetings' plan table
   std::vector<std::unique_ptr<Meetings>> comms_;
-  // Link classes between the members of each distinct group shape: groups
-  // whose members pair up into the same self / intra- / inter-node links
-  // share one entry, and so share their plans.
-  std::vector<std::vector<int>> links_;
-  struct PlanKey {
-    std::size_t links;  // index into links_
-    CollectiveKind kind;
-    int root;
-    std::int64_t bytes;
-    auto operator<=>(const PlanKey&) const = default;
-  };
-  std::map<PlanKey, std::unique_ptr<Plan>> plans_;
   std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> compiled_runs_{0};

@@ -29,14 +29,6 @@ void CommStats::record_collective(CollectiveKind kind, std::int64_t bytes) {
   op->bytes += bytes;
 }
 
-void CommStats::record_collective(std::string_view name, std::int64_t bytes) {
-  auto it = collectives.find(name);
-  if (it == collectives.end()) it = collectives.emplace(name, OpStats{}).first;
-  OpStats& op = it->second;
-  op.calls += 1;
-  op.bytes += bytes;
-}
-
 void CommStats::merge(const CommStats& other) {
   msgs_sent += other.msgs_sent;
   bytes_sent += other.bytes_sent;

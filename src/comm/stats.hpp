@@ -58,7 +58,6 @@ struct CommStats {
   /// Per-call update of a built-in collective: after the kind's first call
   /// it touches the cached map entry, with no string compare.
   void record_collective(CollectiveKind kind, std::int64_t bytes);
-  void record_collective(std::string_view name, std::int64_t bytes);
   /// Accumulates `other` into this (for cluster-wide totals).
   void merge(const CommStats& other);
   void reset();

@@ -346,11 +346,11 @@ TEST(Stats, ResetClearsCounters) {
 TEST(Stats, MergeAndToString) {
   CommStats a;
   a.record_msg(100, false);
-  a.record_collective("broadcast", 100);
+  a.record_collective(CollectiveKind::Broadcast, 100);
   CommStats b;
   b.record_msg(50, true);
-  b.record_collective("broadcast", 50);
-  b.record_collective("reduce", 10);
+  b.record_collective(CollectiveKind::Broadcast, 50);
+  b.record_collective(CollectiveKind::Reduce, 10);
   a.merge(b);
   EXPECT_EQ(a.msgs_sent, 2);
   EXPECT_EQ(a.bytes_sent, 150);

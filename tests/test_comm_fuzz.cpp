@@ -271,8 +271,8 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
     });
     std::vector<CommStats> stats;
     for (int r = 0; r < n; ++r) stats.push_back(world.stats(r));
-    return std::make_tuple(clocks, stats, world.rendezvous().replays(),
-                           world.rendezvous().compiled_runs());
+    return std::make_tuple(clocks, stats, world.rendezvous().counts().replays,
+                           world.rendezvous().counts().compiled_runs);
   };
   // Every scheduler backend: fibers on one and on four workers, threads.
   struct Backend {

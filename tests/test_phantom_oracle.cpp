@@ -86,8 +86,8 @@ Outcome run(int n, const topo::MachineSpec& spec, bool oracle,
     program(c, out.snaps[static_cast<std::size_t>(c.rank())]);
   });
   for (int r = 0; r < n; ++r) out.stats.push_back(world.stats(r));
-  out.replays = world.rendezvous().replays();
-  out.compiled_runs = world.rendezvous().compiled_runs();
+  out.replays = world.rendezvous().counts().replays;
+  out.compiled_runs = world.rendezvous().counts().compiled_runs;
   return out;
 }
 
@@ -224,7 +224,8 @@ TEST(PhantomOracle64, PaperScaleWorld) {
 // at once, and a row's call k shares its sequence number with a column's.
 // A second handle on each row (the same communicator id) and a split of the
 // world (same ranks, another id) interleave their calls with the first
-// ones, and rows and columns issue one key in common over different links.
+// ones, and rows and columns issue one key in common over different links
+// (each communicator compiles its own program of it).
 // The whole schedule runs three times, so every key also runs compiled.
 TEST(PhantomOracle64, RowAndColumnSubcommunicatorsInFlight) {
   constexpr int q = 4;
@@ -310,7 +311,7 @@ TEST(PhantomOracle64, SingleMemberGroupsSkipTheRendezvous) {
     self.phantom_broadcast(0, 1 << 20);
     EXPECT_EQ(c.clock().now(), 0.0);
   });
-  EXPECT_EQ(world.rendezvous().replays(), 0u);
+  EXPECT_EQ(world.rendezvous().counts().replays, 0u);
   EXPECT_EQ(world.total_stats().msgs_sent, 0);
   EXPECT_EQ(world.total_stats().collective_calls(), 4);
 }

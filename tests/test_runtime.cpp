@@ -444,7 +444,7 @@ TEST(PhantomRendezvous, ThrowingRankUnwindsParkedPeers) {
     });
     EXPECT_NE(err.find("rank 4 boom"), std::string::npos)
         << "workers=" << b.workers << ": " << err;
-    EXPECT_EQ(world.rendezvous().replays(), 1u);
+    EXPECT_EQ(world.rendezvous().counts().replays, 1u);
   }
 }
 
