@@ -136,7 +136,7 @@ void World::install_fault_plan(const fault::FaultPlan& plan) {
   // Every install resets the mailbox receive timeouts to the new plan's
   // value (<= 0 disables), BEFORE the empty-plan early return: a replaced
   // or cleared plan must not leak the previous plan's timeout into later
-  // runs on this World (back-to-back serving sweeps reuse one process).
+  // runs on this World.
   for (auto& mb : mailboxes_) mb->set_recv_timeout_ms(plan.recv_timeout_ms);
   if (plan.empty()) return;  // byte-identity guarantee: nothing installed
   fault::note_installed_plan(plan);  // envelope stamp for exported reports
@@ -378,15 +378,6 @@ void World::run(const std::function<void(Communicator&)>& fn) {
       }
     }
   });
-  if (injector_ != nullptr && injector_->has_duplicates()) {
-    // Duplicates whose originals were consumed before the copy landed (or
-    // queued for a (src, tag) never received again) are still in-flight;
-    // purge them so accounting balances and no later run sees stale traffic.
-    for (auto& mb : mailboxes_) {
-      injector_->note_duplicates_discarded(
-          static_cast<std::int64_t>(mb->purge_duplicates()));
-    }
-  }
   if (metrics_enabled_) {
     // Scheduler deltas attributable to this run (process-global counters, so
     // concurrent Worlds see combined numbers — fine for the single-World
@@ -490,9 +481,8 @@ void Communicator::send_msg(int dst_grank, std::uint64_t tag,
   } else {
     m.arrival_time = clock().now();
   }
-  bool send_duplicate = false;
   if (inj != nullptr && inj->has_msg_faults()) {
-    send_duplicate = inj->on_message(src_w, dst_w, &m);
+    inj->on_message(src_w, dst_w, &m);
   }
   stats().record_msg(wire_bytes, link == topo::LinkType::InterNode);
   if (world_->tracing()) {
@@ -501,37 +491,6 @@ void Communicator::send_msg(int dst_grank, std::uint64_t tag,
         src_w, FlowSend{m.flow_id, clock().now(), dst_w, wire_bytes,
                         link == topo::LinkType::InterNode,
                         m.payload == nullptr});
-  }
-  if (send_duplicate) {
-    // The duplicate must carry its own payload copy: each payload has one
-    // holder, which recycles it into its BufferPool once consumed, so a
-    // shared buffer would alias a recycled (and soon rewritten) vector.
-    Message dup;
-    dup.src = m.src;
-    dup.tag = m.tag;
-    dup.wire_bytes = m.wire_bytes;
-    dup.arrival_time = m.arrival_time;
-    dup.duplicate = true;
-    if (m.payload != nullptr) {
-      dup.payload = std::make_shared<Payload>(*m.payload);
-    }
-    if (link != topo::LinkType::Self) {
-      // The spurious retransmission occupies the NIC a second time.
-      topo::LinkParams params = world_->spec().params(link);
-      if (inj->has_link_faults()) inj->adjust_link(src_w, dst_w, &params);
-      clock().advance(static_cast<double>(wire_bytes) * params.beta);
-      dup.arrival_time = clock().now() + params.alpha;
-    }
-    stats().record_msg(wire_bytes, link == topo::LinkType::InterNode);
-    if (obs::LiveSampler* live = world_->live()) {
-      // The injected retransmission serialized on this NIC too: two messages
-      // left the rank, mirroring the two record_msg calls above.
-      live->on_send(src_w, clock().now(), wire_bytes);
-      live->on_send(src_w, clock().now(), wire_bytes);
-    }
-    world_->mailbox(dst_w).push(std::move(m));
-    world_->mailbox(dst_w).push(std::move(dup));
-    return;
   }
   if (obs::LiveSampler* live = world_->live()) {
     live->on_send(src_w, clock().now(), wire_bytes);
@@ -551,13 +510,6 @@ Message Communicator::recv_msg(int src_grank, std::uint64_t tag) {
   fault::Injector* inj = world_->fault_injector();
   if (inj != nullptr) inj->tick(world_rank(), clock().now());
   Message m = world_->mailbox(world_rank()).pop(world_rank_of(src_grank), tag);
-  if (inj != nullptr && inj->has_duplicates()) {
-    // Sweep injected duplicate copies of this message out of the queue so
-    // they never reach application code (dedup-at-receiver semantics).
-    const std::size_t n =
-        world_->mailbox(world_rank()).discard_duplicates(m.src, tag);
-    if (n > 0) inj->note_duplicates_discarded(static_cast<std::int64_t>(n));
-  }
   const double before = clock().now();
   clock().advance_to(m.arrival_time);
   if (m.flow_id != 0 && world_->tracing()) {

@@ -129,13 +129,6 @@ Message Mailbox::pop(int src, std::uint64_t tag) {
       }
       Message msg = std::move(n->msg);
       free_node(n);
-      if (msg.duplicate) {
-        // An injected duplicate landed at the head (its original was already
-        // consumed before the duplicate was pushed). Never deliver it:
-        // swallow here and report through discard_duplicates' accounting.
-        ++dup_skipped_;
-        continue;
-      }
       return msg;
     }
     has_waiter_ = true;
@@ -255,56 +248,6 @@ void Mailbox::set_recv_timeout_ms(int ms) {
 int Mailbox::recv_timeout_ms() const {
   std::lock_guard lock(mu_);
   return recv_timeout_ms_;
-}
-
-std::size_t Mailbox::discard_duplicates(int src, std::uint64_t tag) {
-  std::lock_guard lock(mu_);
-  std::size_t discarded = dup_skipped_;  // swallowed inside pop
-  dup_skipped_ = 0;
-  Queue* q = find_queue(src, tag);
-  if (q == nullptr) return discarded;
-  while (q->head != nullptr && q->head->msg.duplicate) {
-    Node* n = q->head;
-    q->head = n->next;
-    free_node(n);
-    ++discarded;
-  }
-  if (q->head == nullptr) {
-    q->tail = nullptr;
-    q->live = false;
-  }
-  return discarded;
-}
-
-std::size_t Mailbox::purge_duplicates() {
-  std::lock_guard lock(mu_);
-  std::size_t discarded = dup_skipped_;
-  dup_skipped_ = 0;
-  for (Queue& q : queues_) {
-    if (!q.live) continue;
-    Node* prev = nullptr;
-    for (Node* n = q.head; n != nullptr;) {
-      Node* next = n->next;
-      if (n->msg.duplicate) {
-        if (prev != nullptr) {
-          prev->next = next;
-        } else {
-          q.head = next;
-        }
-        if (q.tail == n) q.tail = prev;
-        free_node(n);
-        ++discarded;
-      } else {
-        prev = n;
-      }
-      n = next;
-    }
-    if (q.head == nullptr) {
-      q.tail = nullptr;
-      q.live = false;
-    }
-  }
-  return discarded;
 }
 
 std::size_t Mailbox::pending() const {

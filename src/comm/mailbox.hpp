@@ -48,9 +48,6 @@ struct Message {
   /// exporter can draw the wire edge and the critical-path analyzer can walk
   /// across ranks. 0 means "not traced".
   std::uint64_t flow_id = 0;
-  /// Injected duplicate copy (fault::DuplicateSpec); the receiver's
-  /// dedup sweep discards it after consuming the original.
-  bool duplicate = false;
 };
 
 class Mailbox {
@@ -92,16 +89,6 @@ class Mailbox {
   /// Currently configured receive timeout (<= 0 = disabled); lets tests
   /// assert that replacing a fault plan resets the previous plan's value.
   int recv_timeout_ms() const;
-
-  /// Drops queued duplicate-flagged messages at the head of the (src, tag)
-  /// FIFO; the receiver calls this after each pop so an injected duplicate
-  /// never reaches application code. Returns how many were discarded.
-  std::size_t discard_duplicates(int src, std::uint64_t tag);
-
-  /// Removes duplicate-flagged messages from every queue (end-of-run
-  /// accounting: a duplicate pushed after its original was already consumed
-  /// and swept is otherwise stranded). Returns how many were removed.
-  std::size_t purge_duplicates();
 
   /// Number of queued messages (for tests / leak checks).
   std::size_t pending() const;
@@ -147,7 +134,6 @@ class Mailbox {
   // Structured failure (injected rank kill). Non-null wins over poisoned_.
   std::shared_ptr<const std::vector<int>> failure_;
   int recv_timeout_ms_ = 0;
-  std::size_t dup_skipped_ = 0;  // duplicates swallowed inside pop
 };
 
 }  // namespace tsr::comm

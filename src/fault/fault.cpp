@@ -1,8 +1,10 @@
 #include "fault/fault.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <mutex>
 #include <sstream>
+#include <type_traits>
 
 namespace tsr::fault {
 
@@ -40,9 +42,8 @@ RecvTimeout::RecvTimeout(int src, std::uint64_t tag, int timeout_ms)
       src_(src) {}
 
 bool FaultPlan::empty() const {
-  return kills.empty() && delays.empty() && drops.empty() &&
-         duplicates.empty() && slow_ranks.empty() && slow_links.empty() &&
-         recv_timeout_ms <= 0;
+  return kills.empty() && delays.empty() && slow_ranks.empty() &&
+         slow_links.empty() && recv_timeout_ms <= 0;
 }
 
 // ---- JSON round trip --------------------------------------------------------
@@ -51,7 +52,6 @@ obs::JsonValue FaultPlan::to_json() const {
   obs::JsonValue root = obs::JsonValue::object();
   root["seed"] = obs::JsonValue(static_cast<std::int64_t>(seed));
   root["recv_timeout_ms"] = obs::JsonValue(recv_timeout_ms);
-  root["max_retries"] = obs::JsonValue(max_retries);
   obs::JsonValue& ks = root["kills"] = obs::JsonValue::array();
   for (const KillSpec& k : kills) {
     obs::JsonValue o = obs::JsonValue::object();
@@ -70,25 +70,6 @@ obs::JsonValue FaultPlan::to_json() const {
     o["probability"] = obs::JsonValue(d.probability);
     o["count"] = obs::JsonValue(d.count);
     ds.push_back(std::move(o));
-  }
-  obs::JsonValue& dr = root["drops"] = obs::JsonValue::array();
-  for (const DropSpec& d : drops) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o["src"] = obs::JsonValue(d.src);
-    o["dst"] = obs::JsonValue(d.dst);
-    o["count"] = obs::JsonValue(d.count);
-    o["times"] = obs::JsonValue(d.times);
-    o["retransmit_after"] = obs::JsonValue(d.retransmit_after);
-    dr.push_back(std::move(o));
-  }
-  obs::JsonValue& du = root["duplicates"] = obs::JsonValue::array();
-  for (const DuplicateSpec& d : duplicates) {
-    obs::JsonValue o = obs::JsonValue::object();
-    o["src"] = obs::JsonValue(d.src);
-    o["dst"] = obs::JsonValue(d.dst);
-    o["probability"] = obs::JsonValue(d.probability);
-    o["count"] = obs::JsonValue(d.count);
-    du.push_back(std::move(o));
   }
   obs::JsonValue& sr = root["slow_ranks"] = obs::JsonValue::array();
   for (const SlowRankSpec& s : slow_ranks) {
@@ -111,162 +92,118 @@ obs::JsonValue FaultPlan::to_json() const {
 
 namespace {
 
-bool fail(std::string* error, const std::string& why) {
-  if (error != nullptr) *error = why;
-  return false;
-}
-
-// Reads a numeric field if present; false (with *error set) on a
-// wrong-typed value, true otherwise. Missing fields keep the default.
-bool read_int(const obs::JsonValue& o, const char* key, std::int64_t* out,
-              std::string* error) {
-  const obs::JsonValue* v = o.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    return fail(error, std::string("fault plan: field '") + key +
-                           "' must be a number");
+// Reads one JSON object of the plan schema. Each read names a key it
+// accepts; done() then rejects any member the reads did not name, so a
+// misspelt or retired key fails loudly instead of running a healthy plan.
+// Missing members keep their defaults. The first error wins.
+class ObjectReader {
+ public:
+  ObjectReader(const obs::JsonValue& o, std::string where, std::string* error)
+      : o_(o), where_(std::move(where)), error_(error) {
+    if (!o_.is_object()) fail(where_ + " must be a JSON object");
   }
-  *out = v->as_int();
-  return true;
-}
 
-bool read_double(const obs::JsonValue& o, const char* key, double* out,
-                 std::string* error) {
-  const obs::JsonValue* v = o.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_number()) {
-    return fail(error, std::string("fault plan: field '") + key +
-                           "' must be a number");
+  template <typename T>
+  void number(const char* key, T* out) {
+    const obs::JsonValue* v = lookup(key);
+    if (v == nullptr) return;
+    if (!v->is_number()) {
+      fail(where_ + ": field '" + key + "' must be a number");
+    } else if constexpr (std::is_floating_point_v<T>) {
+      *out = v->as_double();
+    } else {
+      *out = static_cast<T>(v->as_int());
+    }
   }
-  *out = v->as_double();
-  return true;
-}
 
-// Iterates an optional array member; false when present but not an array.
-bool member_array(const obs::JsonValue& root, const char* key,
-                  const std::vector<obs::JsonValue>** items,
-                  std::string* error) {
-  *items = nullptr;
-  const obs::JsonValue* v = root.find(key);
-  if (v == nullptr) return true;
-  if (!v->is_array()) {
-    return fail(error,
-                std::string("fault plan: '") + key + "' must be an array");
+  /// Calls read(item, where) for each element of an optional array member.
+  template <typename F>
+  void array(const char* key, F&& read) {
+    const obs::JsonValue* v = lookup(key);
+    if (v == nullptr) return;
+    if (!v->is_array()) {
+      fail(where_ + ": '" + key + "' must be an array");
+      return;
+    }
+    for (std::size_t i = 0; i < v->items().size() && ok(); ++i) {
+      read(v->items()[i], std::string(key) + "[" + std::to_string(i) + "]");
+    }
   }
-  *items = &v->items();
-  return true;
-}
+
+  bool done() {
+    for (const auto& member : o_.members()) {
+      if (std::find(known_.begin(), known_.end(), member.first) ==
+          known_.end()) {
+        fail(where_ + ": unknown key '" + member.first + "'");
+      }
+    }
+    return ok();
+  }
+
+ private:
+  bool ok() const { return error_->empty(); }
+  const obs::JsonValue* lookup(const char* key) {
+    known_.push_back(key);
+    return ok() ? o_.find(key) : nullptr;
+  }
+  void fail(const std::string& why) {
+    if (ok()) *error_ = "fault plan: " + why;
+  }
+
+  const obs::JsonValue& o_;
+  std::string where_;
+  std::string* error_;
+  std::vector<const char*> known_;
+};
 
 }  // namespace
 
 FaultPlan FaultPlan::from_json(const obs::JsonValue& root, std::string* error) {
   FaultPlan plan;
   std::string err;
-  if (!root.is_object()) {
-    fail(&err, "fault plan: document must be a JSON object");
-    if (error != nullptr) *error = err;
-    return FaultPlan{};
-  }
-  std::int64_t seed = static_cast<std::int64_t>(plan.seed);
-  std::int64_t timeout = plan.recv_timeout_ms;
-  std::int64_t retries = plan.max_retries;
-  bool ok = read_int(root, "seed", &seed, &err) &&
-            read_int(root, "recv_timeout_ms", &timeout, &err) &&
-            read_int(root, "max_retries", &retries, &err);
-  plan.seed = static_cast<std::uint64_t>(seed);
-  plan.recv_timeout_ms = static_cast<int>(timeout);
-  plan.max_retries = static_cast<int>(retries);
-
-  const std::vector<obs::JsonValue>* items = nullptr;
-  ok = ok && member_array(root, "kills", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      KillSpec k;
-      std::int64_t rank = k.rank;
-      ok = ok && read_int(o, "rank", &rank, &err) &&
-           read_int(o, "at_op", &k.at_op, &err) &&
-           read_double(o, "at_time", &k.at_time, &err);
-      k.rank = static_cast<int>(rank);
-      plan.kills.push_back(k);
-    }
-  }
-  ok = ok && member_array(root, "delays", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      DelaySpec d;
-      std::int64_t src = d.src, dst = d.dst;
-      ok = ok && read_int(o, "src", &src, &err) &&
-           read_int(o, "dst", &dst, &err) &&
-           read_double(o, "seconds", &d.seconds, &err) &&
-           read_double(o, "jitter", &d.jitter, &err) &&
-           read_double(o, "probability", &d.probability, &err) &&
-           read_int(o, "count", &d.count, &err);
-      d.src = static_cast<int>(src);
-      d.dst = static_cast<int>(dst);
-      plan.delays.push_back(d);
-    }
-  }
-  ok = ok && member_array(root, "drops", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      DropSpec d;
-      std::int64_t src = d.src, dst = d.dst, times = d.times;
-      ok = ok && read_int(o, "src", &src, &err) &&
-           read_int(o, "dst", &dst, &err) &&
-           read_int(o, "count", &d.count, &err) &&
-           read_int(o, "times", &times, &err) &&
-           read_double(o, "retransmit_after", &d.retransmit_after, &err);
-      d.src = static_cast<int>(src);
-      d.dst = static_cast<int>(dst);
-      d.times = static_cast<int>(times);
-      plan.drops.push_back(d);
-    }
-  }
-  ok = ok && member_array(root, "duplicates", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      DuplicateSpec d;
-      std::int64_t src = d.src, dst = d.dst;
-      ok = ok && read_int(o, "src", &src, &err) &&
-           read_int(o, "dst", &dst, &err) &&
-           read_double(o, "probability", &d.probability, &err) &&
-           read_int(o, "count", &d.count, &err);
-      d.src = static_cast<int>(src);
-      d.dst = static_cast<int>(dst);
-      plan.duplicates.push_back(d);
-    }
-  }
-  ok = ok && member_array(root, "slow_ranks", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      SlowRankSpec s;
-      std::int64_t rank = s.rank;
-      ok = ok && read_int(o, "rank", &rank, &err) &&
-           read_double(o, "scale", &s.scale, &err);
-      s.rank = static_cast<int>(rank);
-      plan.slow_ranks.push_back(s);
-    }
-  }
-  ok = ok && member_array(root, "slow_links", &items, &err);
-  if (ok && items != nullptr) {
-    for (const obs::JsonValue& o : *items) {
-      SlowLinkSpec s;
-      std::int64_t src = s.src, dst = s.dst;
-      ok = ok && read_int(o, "src", &src, &err) &&
-           read_int(o, "dst", &dst, &err) &&
-           read_double(o, "alpha_scale", &s.alpha_scale, &err) &&
-           read_double(o, "beta_scale", &s.beta_scale, &err);
-      s.src = static_cast<int>(src);
-      s.dst = static_cast<int>(dst);
-      plan.slow_links.push_back(s);
-    }
-  }
-  if (!ok) {
-    if (error != nullptr) *error = err;
-    return FaultPlan{};
-  }
-  if (error != nullptr) error->clear();
-  return plan;
+  ObjectReader top(root, "document", &err);
+  top.number("seed", &plan.seed);
+  top.number("recv_timeout_ms", &plan.recv_timeout_ms);
+  top.array("kills", [&](const obs::JsonValue& o, const std::string& where) {
+    KillSpec k;
+    ObjectReader r(o, where, &err);
+    r.number("rank", &k.rank);
+    r.number("at_op", &k.at_op);
+    r.number("at_time", &k.at_time);
+    if (r.done()) plan.kills.push_back(k);
+  });
+  top.array("delays", [&](const obs::JsonValue& o, const std::string& where) {
+    DelaySpec d;
+    ObjectReader r(o, where, &err);
+    r.number("src", &d.src);
+    r.number("dst", &d.dst);
+    r.number("seconds", &d.seconds);
+    r.number("jitter", &d.jitter);
+    r.number("probability", &d.probability);
+    r.number("count", &d.count);
+    if (r.done()) plan.delays.push_back(d);
+  });
+  top.array("slow_ranks",
+            [&](const obs::JsonValue& o, const std::string& where) {
+              SlowRankSpec s;
+              ObjectReader r(o, where, &err);
+              r.number("rank", &s.rank);
+              r.number("scale", &s.scale);
+              if (r.done()) plan.slow_ranks.push_back(s);
+            });
+  top.array("slow_links",
+            [&](const obs::JsonValue& o, const std::string& where) {
+              SlowLinkSpec s;
+              ObjectReader r(o, where, &err);
+              r.number("src", &s.src);
+              r.number("dst", &s.dst);
+              r.number("alpha_scale", &s.alpha_scale);
+              r.number("beta_scale", &s.beta_scale);
+              if (r.done()) plan.slow_links.push_back(s);
+            });
+  const bool ok = top.done();
+  if (error != nullptr) *error = err;
+  return ok ? plan : FaultPlan{};
 }
 
 FaultPlan FaultPlan::from_json_text(const std::string& text,

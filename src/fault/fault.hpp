@@ -4,11 +4,11 @@
 // links, jittery kernels and dying ranks are facts of life; the simulator's
 // default world is perfectly reliable and perfectly uniform. A FaultPlan
 // describes a set of deliberate departures from that ideal — rank kills,
-// per-message delays / duplicates / simulated packet loss, per-rank compute
-// stragglers and degraded links — which comm::World threads through the
-// communicator and runtime when a plan is installed (World::install_fault_plan,
-// or RunConfig::fault, which bench and tool mains read from the
-// TESSERACT_FAULT_* environment; see docs/fault_injection.md).
+// seeded per-message delays, per-rank compute stragglers and degraded
+// links — which comm::World threads through the communicator and runtime
+// when a plan is installed (World::install_fault_plan, or RunConfig::fault,
+// which bench and tool mains read from the TESSERACT_FAULT_* environment;
+// see docs/fault_injection.md).
 //
 // Two hard guarantees:
 //   * An empty plan is indistinguishable from no plan: no injector is
@@ -62,8 +62,8 @@ class PeerFailure : public std::runtime_error {
 };
 
 /// A blocking receive exceeded the plan's recv_timeout_ms with no message
-/// and no known-dead peer (e.g. a genuinely lost message). Distinct from
-/// PeerFailure so callers can tell "peer died" from "peer silent".
+/// and no known-dead peer (e.g. a receive no rank ever sends to). Distinct
+/// from PeerFailure so callers can tell "peer died" from "peer silent".
 class RecvTimeout : public std::runtime_error {
  public:
   RecvTimeout(int src, std::uint64_t tag, int timeout_ms);
@@ -101,30 +101,6 @@ struct DelaySpec {
   std::int64_t count = -1;
 };
 
-/// Simulated packet loss with receiver-driven retry: each of the first
-/// `count` matching messages per link is "lost" `times` times and
-/// retransmitted with exponential backoff, so its arrival slips by
-/// retransmit_after * (2^times - 1) simulated seconds. `times` is clamped
-/// to the plan's max_retries — the bounded-retry contract that keeps loss
-/// from ever turning into a hang.
-struct DropSpec {
-  int src = -1;
-  int dst = -1;
-  std::int64_t count = 1;
-  int times = 1;
-  double retransmit_after = 1e-3;
-};
-
-/// Duplicates matching messages: the wire carries (and the byte counters
-/// charge) a second copy, which the receiver detects and discards —
-/// `runtime.fault.duplicates_discarded` counts the drops.
-struct DuplicateSpec {
-  int src = -1;
-  int dst = -1;
-  double probability = 1.0;
-  std::int64_t count = -1;
-};
-
 /// Compute straggler: every local time charge on `rank` (kernel work and
 /// NIC serialization alike) runs `scale`x slower on the simulated clock.
 /// scale 1.25 models a 25% straggler.
@@ -152,13 +128,9 @@ struct FaultPlan {
   /// On expiry the receive throws PeerFailure when dead ranks are known,
   /// RecvTimeout otherwise. 0 disables the bound.
   int recv_timeout_ms = 0;
-  /// Upper bound on simulated retransmissions per dropped message.
-  int max_retries = 3;
 
   std::vector<KillSpec> kills;
   std::vector<DelaySpec> delays;
-  std::vector<DropSpec> drops;
-  std::vector<DuplicateSpec> duplicates;
   std::vector<SlowRankSpec> slow_ranks;
   std::vector<SlowLinkSpec> slow_links;
 
@@ -166,7 +138,9 @@ struct FaultPlan {
   /// receive timeout); World::install_fault_plan ignores empty plans.
   bool empty() const;
 
-  /// JSON round trip; see docs/fault_injection.md for the schema.
+  /// JSON round trip; see docs/fault_injection.md for the schema. from_json
+  /// rejects any key the schema does not name, at the top level and inside
+  /// every spec, so a typo cannot silently leave a fault out.
   obs::JsonValue to_json() const;
   static FaultPlan from_json(const obs::JsonValue& v, std::string* error = nullptr);
   static FaultPlan from_json_text(const std::string& text,
@@ -196,9 +170,6 @@ std::string active_plan_fingerprint();
 struct FaultReport {
   std::int64_t kills = 0;
   std::int64_t delayed_msgs = 0;
-  std::int64_t dropped_msgs = 0;        ///< simulated losses (incl. retries)
-  std::int64_t duplicated_msgs = 0;
-  std::int64_t duplicates_discarded = 0;
   double injected_delay_seconds = 0.0;  ///< total arrival-time slip added
   std::vector<int> dead_ranks;          ///< sorted world ranks killed so far
 };

@@ -76,7 +76,7 @@ void Injector::adjust_link(int src, int dst, topo::LinkParams* params) const {
   }
 }
 
-bool Injector::on_message(int src, int dst, comm::Message* msg) {
+void Injector::on_message(int src, int dst, comm::Message* msg) {
   const std::size_t link = static_cast<std::size_t>(src) *
                                static_cast<std::size_t>(nranks_) +
                            static_cast<std::size_t>(dst);
@@ -103,56 +103,12 @@ bool Injector::on_message(int src, int dst, comm::Message* msg) {
     }
   }
 
-  for (const DropSpec& d : plan_.drops) {
-    if (!rank_matches(d.src, src) || !rank_matches(d.dst, dst)) continue;
-    if (d.count >= 0 && static_cast<std::int64_t>(idx) >= d.count) continue;
-    // Bounded retry with exponential backoff: `times` losses cost
-    // retransmit_after * (2^times - 1) of arrival slip. Clamping to
-    // max_retries keeps a misconfigured plan from modeling unbounded loss.
-    const int times =
-        std::max(0, std::min(d.times, std::max(plan_.max_retries, 0)));
-    if (times == 0) continue;
-    const double backoff =
-        d.retransmit_after *
-        (static_cast<double>(std::int64_t{1} << times) - 1.0);
-    msg->arrival_time += backoff;
-    slip += backoff;
-    dropped_.fetch_add(times, std::memory_order_relaxed);
-    if (metrics) {
-      world_->metrics().counter_add("runtime.fault.drops", times);
-      world_->metrics().counter_add("runtime.fault.retransmits", times);
-    }
-  }
-
-  bool duplicate = false;
-  for (const DuplicateSpec& d : plan_.duplicates) {
-    if (!rank_matches(d.src, src) || !rank_matches(d.dst, dst)) continue;
-    if (d.count >= 0 && static_cast<std::int64_t>(idx) >= d.count) continue;
-    if (d.probability < 1.0 &&
-        u01(draw(src, dst, idx, /*salt=*/0xD0B1)) >= d.probability) {
-      continue;
-    }
-    duplicate = true;
-  }
-  if (duplicate) {
-    duplicated_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics) world_->metrics().counter_add("runtime.fault.duplicates", 1);
-  }
   if (slip > 0.0) {
     atomic_add(delay_seconds_, slip);
     if (metrics) {
       world_->metrics().histogram_observe("runtime.fault.delay_sim_seconds",
                                           slip);
     }
-  }
-  return duplicate;
-}
-
-void Injector::note_duplicates_discarded(std::int64_t n) {
-  if (n <= 0) return;
-  dup_discarded_.fetch_add(n, std::memory_order_relaxed);
-  if (world_->metrics_enabled()) {
-    world_->metrics().counter_add("runtime.fault.duplicates_discarded", n);
   }
 }
 
@@ -174,9 +130,6 @@ FaultReport Injector::report() const {
   FaultReport r;
   r.kills = kills_.load(std::memory_order_relaxed);
   r.delayed_msgs = delayed_.load(std::memory_order_relaxed);
-  r.dropped_msgs = dropped_.load(std::memory_order_relaxed);
-  r.duplicated_msgs = duplicated_.load(std::memory_order_relaxed);
-  r.duplicates_discarded = dup_discarded_.load(std::memory_order_relaxed);
   r.injected_delay_seconds = delay_seconds_.load(std::memory_order_relaxed);
   r.dead_ranks = dead_ranks();
   return r;

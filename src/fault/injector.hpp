@@ -8,10 +8,7 @@
 // Hook placement (see comm/communicator.cpp):
 //   * tick(rank, now)     — entry of send_msg / recv_msg; fires kill triggers.
 //   * adjust_link(...)    — before the serialization charge; degraded links.
-//   * on_message(...)     — after arrival stamping; delays, simulated loss
-//                           with bounded retransmit backoff, duplication.
-//   * discard sweep       — after each receive, duplicate copies queued for
-//                           the same (src, tag) are popped and dropped.
+//   * on_message(...)     — after arrival stamping; seeded delays.
 #pragma once
 
 #include <atomic>
@@ -46,23 +43,14 @@ class Injector {
   /// the sender is about to charge. No-op when no link fault matches.
   void adjust_link(int src, int dst, topo::LinkParams* params) const;
 
-  /// Applies message faults to a stamped message: delay (fixed + seeded
-  /// jitter), simulated loss (arrival slips by the bounded-retry backoff)
-  /// and duplication. Returns true when the caller must send a duplicate
-  /// copy of the message.
-  bool on_message(int src, int dst, comm::Message* msg);
+  /// Applies the plan's delays to a stamped message: each matching spec
+  /// adds its fixed seconds plus a seeded jitter draw to the arrival time.
+  void on_message(int src, int dst, comm::Message* msg);
 
   /// Fast gates so the faultless majority of sends skip the fault scans.
   bool has_kills() const { return !plan_.kills.empty(); }
-  bool has_msg_faults() const {
-    return !plan_.delays.empty() || !plan_.drops.empty() ||
-           !plan_.duplicates.empty();
-  }
+  bool has_msg_faults() const { return !plan_.delays.empty(); }
   bool has_link_faults() const { return !plan_.slow_links.empty(); }
-  bool has_duplicates() const { return !plan_.duplicates.empty(); }
-
-  /// Receiver-side bookkeeping for the duplicate-discard sweep.
-  void note_duplicates_discarded(std::int64_t n);
 
   // ---- Failure state --------------------------------------------------------
 
@@ -96,9 +84,6 @@ class Injector {
 
   std::atomic<std::int64_t> kills_{0};
   std::atomic<std::int64_t> delayed_{0};
-  std::atomic<std::int64_t> dropped_{0};
-  std::atomic<std::int64_t> duplicated_{0};
-  std::atomic<std::int64_t> dup_discarded_{0};
   std::atomic<double> delay_seconds_{0.0};
 };
 

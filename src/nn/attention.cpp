@@ -62,54 +62,6 @@ void apply_causal_mask(Tensor& scores) {
   }
 }
 
-void append_kv_rows(Tensor& k_cache, Tensor& v_cache, const Tensor& k_step,
-                    const Tensor& v_step, std::span<const std::int64_t> lens) {
-  check(k_cache.ndim() == 3 && v_cache.ndim() == 3,
-        "append_kv_rows: caches must be [b*n, cap, hd]");
-  check(k_step.ndim() == 3 && k_step.dim(1) == 1,
-        "append_kv_rows: step must be [b*n, 1, hd]");
-  const std::int64_t bn = k_cache.dim(0);
-  const std::int64_t cap = k_cache.dim(1);
-  const std::int64_t hd = k_cache.dim(2);
-  check(bn % static_cast<std::int64_t>(lens.size()) == 0,
-        "append_kv_rows: rows not divisible by sequence count");
-  const std::int64_t heads = bn / static_cast<std::int64_t>(lens.size());
-  for (std::int64_t r = 0; r < bn; ++r) {
-    const std::int64_t t = lens[static_cast<std::size_t>(r / heads)];
-    check(t < cap, "append_kv_rows: sequence exceeds cache capacity");
-    float* kdst = k_cache.data() + (r * cap + t) * hd;
-    float* vdst = v_cache.data() + (r * cap + t) * hd;
-    const float* ksrc = k_step.data() + r * hd;
-    const float* vsrc = v_step.data() + r * hd;
-    for (std::int64_t e = 0; e < hd; ++e) {
-      kdst[e] = ksrc[e];
-      vdst[e] = vsrc[e];
-    }
-  }
-}
-
-Tensor attend_step(const Tensor& q, const Tensor& k_cache,
-                   const Tensor& v_cache, std::span<const std::int64_t> lens) {
-  check(q.ndim() == 3 && q.dim(1) == 1, "attend_step: q must be [b*n, 1, hd]");
-  const std::int64_t bn = q.dim(0);
-  const std::int64_t cap = k_cache.dim(1);
-  const std::int64_t hd = q.dim(2);
-  const std::int64_t heads = bn / static_cast<std::int64_t>(lens.size());
-  // Scores over the WHOLE cache, then the same -1e9 mask the full forward
-  // writes above the diagonal, applied to the tail [lens[b], cap). Rows
-  // there are exactly zero (reset_slot's contract), so the dot products for
-  // live positions are bitwise those of the full pass, and exp(-1e9 - max)
-  // underflows the masked tail to +0.0 — invisible to the softmax sum.
-  Tensor scores = bmm(q, k_cache, Trans::N, Trans::T);  // [b*n, 1, cap]
-  scale(scores, 1.0f / std::sqrt(static_cast<float>(hd)));
-  for (std::int64_t r = 0; r < bn; ++r) {
-    const std::int64_t live = lens[static_cast<std::size_t>(r / heads)];
-    for (std::int64_t j = live; j < cap; ++j) scores.at(r, 0, j) = -1e9f;
-  }
-  Tensor attn = softmax(scores);
-  return bmm(attn, v_cache);  // [b*n, 1, hd]
-}
-
 MultiHeadAttention::MultiHeadAttention(std::int64_t hidden, std::int64_t heads,
                                        Rng& rng, bool causal)
     : qkv(hidden, 3 * hidden, rng), proj(hidden, hidden, rng), heads_(heads),
@@ -143,31 +95,6 @@ Tensor MultiHeadAttention::forward(const Tensor& x) {
   Tensor ctx = bmm(attn_, v_);               // [b*n, s, hd]
   Tensor merged = merge_heads(ctx, batch_);  // [b, s, h]
   return proj.forward(merged);
-}
-
-Tensor MultiHeadAttention::decode_step(const Tensor& x, Tensor& k_cache,
-                                       Tensor& v_cache,
-                                       std::span<const std::int64_t> lens) {
-  check(x.ndim() == 3 && x.dim(1) == 1,
-        "MultiHeadAttention::decode_step: input must be [b, 1, h]");
-  const std::int64_t b = x.dim(0);
-  const std::int64_t h = x.dim(2);
-  check(static_cast<std::size_t>(b) == lens.size(),
-        "MultiHeadAttention::decode_step: lens must have one entry per row");
-
-  Tensor fused = qkv.forward(x);  // [b, 1, 3h]
-  const Tensor fused2d = fused.as_matrix();
-  Tensor q3 = slice_block(fused2d, 0, 0, b, h).reshape({b, 1, h});
-  Tensor k3 = slice_block(fused2d, 0, h, b, h).reshape({b, 1, h});
-  Tensor v3 = slice_block(fused2d, 0, 2 * h, b, h).reshape({b, 1, h});
-  Tensor q = split_heads(q3, heads_);
-  append_kv_rows(k_cache, v_cache, split_heads(k3, heads_),
-                 split_heads(v3, heads_), lens);
-  // The step's own row is live too: attend over lens[b] + 1 positions.
-  std::vector<std::int64_t> live(lens.begin(), lens.end());
-  for (std::int64_t& t : live) ++t;
-  Tensor ctx = attend_step(q, k_cache, v_cache, live);  // [b*n, 1, hd]
-  return proj.forward(merge_heads(ctx, b));
 }
 
 Tensor MultiHeadAttention::backward(const Tensor& dy) {

@@ -1,11 +1,7 @@
 // Multi-head self-attention (paper eq. 6), Megatron-style: one fused
 // [h, 3h] QKV projection, per-head scaled dot-product attention, and an
-// [h, h] output projection. Besides the full [b, s, h] forward, the layer
-// supports incremental seq-len-1 decode steps over a KV cache (serving's
-// autoregressive path), bit-identical to the full-recompute forward.
+// [h, h] output projection.
 #pragma once
-
-#include <span>
 
 #include "nn/linear.hpp"
 #include "tensor/rng.hpp"
@@ -23,29 +19,6 @@ Tensor merge_heads(const Tensor& x, std::int64_t batch);
 /// names GPT-2 as a Tesseract target model).
 void apply_causal_mask(Tensor& scores);
 
-// ---- KV-cache decode primitives -------------------------------------------
-// Shared by the serial and the Tesseract attention layers: a decode step
-// projects one new token per sequence, appends its K/V rows to per-head
-// caches, and attends the new Q row over the cached prefix. The contract
-// that makes decode logits BIT-IDENTICAL to the full-recompute forward:
-// cache rows at or past a sequence's length stay exactly zero, the mask
-// writes the same -1e9 after the same 1/sqrt(hd) scaling, and the cache
-// capacity stays within one GEMM k-chunk (<= 64) so the contraction order
-// matches the full pass.
-
-/// Writes one step's K/V rows (each [b*n, 1, hd]) into the caches
-/// ([b*n, cap, hd]) at row lens[b] of every head of sequence b.
-void append_kv_rows(Tensor& k_cache, Tensor& v_cache, const Tensor& k_step,
-                    const Tensor& v_step, std::span<const std::int64_t> lens);
-
-/// Masked scaled-dot-product attention of one decode step: q [b*n, 1, hd]
-/// against k/v caches [b*n, cap, hd]. Sequence b attends to cache positions
-/// [0, lens[b]); the tail entries get the full forward's -1e9 mask (written
-/// after the 1/sqrt(hd) scaling, exactly like apply_causal_mask). Returns
-/// the context rows [b*n, 1, hd].
-Tensor attend_step(const Tensor& q, const Tensor& k_cache,
-                   const Tensor& v_cache, std::span<const std::int64_t> lens);
-
 class MultiHeadAttention {
  public:
   MultiHeadAttention(std::int64_t hidden, std::int64_t heads, Rng& rng,
@@ -54,14 +27,6 @@ class MultiHeadAttention {
   /// x: [b, s, h] -> [b, s, h].
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);
-
-  /// One KV-cache decode step: x [b, 1, h] holds each sequence's next-token
-  /// activations; this step's K/V rows are written into the caches at
-  /// lens[b] and the new position attends over the lens[b]+1 cached rows.
-  /// Returns [b, 1, h], bit-identical to the matching rows of forward().
-  /// Leaves the backward caches untouched (decode has no backward pass).
-  Tensor decode_step(const Tensor& x, Tensor& k_cache, Tensor& v_cache,
-                     std::span<const std::int64_t> lens);
 
   void zero_grad();
   std::vector<Param*> params();

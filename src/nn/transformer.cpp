@@ -15,13 +15,6 @@ Tensor TransformerLayer::forward(const Tensor& x) {
   return add(y, ffn.forward(ln2.forward(y)));
 }
 
-Tensor TransformerLayer::decode_step(const Tensor& x, Tensor& k_cache,
-                                     Tensor& v_cache,
-                                     std::span<const std::int64_t> lens) {
-  Tensor y = add(x, attn.decode_step(ln1.forward(x), k_cache, v_cache, lens));
-  return add(y, ffn.forward(ln2.forward(y)));
-}
-
 Tensor TransformerLayer::backward(const Tensor& dy) {
   // z = y + FFN(LN2(y)): gradient flows through both the residual and the
   // FFN branch.

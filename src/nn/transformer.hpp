@@ -30,13 +30,6 @@ class TransformerLayer {
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);
 
-  /// One KV-cache decode step: x [b, 1, h] -> [b, 1, h] with this layer's
-  /// caches (see MultiHeadAttention::decode_step). The residual adds and
-  /// layer norms are row-local, so the result is bit-identical to the
-  /// matching rows of forward().
-  Tensor decode_step(const Tensor& x, Tensor& k_cache, Tensor& v_cache,
-                     std::span<const std::int64_t> lens);
-
   void zero_grad();
   std::vector<Param*> params();
 

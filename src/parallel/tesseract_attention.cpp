@@ -77,44 +77,6 @@ Tensor TesseractAttention::forward(const Tensor& x_local) {
   return proj.forward(merged);
 }
 
-Tensor TesseractAttention::decode_step(const Tensor& x_local, Tensor& k_cache,
-                                       Tensor& v_cache,
-                                       std::span<const std::int64_t> lens) {
-  obs::ScopedTimer timer_ =
-      ctx_->timer("layer.attention.decode_step.sim_seconds");
-  check(x_local.ndim() == 3 && x_local.dim(1) == 1,
-        "TesseractAttention::decode_step: expected [b', 1, h/q]");
-  const std::int64_t batch = x_local.dim(0);
-  const std::int64_t lh = hidden_ / ctx_->q();
-  const std::int64_t nl = local_heads();
-  const std::int64_t hd = hidden_ / heads_;
-  const std::int64_t cap = k_cache.dim(1);
-  check(static_cast<std::size_t>(batch) == lens.size(),
-        "TesseractAttention::decode_step: lens must match the batch slice");
-
-  Tensor fused = qkv.forward(x_local);  // [b', 1, 3h/q]
-  qkv.clear_caches();
-  const Tensor fused2d = fused.as_matrix();
-  Tensor q3 = slice_block(fused2d, 0, 0, batch, lh).reshape({batch, 1, lh});
-  Tensor k3 = slice_block(fused2d, 0, lh, batch, lh).reshape({batch, 1, lh});
-  Tensor v3 =
-      slice_block(fused2d, 0, 2 * lh, batch, lh).reshape({batch, 1, lh});
-  Tensor q = nn::split_heads(q3, nl);
-  nn::append_kv_rows(k_cache, v_cache, nn::split_heads(k3, nl),
-                     nn::split_heads(v3, nl), lens);
-  std::vector<std::int64_t> live(lens.begin(), lens.end());
-  for (std::int64_t& t : live) ++t;
-  // Same charge structure as forward() with s = 1 query rows over cap keys.
-  Tensor ctxv = nn::attend_step(q, k_cache, v_cache, live);
-  ctx_->charge_gemm(batch * nl, cap, hd);
-  ctx_->charge_memory(2 * batch * nl * cap *
-                      static_cast<std::int64_t>(sizeof(float)));
-  ctx_->charge_gemm(batch * nl, hd, cap);
-  Tensor out = proj.forward(nn::merge_heads(ctxv, batch));
-  proj.clear_caches();
-  return out;
-}
-
 Tensor TesseractAttention::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.attention.backward.sim_seconds");
   check(!cache_stack_.empty(),

@@ -8,8 +8,6 @@
 // output projection is another TesseractLinear.
 #pragma once
 
-#include <span>
-
 #include "parallel/tesseract_linear.hpp"
 
 namespace tsr::par {
@@ -25,16 +23,6 @@ class TesseractAttention {
   /// x_local: [b/(d*q), s, h/q] -> same shape.
   Tensor forward(const Tensor& x_local);
   Tensor backward(const Tensor& dy_local);
-
-  /// One KV-cache decode step over this rank's n/q heads: x_local is the
-  /// batch slice's next-token activations [b', 1, h/q], the caches are
-  /// [b'*nl, cap, hd], and lens[b] counts sequence b's cached rows. Fully
-  /// local after the QKV projection, like forward(); bit-identical to the
-  /// matching rows of forward() (see nn::attend_step for the contract).
-  /// Clears the projection backward caches it creates — decode runs
-  /// thousands of steps and never calls backward().
-  Tensor decode_step(const Tensor& x_local, Tensor& k_cache, Tensor& v_cache,
-                     std::span<const std::int64_t> lens);
 
   std::int64_t hidden() const { return hidden_; }
   std::int64_t heads() const { return heads_; }

@@ -22,24 +22,6 @@ Tensor TesseractTransformerLayer::forward(const Tensor& x_local) {
   return z;
 }
 
-Tensor TesseractTransformerLayer::decode_step(
-    const Tensor& x_local, Tensor& k_cache, Tensor& v_cache,
-    std::span<const std::int64_t> lens) {
-  obs::ScopedTimer timer_ =
-      ctx_->timer("layer.transformer_layer.decode_step.sim_seconds");
-  Tensor y =
-      add(x_local, attn.decode_step(ln1.forward(x_local), k_cache, v_cache, lens));
-  ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
-  Tensor z = add(y, ffn.forward(ln2.forward(y)));
-  ctx_->charge_memory(z.numel() * static_cast<std::int64_t>(sizeof(float)));
-  // attn.decode_step cleared its own projections; the norms and the FFN
-  // cached a backward state this step will never consume.
-  ln1.clear_caches();
-  ln2.clear_caches();
-  ffn.clear_caches();
-  return z;
-}
-
 Tensor TesseractTransformerLayer::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.transformer_layer.backward.sim_seconds");
   Tensor dy2 = add(dy_local, ln2.backward(ffn.backward(dy_local)));

@@ -25,13 +25,6 @@ class TesseractTransformerLayer {
   Tensor forward(const Tensor& x_local);
   Tensor backward(const Tensor& dy_local);
 
-  /// One KV-cache decode step on the local activation shard: x_local
-  /// [b', 1, h/q] -> same shape, with this layer's caches
-  /// [b'*nl, cap, hd] (see TesseractAttention::decode_step). Drops the
-  /// backward caches it creates — serving decode never runs backward().
-  Tensor decode_step(const Tensor& x_local, Tensor& k_cache, Tensor& v_cache,
-                     std::span<const std::int64_t> lens);
-
   void zero_grad();
   std::vector<nn::Param*> params();
   /// Drops all in-flight forward caches (activation checkpointing).

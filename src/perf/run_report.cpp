@@ -252,8 +252,6 @@ RunReport build_run_report(const comm::World& world, std::string name) {
     const fault::FaultReport fr = inj->report();
     rep.fault_kills = fr.kills;
     rep.fault_delayed_msgs = fr.delayed_msgs;
-    rep.fault_dropped_msgs = fr.dropped_msgs;
-    rep.fault_duplicated_msgs = fr.duplicated_msgs;
     rep.fault_delay_seconds = fr.injected_delay_seconds;
     rep.dead_ranks = fr.dead_ranks;
 
@@ -378,8 +376,6 @@ obs::JsonValue RunReport::to_json() const {
     obs::JsonValue f = obs::JsonValue::object();
     f["kills"] = fault_kills;
     f["delayed_msgs"] = fault_delayed_msgs;
-    f["dropped_msgs"] = fault_dropped_msgs;
-    f["duplicated_msgs"] = fault_duplicated_msgs;
     f["injected_delay_seconds"] = fault_delay_seconds;
     obs::JsonValue dead = obs::JsonValue::array();
     for (int r : dead_ranks) dead.push_back(static_cast<std::int64_t>(r));
@@ -529,9 +525,7 @@ std::string RunReport::run_report_summary(const obs::JsonValue& doc) {
   if (const obs::JsonValue* f = doc.find("fault")) {
     os << "\nfault attribution:\n"
        << "  kills " << inum(f->find("kills")) << ", delayed "
-       << inum(f->find("delayed_msgs")) << ", dropped "
-       << inum(f->find("dropped_msgs")) << ", duplicated "
-       << inum(f->find("duplicated_msgs")) << ", injected delay "
+       << inum(f->find("delayed_msgs")) << ", injected delay "
        << fmt_seconds(num(f->find("injected_delay_seconds"))) << "\n";
     if (const obs::JsonValue* strag = f->find("stragglers")) {
       for (const obs::JsonValue& s : strag->items()) {
@@ -714,8 +708,6 @@ std::string RunReport::run_report_html(const obs::JsonValue& doc) {
     };
     row("kills", "rank kills");
     row("delayed_msgs", "delayed messages");
-    row("dropped_msgs", "dropped messages");
-    row("duplicated_msgs", "duplicated messages");
     os << "<tr><td class=\"l\">injected delay</td><td>"
        << fmt_seconds(num(f->find("injected_delay_seconds")))
        << "</td></tr>\n</table>\n";

@@ -54,8 +54,7 @@ struct RankAttribution {
 
 /// One (src, dst) cell of the communication matrix. Real messages carry a
 /// payload; phantom messages move only declared bytes (the benchmark
-/// harness's paper-scale replays). Injected duplicate copies are counted by
-/// the byte counters but carry no flow record, so they do not appear here.
+/// harness's paper-scale replays).
 struct CommEdge {
   std::int64_t msgs = 0;
   std::int64_t bytes = 0;
@@ -127,8 +126,6 @@ struct RunReport {
   bool fault_active = false;
   std::int64_t fault_kills = 0;
   std::int64_t fault_delayed_msgs = 0;
-  std::int64_t fault_dropped_msgs = 0;
-  std::int64_t fault_duplicated_msgs = 0;
   double fault_delay_seconds = 0.0;
   std::vector<int> dead_ranks;
   std::vector<StragglerCharge> stragglers;

@@ -95,40 +95,6 @@ Tensor embed_tokens(nn::Embedding& tok, const nn::Param& pos,
   return x;
 }
 
-// Token + position embedding for ONE decode step: slot b's next token lands
-// at position lens[b], so it gets that position's embedding row — the same
-// add embed_tokens does for position lens[b] of the full pass.
-Tensor embed_step(nn::Embedding& tok, const nn::Param& pos,
-                  std::span<const int> tokens,
-                  std::span<const std::int64_t> lens, std::int64_t hidden) {
-  const auto batch = static_cast<std::int64_t>(tokens.size());
-  Tensor x = tok.forward(tokens, batch);  // [b, 1, h]
-  for (std::int64_t b = 0; b < batch; ++b) {
-    const std::int64_t t = lens[static_cast<std::size_t>(b)];
-    for (std::int64_t e = 0; e < hidden; ++e) {
-      x.at(b, 0, e) += pos.value.at(t, e);
-    }
-  }
-  return x;
-}
-
-// Zeroes `nrows` cache rows starting at `first_row` in every layer's K and V
-// cache (rows are contiguous [capacity, head_dim] blocks).
-void zero_slot_rows(std::vector<Tensor>& k_cache, std::vector<Tensor>& v_cache,
-                    std::int64_t first_row, std::int64_t nrows) {
-  for (std::size_t l = 0; l < k_cache.size(); ++l) {
-    const std::int64_t stride = k_cache[l].dim(1) * k_cache[l].dim(2);
-    std::fill_n(k_cache[l].data() + first_row * stride, nrows * stride, 0.0f);
-    std::fill_n(v_cache[l].data() + first_row * stride, nrows * stride, 0.0f);
-  }
-}
-
-void check_step_capacity(const LmDecodeState& state) {
-  for (std::int64_t t : state.lens) {
-    check(t < state.capacity, "forward_step: a slot is at cache capacity");
-  }
-}
-
 void embed_backward(nn::Embedding& tok, nn::Param& pos, const Tensor& dx) {
   tok.backward(dx);
   const std::int64_t batch = dx.dim(0);
@@ -170,44 +136,6 @@ void LanguageModel::backward(const Tensor& dlogits) {
   Tensor dy = ln_f_.backward(head_.backward(dlogits));
   Tensor dx = decoder_.backward(dy);
   embed_backward(tok_, pos_, dx);
-}
-
-LmDecodeState LanguageModel::make_decode_state(std::int64_t slots) const {
-  check(slots >= 1, "make_decode_state: need at least one slot");
-  LmDecodeState st;
-  st.capacity = cfg_.seq;
-  st.slots = slots;
-  st.lens.assign(static_cast<std::size_t>(slots), 0);
-  const std::int64_t hd = cfg_.hidden / cfg_.heads;
-  for (std::int64_t l = 0; l < cfg_.layers; ++l) {
-    st.k_cache.push_back(
-        Tensor::zeros({slots * cfg_.heads, st.capacity, hd}));
-    st.v_cache.push_back(
-        Tensor::zeros({slots * cfg_.heads, st.capacity, hd}));
-  }
-  return st;
-}
-
-Tensor LanguageModel::forward_step(std::span<const int> tokens,
-                                   LmDecodeState& state) {
-  check(static_cast<std::int64_t>(tokens.size()) == state.slots,
-        "forward_step: one token per slot");
-  check_step_capacity(state);
-  Tensor x = embed_step(tok_, pos_, tokens, state.lens, cfg_.hidden);
-  auto& layers = decoder_.layers();
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    x = layers[l]->decode_step(x, state.k_cache[l], state.v_cache[l],
-                               state.lens);
-  }
-  Tensor logits = head_.forward(ln_f_.forward(x));
-  for (std::int64_t& t : state.lens) ++t;
-  return logits;
-}
-
-void LanguageModel::reset_slot(LmDecodeState& state, std::int64_t slot) const {
-  check(slot >= 0 && slot < state.slots, "reset_slot: slot out of range");
-  zero_slot_rows(state.k_cache, state.v_cache, slot * cfg_.heads, cfg_.heads);
-  state.lens[static_cast<std::size_t>(slot)] = 0;
 }
 
 void LanguageModel::zero_grad() {
@@ -259,63 +187,6 @@ void TesseractLanguageModel::backward(const Tensor& dlogits) {
   Tensor dx = par::collect_activation(ctx_->comms(), dx_local, batch_,
                                       cfg_.seq, cfg_.hidden);
   embed_backward(tok_, pos_, dx);
-}
-
-LmDecodeState TesseractLanguageModel::make_decode_state(
-    std::int64_t slots) const {
-  const std::int64_t dq =
-      static_cast<std::int64_t>(ctx_->q()) * static_cast<std::int64_t>(ctx_->d());
-  check(slots >= 1 && slots % dq == 0,
-        "make_decode_state: slots must divide by d*q");
-  LmDecodeState st;
-  st.capacity = cfg_.seq;
-  st.slots = slots;
-  st.lens.assign(static_cast<std::size_t>(slots), 0);
-  const std::int64_t bl = slots / dq;             // slots in my batch slice
-  const std::int64_t nl = cfg_.heads / ctx_->q(); // heads on this rank
-  const std::int64_t hd = cfg_.hidden / cfg_.heads;
-  for (std::int64_t l = 0; l < cfg_.layers; ++l) {
-    st.k_cache.push_back(Tensor::zeros({bl * nl, st.capacity, hd}));
-    st.v_cache.push_back(Tensor::zeros({bl * nl, st.capacity, hd}));
-  }
-  return st;
-}
-
-Tensor TesseractLanguageModel::forward_step(std::span<const int> tokens,
-                                            LmDecodeState& state) {
-  check(static_cast<std::int64_t>(tokens.size()) == state.slots,
-        "forward_step: one token per slot");
-  check_step_capacity(state);
-  Tensor x = embed_step(tok_, pos_, tokens, state.lens, cfg_.hidden);
-  Tensor x_local = par::distribute_activation(ctx_->comms(), x);
-  const std::int64_t bl = x_local.dim(0);
-  // My batch slice covers global slots [slice*bl, (slice+1)*bl).
-  const std::int64_t slice = ctx_->comms().a_block_row();
-  std::span<const std::int64_t> local_lens(state.lens.data() + slice * bl,
-                                           static_cast<std::size_t>(bl));
-  auto& layers = decoder_.layers();
-  for (std::size_t l = 0; l < layers.size(); ++l) {
-    x_local = layers[l]->decode_step(x_local, state.k_cache[l],
-                                     state.v_cache[l], local_lens);
-  }
-  Tensor y =
-      par::collect_activation(ctx_->comms(), x_local, state.slots, 1, cfg_.hidden);
-  Tensor logits = head_.forward(ln_f_.forward(y));
-  for (std::int64_t& t : state.lens) ++t;
-  return logits;
-}
-
-void TesseractLanguageModel::reset_slot(LmDecodeState& state,
-                                        std::int64_t slot) const {
-  check(slot >= 0 && slot < state.slots, "reset_slot: slot out of range");
-  const std::int64_t dq =
-      static_cast<std::int64_t>(ctx_->q()) * static_cast<std::int64_t>(ctx_->d());
-  const std::int64_t bl = state.slots / dq;
-  if (slot / bl == ctx_->comms().a_block_row()) {
-    const std::int64_t nl = cfg_.heads / ctx_->q();
-    zero_slot_rows(state.k_cache, state.v_cache, (slot % bl) * nl, nl);
-  }
-  state.lens[static_cast<std::size_t>(slot)] = 0;
 }
 
 void TesseractLanguageModel::zero_grad() {

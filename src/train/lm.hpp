@@ -45,21 +45,6 @@ class SyntheticCorpus {
   std::vector<std::vector<int>> samples_;  // each of length seq + 1
 };
 
-/// KV-cache decode state for autoregressive serving: per-decoder-layer K/V
-/// caches over a fixed grid of sequence slots, plus each GLOBAL slot's
-/// current length. Built by a model's make_decode_state and advanced one
-/// token per slot by forward_step. The bit-identity contract (decode logits
-/// bitwise equal to the full-recompute forward) requires capacity <= 64 —
-/// one GEMM k-chunk, so the cached contraction order matches the full pass —
-/// and that reset_slot zeroed a slot's rows before its first token.
-struct LmDecodeState {
-  std::vector<Tensor> k_cache;     ///< per layer, [rows, capacity, head_dim]
-  std::vector<Tensor> v_cache;     ///< same shapes as k_cache
-  std::vector<std::int64_t> lens;  ///< tokens cached per GLOBAL slot
-  std::int64_t capacity = 0;       ///< max tokens per slot (== cfg.seq)
-  std::int64_t slots = 0;          ///< number of sequence slots
-};
-
 /// Single-device causal LM.
 class LanguageModel {
  public:
@@ -68,17 +53,6 @@ class LanguageModel {
   /// tokens: batch * seq ids -> logits [batch, seq, vocab].
   Tensor forward(std::span<const int> tokens, std::int64_t batch);
   void backward(const Tensor& dlogits);
-
-  /// Zeroed decode state with `slots` sequence slots of capacity cfg.seq.
-  LmDecodeState make_decode_state(std::int64_t slots) const;
-  /// One decode step: tokens[slot] is appended to each slot's sequence and
-  /// the logits for the new position come back as [slots, 1, vocab],
-  /// bit-identical to position lens[slot] of the full forward. Increments
-  /// every slot's length.
-  Tensor forward_step(std::span<const int> tokens, LmDecodeState& state);
-  /// Empties one slot: zeroes its cache rows (the mask contract in
-  /// nn::attend_step needs dead rows exactly zero) and resets its length.
-  void reset_slot(LmDecodeState& state, std::int64_t slot) const;
 
   void zero_grad();
   std::vector<nn::Param*> params();
@@ -103,19 +77,6 @@ class TesseractLanguageModel {
 
   Tensor forward(std::span<const int> tokens, std::int64_t batch);
   void backward(const Tensor& dlogits);
-
-  /// Distributed decode state: `slots` must divide by d*q; each rank holds
-  /// the caches for its batch slice (slots/(d*q) slots x n/q heads) while
-  /// `lens` stays global and replicated.
-  LmDecodeState make_decode_state(std::int64_t slots) const;
-  /// One decode step, SPMD-collective (every rank passes the same tokens):
-  /// embeds replicated, runs the sharded decoder on seq-len-1 activations,
-  /// and returns the full [slots, 1, vocab] logits on every rank —
-  /// bit-identical to the serial decode and to the full forward.
-  Tensor forward_step(std::span<const int> tokens, LmDecodeState& state);
-  /// Empties one slot on whichever rank owns its batch slice (global
-  /// `lens` entry resets everywhere). Collective-free.
-  void reset_slot(LmDecodeState& state, std::int64_t slot) const;
 
   void zero_grad();
   std::vector<nn::Param*> params();
