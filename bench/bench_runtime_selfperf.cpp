@@ -104,8 +104,9 @@ StepMeasurement run_tesseract_step(const Tensor& x, const Tensor& dy) {
 // scheduler/mailbox-bound workload bench_table1_strong_scaling times, one
 // evaluation per listed config, at `layers` layers. Besides the wall time it
 // sums the deterministic phantom counts, which show how many collectives
-// were simulated and how many of them ran a compiled program: with one
-// layer most keys are called once or twice, so compiling barely starts.
+// were simulated, how many of them ran a compiled program and how many
+// layers ran as a segment program (all but two per replay): with one layer
+// most keys are called once or twice, so compiling barely starts.
 struct ReplayMeasurement {
   double wall_ms = 0.0;
   comm::PhantomCounts counts;
@@ -127,6 +128,7 @@ ReplayMeasurement run_table1_replay(int layers) {
     m.counts.replays += c.replays;
     m.counts.compiles += c.compiles;
     m.counts.compiled_runs += c.compiled_runs;
+    m.counts.segment_runs += c.segment_runs;
   }
   m.wall_ms = ms_since(t0);
   return m;
@@ -251,14 +253,19 @@ int main() {
           static_cast<std::int64_t>(m.counts.replays + m.counts.compiled_runs);
       c["plans_compiled"] = static_cast<std::int64_t>(m.counts.compiles);
       c["compiled_runs"] = static_cast<std::int64_t>(m.counts.compiled_runs);
+      c["segment_runs"] = static_cast<std::int64_t>(m.counts.segment_runs);
+      c["collectives_per_host_s"] =
+          static_cast<double>(m.counts.replays + m.counts.compiled_runs) /
+          (m.wall_ms * 1e-3);
     }
     const comm::PhantomCounts& c = replays[0].counts;
     std::printf("  %d layer%s: %llu collectives simulated, %llu plans "
-                "compiled, %llu compiled runs\n",
+                "compiled, %llu compiled runs, %llu segment runs\n",
                 layers, layers == 1 ? "" : "s",
                 static_cast<unsigned long long>(c.replays + c.compiled_runs),
                 static_cast<unsigned long long>(c.compiles),
-                static_cast<unsigned long long>(c.compiled_runs));
+                static_cast<unsigned long long>(c.compiled_runs),
+                static_cast<unsigned long long>(c.segment_runs));
   }
   run_config().workers = configured_workers;
 

@@ -459,6 +459,7 @@ void Communicator::send_msg(int dst_grank, std::uint64_t tag,
   }
   const int src_w = world_rank();
   const int dst_w = world_rank_of(dst_grank);
+  world_->rendezvous().log_message(src_w);
   fault::Injector* inj = world_->fault_injector();
   if (inj != nullptr) inj->tick(src_w, clock().now());
   Message m;
@@ -507,6 +508,7 @@ Message Communicator::recv_msg(int src_grank, std::uint64_t tag) {
     record_->push_back(WireOp{0, src_grank, /*send=*/false});
     return Message{};
   }
+  world_->rendezvous().log_message(world_rank());
   fault::Injector* inj = world_->fault_injector();
   if (inj != nullptr) inj->tick(world_rank(), clock().now());
   Message m = world_->mailbox(world_rank()).pop(world_rank_of(src_grank), tag);
@@ -564,6 +566,38 @@ void Communicator::phantom_collective(CollectiveKind kind, int root,
   if (rdv.arrive(*meetings_, collective, grank_, ops)) {
     (void)world_->mailbox(world_rank()).pop(world_rank(), Rendezvous::kWakeTag);
   }
+}
+
+void Communicator::charge(double seconds) {
+  clock().advance(seconds);
+  world_->rendezvous().log_charge(world_rank(), seconds);
+}
+
+void Communicator::repeat(int times, const std::function<void()>& body) {
+  Rendezvous& rdv = world_->rendezvous();
+  const int me = world_rank();
+  if (times <= 2 || !world_->per_collective_phantoms() ||
+      size() != world_->size() || rdv.logging(me)) {
+    for (int i = 0; i < times; ++i) body();
+    return;
+  }
+  CommStats before;
+  try {
+    rdv.start_log(me);
+    body();
+    rdv.start_check(me);
+    before = stats();
+    body();
+  } catch (...) {
+    rdv.stop_log(me);
+    throw;
+  }
+  if (rdv.run_segment(me, times - 2)) {
+    const CommStats iteration = stats().since(before);
+    for (int i = 2; i < times; ++i) stats().merge(iteration);
+    return;
+  }
+  for (int i = 2; i < times; ++i) body();
 }
 
 // ---- Group construction ----------------------------------------------------

@@ -350,6 +350,25 @@ class Communicator {
   void phantom_reduce_scatter(std::int64_t total_bytes);
   void phantom_sendrecv(int dst, int src, std::int64_t bytes);
 
+  // ---- Local work and repeated segments --------------------------------------
+
+  /// Charges `seconds` of local work to this rank's clock (scaled by its
+  /// slowdown), the way pdg::charge_gemm and charge_memory_bound do; a
+  /// repeat() logs it.
+  void charge(double seconds);
+
+  /// Runs `body` `times` times. SPMD over the whole World: every rank calls
+  /// it, and `body` makes the same phantom collectives and charges in every
+  /// iteration. When phantoms are simulated per collective and times > 2,
+  /// the first two iterations run and are logged; the rest run as one flat
+  /// segment program on the World's clocks with no meeting or fiber switch
+  /// (comm/rendezvous.hpp), and each rank adds the second iteration's
+  /// CommStats once per skipped iteration. Otherwise, or when the logs
+  /// cannot make a program (a message crossed a mailbox, the two iterations
+  /// differ), it is a plain loop. Clocks, CommStats and PhantomCounts are
+  /// identical either way.
+  void repeat(int times, const std::function<void()>& body);
+
  private:
   friend class World;
 

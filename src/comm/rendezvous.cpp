@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <deque>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "comm/communicator.hpp"
 
@@ -140,8 +142,10 @@ struct Rendezvous::Plan {
     std::uint32_t count = 0;
   };
 
-  Plan(CollectiveKind k, int r, std::int64_t b) : bytes(b), root(r), kind(k) {}
+  Plan(Meetings& c, CollectiveKind k, int r, std::int64_t b)
+      : comm(&c), bytes(b), root(r), kind(k) {}
 
+  Meetings* comm;  // the communicator whose calls run it
   std::int64_t bytes;
   int root;
   CollectiveKind kind;
@@ -216,7 +220,9 @@ struct Rendezvous::Meetings {
 };
 
 Rendezvous::Rendezvous(World& world)
-    : world_(world), recorders_(static_cast<std::size_t>(world.size())) {}
+    : world_(world),
+      recorders_(static_cast<std::size_t>(world.size())),
+      logs_(static_cast<std::size_t>(world.size())) {}
 
 Rendezvous::~Rendezvous() = default;
 
@@ -252,7 +258,9 @@ Rendezvous::Collective& Rendezvous::collective(Meetings& comm, int grank,
     for (Plan& p : comm.plans) {
       if (p.bytes == bytes && p.root == root && p.kind == kind) plan = &p;
     }
-    if (plan == nullptr) plan = &comm.plans.emplace_back(kind, root, bytes);
+    if (plan == nullptr) {
+      plan = &comm.plans.emplace_back(comm, kind, root, bytes);
+    }
   }
   known.push_back({bytes, root, kind, plan});
   m.next = 0;
@@ -274,10 +282,13 @@ void Rendezvous::reset() {
     c->late.clear();
     c->late_count.store(0);
   }
+  for (Log& log : logs_) log.mode = Log::kOff;
+  segment_arrived_.store(0);
 }
 
 PhantomCounts Rendezvous::counts() const {
-  return {replays_.load(), compiles_.load(), compiled_runs_.load()};
+  return {replays_.load(), compiles_.load(), compiled_runs_.load(),
+          segment_runs_.load()};
 }
 
 bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
@@ -287,6 +298,8 @@ bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
   const topo::MachineSpec& spec = world_.spec();
   const auto me = static_cast<std::size_t>(grank);
   const int me_w = comm.ranks[me];
+  Log& log = logs_[static_cast<std::size_t>(me_w)];
+  if (log.mode != Log::kOff) note(log, {&p, 0.0});
   rt::SimClock& clock = world_.clock(me_w);
   const rt::SimClock entry = clock;
   const bool detached =
@@ -369,11 +382,15 @@ void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner,
   }
   for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
     if (i == runner || seats[i].detached) continue;
-    Message wake;
-    wake.src = comm.ranks[i];
-    wake.tag = kWakeTag;
-    world_.mailbox(comm.ranks[i]).push(std::move(wake));
+    wake(comm.ranks[i]);
   }
+}
+
+void Rendezvous::wake(int world_rank) {
+  Message m;
+  m.src = world_rank;
+  m.tag = kWakeTag;
+  world_.mailbox(world_rank).push(std::move(m));
 }
 
 void Rendezvous::release(Meetings& comm, std::size_t k, std::uint64_t next) {
@@ -513,19 +530,29 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
 }
 
 void Rendezvous::run_compiled(Meetings& comm, const Plan& p, std::size_t k) {
-  const topo::MachineSpec& spec = world_.spec();
   const std::vector<int>& ranks = comm.ranks;
   const std::size_t g = ranks.size();
   const Seat* seats = comm.seats_of(k);
-  const double intra_alpha = spec.params(topo::LinkType::IntraNode).alpha;
-  const double inter_alpha = spec.params(topo::LinkType::InterNode).alpha;
   Scratch& sc = comm.scratch;
   sc.clocks.resize(g);
   for (std::size_t i = 0; i < g; ++i) sc.clocks[i] = seats[i].entry;
-  sc.arrivals.resize(static_cast<std::size_t>(p.nsends));
+  run_steps(p, sc.clocks.data());
+  for (std::size_t i = 0; i < g; ++i) {
+    if (p.members[i].detached) continue;  // charged itself at arrival
+    world_.clock(ranks[i]) = sc.clocks[i];
+    add_counts(world_.stats(ranks[i]), p.members[i].counts);
+  }
+}
+
+void Rendezvous::run_steps(const Plan& p, rt::SimClock* clocks) const {
+  const topo::MachineSpec& spec = world_.spec();
+  const double intra_alpha = spec.params(topo::LinkType::IntraNode).alpha;
+  const double inter_alpha = spec.params(topo::LinkType::InterNode).alpha;
+  std::vector<double>& arrivals = p.comm->scratch.arrivals;
+  arrivals.resize(static_cast<std::size_t>(p.nsends));
   for (const Step& s : p.steps) {
-    rt::SimClock& clock = sc.clocks[static_cast<std::size_t>(s.member)];
-    double& arrival = sc.arrivals[static_cast<std::size_t>(s.slot)];
+    rt::SimClock& clock = clocks[s.member];
+    double& arrival = arrivals[s.slot];
     switch (s.op) {
       case kSendIntra:
         clock.advance(s.busy);
@@ -543,10 +570,135 @@ void Rendezvous::run_compiled(Meetings& comm, const Plan& p, std::size_t k) {
         break;
     }
   }
-  for (std::size_t i = 0; i < g; ++i) {
-    if (p.members[i].detached) continue;  // charged itself at arrival
-    world_.clock(ranks[i]) = sc.clocks[i];
-    add_counts(world_.stats(ranks[i]), p.members[i].counts);
+}
+
+// ---- Repeated segments -------------------------------------------------------
+
+void Rendezvous::start_log(int world_rank) {
+  Log& log = logs_[static_cast<std::size_t>(world_rank)];
+  log.mode = Log::kLogging;
+  log.valid = true;
+  log.events.clear();
+}
+
+void Rendezvous::start_check(int world_rank) {
+  Log& log = logs_[static_cast<std::size_t>(world_rank)];
+  log.mode = Log::kChecking;
+  log.checked = 0;
+  log.entry = world_.clock(world_rank);
+}
+
+void Rendezvous::note(Log& log, const Event& e) {
+  if (log.mode == Log::kLogging) {
+    log.events.push_back(e);
+  } else if (log.checked >= log.events.size() ||
+             !(log.events[log.checked++] == e)) {
+    log.valid = false;  // the second iteration differs from the first
+  }
+}
+
+bool Rendezvous::run_segment(int world_rank, int more) {
+  Log& log = logs_[static_cast<std::size_t>(world_rank)];
+  if (log.checked != log.events.size()) log.valid = false;
+  log.mode = Log::kOff;
+  const int n = world_.size();
+  if (segment_arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 < n) {
+    (void)world_.mailbox(world_rank).pop(world_rank, kWakeTag);
+    return segment_ok_;
+  }
+  // Every other rank is parked on its mailbox until the wake.
+  segment_ok_ = build_and_run_segment(more);
+  segment_arrived_.store(0, std::memory_order_relaxed);
+  for (int r = 0; r < n; ++r) {
+    if (r != world_rank) wake(r);
+  }
+  return segment_ok_;
+}
+
+bool Rendezvous::build_and_run_segment(int more) {
+  const auto n = static_cast<std::size_t>(world_.size());
+  for (const Log& log : logs_) {
+    if (!log.valid) return false;
+  }
+  // Walk the logs in dataflow order. A rank runs until it reaches a
+  // collective whose members have not all arrived; the last member to
+  // arrive fires it and makes the others runnable again. Every member calls
+  // a communicator's collectives in the same order, so each communicator
+  // has at most one collective waiting for members.
+  struct Waiting {
+    const Plan* plan = nullptr;
+    std::size_t arrived = 0;
+  };
+  std::unordered_map<const Meetings*, Waiting> waiting;
+  std::vector<std::size_t> pc(n, 0);
+  std::vector<int> ready;
+  for (std::size_t r = n; r-- > 0;) ready.push_back(static_cast<int>(r));
+  std::vector<SegmentOp> program;
+  std::uint64_t fires = 0;
+  while (!ready.empty()) {
+    const int r = ready.back();
+    ready.pop_back();
+    const std::vector<Event>& events = logs_[static_cast<std::size_t>(r)].events;
+    std::size_t& at = pc[static_cast<std::size_t>(r)];
+    while (at < events.size()) {
+      const Event& e = events[at];
+      if (e.plan == nullptr) {
+        program.push_back({nullptr, e.seconds, r});
+        ++at;
+        continue;
+      }
+      Waiting& w = waiting[e.plan->comm];
+      if (w.plan == nullptr) w.plan = e.plan;
+      if (w.plan != e.plan) return false;  // members disagree
+      const std::vector<int>& members = e.plan->comm->ranks;
+      if (++w.arrived < members.size()) break;  // wait for the rest
+      program.push_back({e.plan, 0.0, 0});
+      ++fires;
+      w = Waiting{};
+      for (int m : members) {
+        ++pc[static_cast<std::size_t>(m)];
+        if (m != r) ready.push_back(m);
+      }
+    }
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    if (pc[r] != logs_[r].events.size()) return false;  // stuck
+  }
+  // The program must turn each rank's clock at the second iteration's
+  // start into the clock that iteration ended with, which catches any
+  // clock change the logs missed.
+  std::vector<rt::SimClock> check(n);
+  for (std::size_t r = 0; r < n; ++r) check[r] = logs_[r].entry;
+  run_segment_program(program, check.data());
+  for (std::size_t r = 0; r < n; ++r) {
+    if (std::bit_cast<std::uint64_t>(check[r].now()) !=
+        std::bit_cast<std::uint64_t>(world_.clock(static_cast<int>(r)).now())) {
+      return false;
+    }
+  }
+  rt::SimClock* clocks = &world_.clock(0);
+  for (int i = 0; i < more; ++i) run_segment_program(program, clocks);
+  const auto runs = static_cast<std::uint64_t>(more);
+  compiled_runs_.fetch_add(fires * runs, std::memory_order_relaxed);
+  segment_runs_.fetch_add(runs, std::memory_order_relaxed);
+  return true;
+}
+
+void Rendezvous::run_segment_program(const std::vector<SegmentOp>& program,
+                                     rt::SimClock* clocks) {
+  for (const SegmentOp& op : program) {
+    if (op.plan == nullptr) {
+      clocks[op.rank].advance(op.seconds);
+      continue;
+    }
+    // A fire: the members' clocks are their entry clocks, and the run
+    // leaves their exit clocks (detached members' too).
+    const std::vector<int>& ranks = op.plan->comm->ranks;
+    std::vector<rt::SimClock>& group = op.plan->comm->scratch.clocks;
+    group.resize(ranks.size());
+    for (std::size_t i = 0; i < ranks.size(); ++i) group[i] = clocks[ranks[i]];
+    run_steps(*op.plan, group.data());
+    for (std::size_t i = 0; i < ranks.size(); ++i) clocks[ranks[i]] = group[i];
   }
 }
 

@@ -41,9 +41,29 @@
 // count. Plans live as long as their World, and every count above (replays,
 // compiles, compiled runs) is a function of the program alone.
 //
+// Repeated segments (Communicator::repeat). The layer loops of a phantom
+// replay call the same collectives and charges in every iteration. Each
+// rank logs its first iteration: every charge (the advance() argument) and
+// every phantom collective it arrives at (its plan). The second iteration
+// must log the same events; any mailbox send or receive in either one
+// spoils the log. By the end of the second iteration every plan is
+// compiled. The ranks then meet once. The last to arrive walks the logs in
+// dataflow order: a collective fires once all its members have reached it.
+// The walk emits a segment program: per-rank charges and plan fires in one
+// valid global order. The program references plans; fires and compiled runs
+// share one step interpreter. The runner first runs the program on the
+// clocks every rank had when its second iteration started and checks that
+// this gives the clocks the iteration really ended with, bit for bit. It
+// then runs the program for the remaining iterations on the World's clocks,
+// with no meeting, wake or fiber switch. A spoiled log, a walk that gets
+// stuck or a failed check makes every rank run the remaining iterations
+// normally. Meetings, slots and call counters are left as they were: every
+// member skips the same calls.
+//
 // The message path stays the reference: traced, metered, live and faulted
-// runs and every real-payload collective use it, and the tests compare both
-// the replay and the compiled runs against it bit for bit.
+// runs and every real-payload collective use it, and the tests compare
+// the replay, the compiled runs and the segment programs against it bit
+// for bit.
 #pragma once
 
 #include <atomic>
@@ -53,6 +73,7 @@
 #include <vector>
 
 #include "comm/stats.hpp"
+#include "runtime/sim_clock.hpp"
 
 namespace tsr::comm {
 
@@ -67,11 +88,13 @@ struct WireOp {
 };
 
 /// What a World's Rendezvous has simulated (tests and benches read it). All
-/// three are deterministic for a given program.
+/// four are deterministic for a given program.
 struct PhantomCounts {
   std::uint64_t replays = 0;        ///< calls replayed from recorded op lists
   std::uint64_t compiles = 0;       ///< plans compiled (keys called twice)
-  std::uint64_t compiled_runs = 0;  ///< calls run from a compiled program
+  /// Calls run from a compiled program, by a meeting or a segment program.
+  std::uint64_t compiled_runs = 0;
+  std::uint64_t segment_runs = 0;  ///< iterations run as a segment program
 };
 
 /// Per-World meeting point and plan table of phantom collectives.
@@ -126,9 +149,41 @@ class Rendezvous {
   /// message of the program can use it.
   static constexpr std::uint64_t kWakeTag = 0;
 
-  /// Drops meetings a failed run left half-filled (World::run start); plans
-  /// and their programs stay.
+  /// Drops meetings and logs a failed run left half-filled (World::run
+  /// start); plans and their programs stay.
   void reset();
+
+  // ---- Repeated segments (Communicator::repeat) -----------------------------
+
+  /// True while `world_rank` logs or checks an iteration.
+  bool logging(int world_rank) const {
+    return logs_[static_cast<std::size_t>(world_rank)].mode != Log::kOff;
+  }
+  /// Starts logging `world_rank`'s first iteration.
+  void start_log(int world_rank);
+  /// Switches to checking the second iteration against the first; its
+  /// clock now is the second iteration's entry clock.
+  void start_check(int world_rank);
+  /// A local charge of `seconds` (the advance() argument) on `world_rank`.
+  void log_charge(int world_rank, double seconds) {
+    Log& log = logs_[static_cast<std::size_t>(world_rank)];
+    if (log.mode != Log::kOff) note(log, {nullptr, seconds});
+  }
+  /// A mailbox send or receive on `world_rank`: spoils its log.
+  void log_message(int world_rank) {
+    Log& log = logs_[static_cast<std::size_t>(world_rank)];
+    if (log.mode != Log::kOff) log.valid = false;
+  }
+  /// Stops the log without meeting (an iteration threw).
+  void stop_log(int world_rank) {
+    logs_[static_cast<std::size_t>(world_rank)].mode = Log::kOff;
+  }
+  /// `world_rank` has run two iterations of a repeat that wants `more`
+  /// further ones. Meets every rank of the World, then returns true when
+  /// the last to arrive ran those iterations as a segment program (clocks
+  /// and PhantomCounts final; each rank still adds its CommStats), or false
+  /// when every rank must run them itself.
+  bool run_segment(int world_rank, int more);
 
   /// What this World has simulated so far (tests check which path ran).
   PhantomCounts counts() const;
@@ -141,14 +196,53 @@ class Rendezvous {
   void replay(Meetings& comm, Plan& plan, std::size_t slot, bool compile);
   void run_compiled(Meetings& comm, const Plan& plan, std::size_t slot);
   void release(Meetings& comm, std::size_t slot, std::uint64_t next_call);
+  void wake(int world_rank);
+  // Runs `plan` with its members' clocks in `clocks` (group order): the one
+  // step interpreter of compiled runs and segment fires.
+  void run_steps(const Plan& plan, rt::SimClock* clocks) const;
+
+  // One event of a rank's iteration: a charge of `seconds` when `plan` is
+  // null, else an arrival at a phantom collective of that plan.
+  struct Event {
+    const Plan* plan = nullptr;
+    double seconds = 0.0;
+    bool operator==(const Event&) const = default;
+  };
+  // A rank's log; only its own thread touches it until the meeting.
+  struct Log {
+    enum Mode : std::uint8_t { kOff, kLogging, kChecking };
+    Mode mode = kOff;
+    bool valid = true;  // no mailbox traffic, second iteration matched
+    std::size_t checked = 0;  // events of the second iteration so far
+    std::vector<Event> events;  // the first iteration
+    rt::SimClock entry;  // clock at the second iteration's start
+  };
+  // One step of a segment program: a charge of `seconds` on world rank
+  // `rank` when `plan` is null, else a fire of `plan`.
+  struct SegmentOp {
+    const Plan* plan = nullptr;
+    double seconds = 0.0;
+    int rank = 0;
+  };
+  void note(Log& log, const Event& e);
+  // The runner's part of run_segment: walks the logs into a segment program
+  // and runs it; false when the ranks must run the iterations themselves.
+  bool build_and_run_segment(int more);
+  // Runs `program` once on `clocks` (indexed by world rank).
+  void run_segment_program(const std::vector<SegmentOp>& program,
+                           rt::SimClock* clocks);
 
   World& world_;
   std::vector<std::vector<WireOp>> recorders_;  // per world rank
+  std::vector<Log> logs_;  // per world rank
+  std::atomic<int> segment_arrived_{0};
+  bool segment_ok_ = false;  // the runner's verdict, read after the wake
   std::mutex mu_;  // guards comms_ and each Meetings' plan table
   std::vector<std::unique_ptr<Meetings>> comms_;
   std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> compiled_runs_{0};
+  std::atomic<std::uint64_t> segment_runs_{0};
 };
 
 }  // namespace tsr::comm

@@ -40,6 +40,24 @@ void CommStats::merge(const CommStats& other) {
   }
 }
 
+CommStats CommStats::since(const CommStats& earlier) const {
+  CommStats d;
+  d.msgs_sent = msgs_sent - earlier.msgs_sent;
+  d.bytes_sent = bytes_sent - earlier.bytes_sent;
+  d.bytes_intra_node = bytes_intra_node - earlier.bytes_intra_node;
+  d.bytes_inter_node = bytes_inter_node - earlier.bytes_inter_node;
+  for (const auto& [name, op] : collectives) {
+    OpStats& out = d.collectives[name];
+    out = op;
+    const auto it = earlier.collectives.find(name);
+    if (it != earlier.collectives.end()) {
+      out.calls -= it->second.calls;
+      out.bytes -= it->second.bytes;
+    }
+  }
+  return d;
+}
+
 void CommStats::reset() { *this = CommStats{}; }
 
 std::int64_t CommStats::collective_calls() const {

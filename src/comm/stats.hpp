@@ -60,6 +60,8 @@ struct CommStats {
   void record_collective(CollectiveKind kind, std::int64_t bytes);
   /// Accumulates `other` into this (for cluster-wide totals).
   void merge(const CommStats& other);
+  /// What was recorded since `earlier`, an earlier copy of these stats.
+  CommStats since(const CommStats& earlier) const;
   void reset();
 
   std::int64_t collective_calls() const;

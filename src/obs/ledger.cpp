@@ -37,7 +37,8 @@ MetricClass classify_metric(std::string_view path) {
 bool higher_is_better(std::string_view path) {
   const std::string_view seg = last_segment(path);
   return contains(seg, "gflops") || contains(seg, "speedup") ||
-         seg == "reuses" || seg == "pool_reuses";
+         contains(seg, "per_host_s") || seg == "reuses" ||
+         seg == "pool_reuses";
 }
 
 NoiseBand noise_band(const std::vector<double>& history) {
@@ -247,6 +248,27 @@ bool ingest_document(const JsonValue& doc, LedgerRecord* out,
 // ---------------------------------------------------------------------------
 // Ledger file.
 // ---------------------------------------------------------------------------
+
+std::vector<MetricDiff> diff_deterministic(const LedgerRecord& a,
+                                           const LedgerRecord& b) {
+  std::vector<MetricDiff> out;
+  for (const auto& [path, value] : a.metrics) {
+    if (classify_metric(path) != MetricClass::Deterministic) continue;
+    const double* other = b.find_metric(path);
+    if (other == nullptr) {
+      out.push_back({path, value, std::nullopt});
+    } else if (*other != value) {
+      out.push_back({path, value, *other});
+    }
+  }
+  for (const auto& [path, value] : b.metrics) {
+    if (classify_metric(path) == MetricClass::Deterministic &&
+        a.find_metric(path) == nullptr) {
+      out.push_back({path, std::nullopt, value});
+    }
+  }
+  return out;
+}
 
 bool Ledger::load(const std::string& path, Ledger* out, std::string* err) {
   out->path_ = path;

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -48,7 +49,8 @@ enum class MetricClass { Deterministic, HostWall };
 MetricClass classify_metric(std::string_view path);
 
 /// Host metrics where larger is the good direction (gflops, speedup,
-/// reuses); regressions are drops below the band instead of rises above it.
+/// reuses, *_per_host_s rates); regressions are drops below the band
+/// instead of rises above it.
 bool higher_is_better(std::string_view path);
 
 /// Noise band over a host-metric history. halfwidth = max(relative floor,
@@ -99,6 +101,21 @@ struct LedgerRecord {
 /// document has no schema_version/kind envelope.
 bool ingest_document(const JsonValue& doc, LedgerRecord* out,
                      std::string* err);
+
+/// A deterministic metric that differs between two documents. A side that
+/// lacks the path has no value.
+struct MetricDiff {
+  std::string path;
+  std::optional<double> a;
+  std::optional<double> b;
+};
+
+/// The deterministic metrics of `a` and `b` that differ in value or exist
+/// in one only, in `a`'s order, then `b`'s extra paths. Host-class metrics
+/// (scheduler_*, reuses, wall times, ...) vary from run to run and are
+/// skipped.
+std::vector<MetricDiff> diff_deterministic(const LedgerRecord& a,
+                                           const LedgerRecord& b);
 
 /// The append-only history file. Loading a missing file yields an empty
 /// ledger (recording bootstraps it); a torn trailing line is tolerated and

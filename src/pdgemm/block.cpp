@@ -55,7 +55,7 @@ Tensor combine(const std::vector<Tensor>& blocks, int rows, int cols) {
 void charge_gemm(comm::Communicator& comm, std::int64_t m, std::int64_t n,
                  std::int64_t k) {
   const double t0 = comm.clock().now();
-  comm.clock().advance(comm.world().spec().gemm_time(m, n, k));
+  comm.charge(comm.world().spec().gemm_time(m, n, k));
   if (comm.world().tracing()) {
     // bytes = the operand/result footprint the kernel touches once.
     const std::int64_t bytes =
@@ -76,7 +76,7 @@ void charge_gemm(comm::Communicator& comm, std::int64_t m, std::int64_t n,
 
 void charge_memory_bound(comm::Communicator& comm, std::int64_t bytes) {
   const double t0 = comm.clock().now();
-  comm.clock().advance(comm.world().spec().memory_bound_time(bytes));
+  comm.charge(comm.world().spec().memory_bound_time(bytes));
   if (comm.world().tracing()) {
     comm.world().record_span(comm.world_rank(), "kernel", t0,
                              comm.clock().now(), comm::SpanKind::Kernel, bytes);

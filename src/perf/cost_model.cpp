@@ -39,25 +39,27 @@ std::string EvalConfig::shape_string() const {
 
 void replay_schedule(const EvalConfig& cfg, comm::Communicator& c,
                      bool backward) {
+  // Every layer repeats the same schedule: after two, the rest run as one
+  // segment program (Communicator::repeat).
   if (cfg.scheme == Scheme::Megatron1D) {
-    for (int l = 0; l < cfg.layers; ++l) {
+    c.repeat(cfg.layers, [&] {
       if (backward) {
         phantom_megatron_backward(c, cfg.dims);
       } else {
         phantom_megatron_forward(c, cfg.dims);
       }
-    }
+    });
     return;
   }
   const int grid_d = cfg.scheme == Scheme::Optimus2D ? 1 : cfg.d;
   pdg::TesseractComms tc = pdg::TesseractComms::create(c, cfg.q, grid_d);
-  for (int l = 0; l < cfg.layers; ++l) {
+  c.repeat(cfg.layers, [&] {
     if (backward) {
       phantom_tesseract_backward(tc, cfg.dims);
     } else {
       phantom_tesseract_forward(tc, cfg.dims);
     }
-  }
+  });
 }
 
 EvalResult evaluate(const EvalConfig& cfg) {

@@ -201,9 +201,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SubgroupFuzz, ::testing::Range(0, 8));
 // Draws cover ragged byte counts on both sides of the 64 KiB protocol
 // switch, random roots, node sizes, stragglers, concurrent row/column
 // subgroups and two communicators over the same ranks (a second handle on
-// the row, and a split of the world). The drawn schedule runs three times
-// with different local work before each call, so every key is replayed,
-// compiled, and then run compiled from fresh entry clocks.
+// the row, and a split of the world). The drawn schedule runs once, then
+// as the body of a Communicator::repeat with a drawn count of at least
+// three: every key is replayed, compiled and run compiled at its meetings
+// in the first three passes, then run compiled in a segment program from
+// fresh entry clocks. The oracle runs the same repeat as a plain loop. A
+// segment program runs no body, so the clocks after each call are compared
+// over the first three passes and the final clocks over all of them.
 class PhantomFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
@@ -234,6 +238,7 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
   }
   std::vector<double> slowdown(static_cast<std::size_t>(n), 1.0);
   slowdown[rng.next_below(static_cast<std::uint64_t>(n))] = 1.5;
+  const int passes = 3 + static_cast<int>(rng.next_below(4));  // 3..6
 
   auto run = [&](bool oracle) {
     World world(n, spec);
@@ -253,10 +258,10 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
       Communicator groups[5] = {c, c.subgroup(row_ranks),
                                 c.subgroup(col_ranks), c.subgroup(row_ranks),
                                 c.split(0, c.rank())};
-      for (int pass = 0; pass < 3; ++pass) {
+      auto pass = [&] {
         for (const Op& op : schedule) {
           Communicator& g = groups[op.group];
-          c.clock().advance(op.work * (1 + (c.rank() + pass) % 3));
+          c.charge(op.work * (1 + c.rank() % 3));
           const int root = op.root % g.size();
           switch (op.kind) {
             case 0: g.phantom_broadcast(root, op.bytes); break;
@@ -267,12 +272,14 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
           }
           clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
         }
-      }
+      };
+      pass();
+      c.repeat(passes, pass);
+      clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
     });
     std::vector<CommStats> stats;
     for (int r = 0; r < n; ++r) stats.push_back(world.stats(r));
-    return std::make_tuple(clocks, stats, world.rendezvous().counts().replays,
-                           world.rendezvous().counts().compiled_runs);
+    return std::make_tuple(clocks, stats, world.rendezvous().counts());
   };
   // Every scheduler backend: fibers on one and on four workers, threads.
   struct Backend {
@@ -286,23 +293,29 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
     cfg->workers = b.workers;
     SCOPED_TRACE(b.threads ? "threads"
                            : "fibers W=" + std::to_string(b.workers));
-    const auto [fast_clocks, fast_stats, fast_replays, fast_compiled] =
-        run(false);
-    const auto [ref_clocks, ref_stats, ref_replays, ref_compiled] = run(true);
-    EXPECT_GT(fast_replays, 0u);
-    EXPECT_GT(fast_compiled, 0u);
-    EXPECT_EQ(ref_replays, 0u);
-    EXPECT_EQ(ref_compiled, 0u);
+    const auto [fast_clocks, fast_stats, fast] = run(false);
+    const auto [ref_clocks, ref_stats, ref] = run(true);
+    EXPECT_GT(fast.replays, 0u);
+    EXPECT_GT(fast.compiled_runs, 0u);
+    EXPECT_EQ(fast.segment_runs, static_cast<std::uint64_t>(passes - 2));
+    EXPECT_EQ(ref.replays + ref.compiled_runs + ref.segment_runs, 0u);
+    const std::size_t logged = 3 * schedule.size();
     for (int r = 0; r < n; ++r) {
       const auto& a = fast_clocks[static_cast<std::size_t>(r)];
       const auto& b = ref_clocks[static_cast<std::size_t>(r)];
-      ASSERT_EQ(a.size(), b.size());
-      for (std::size_t k = 0; k < a.size(); ++k) {
+      ASSERT_EQ(a.size(), logged + 1);
+      ASSERT_EQ(b.size(),
+                static_cast<std::size_t>(1 + passes) * schedule.size() + 1);
+      for (std::size_t k = 0; k < logged; ++k) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
                   std::bit_cast<std::uint64_t>(b[k]))
             << "rank " << r << " call " << k << " q=" << q
             << " gpus_per_node=" << spec.gpus_per_node;
       }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.back()),
+                std::bit_cast<std::uint64_t>(b.back()))
+          << "rank " << r << " final clock, passes=" << passes << " q=" << q
+          << " gpus_per_node=" << spec.gpus_per_node;
       const CommStats& sa = fast_stats[static_cast<std::size_t>(r)];
       const CommStats& sb = ref_stats[static_cast<std::size_t>(r)];
       EXPECT_EQ(sa.msgs_sent, sb.msgs_sent) << "rank " << r;

@@ -16,6 +16,7 @@
 namespace {
 
 using tsr::obs::classify_metric;
+using tsr::obs::diff_deterministic;
 using tsr::obs::gate_documents;
 using tsr::obs::GateOptions;
 using tsr::obs::GateReport;
@@ -127,7 +128,8 @@ TEST(MetricClass, SimClockNamesAreDeterministic) {
   for (const char* m :
        {"cases/row/fwd_ms", "cases/row/bwd_ms", "cases/row/inference_ms",
         "cases/row/throughput", "cases/x/sim_time_s", "cases/x/bytes_sent",
-        "makespan_sim_seconds", "cases/x/output_bit_identical_to_w1"}) {
+        "makespan_sim_seconds", "cases/x/output_bit_identical_to_w1",
+        "cases/table1_replay_w1/segment_runs"}) {
     EXPECT_EQ(classify_metric(m), MetricClass::Deterministic) << m;
   }
 }
@@ -137,7 +139,8 @@ TEST(MetricClass, HostPatternsAreHostWall) {
        {"cases/x/wall_ms", "cases/x/wall_ms_per_step", "cases/x/gflops",
         "cases/x/speedup_vs_w1", "cases/x/scheduler_resumes",
         "cases/x/pool_allocations", "cases/pack_scratch/allocations",
-        "cases/pack_scratch/reuses", "cases/v/max_rel_err_vs_scalar"}) {
+        "cases/pack_scratch/reuses", "cases/v/max_rel_err_vs_scalar",
+        "cases/table1_replay_w1/collectives_per_host_s"}) {
     EXPECT_EQ(classify_metric(m), MetricClass::HostWall) << m;
   }
 }
@@ -146,6 +149,7 @@ TEST(MetricClass, Direction) {
   EXPECT_TRUE(higher_is_better("cases/x/gflops"));
   EXPECT_TRUE(higher_is_better("cases/x/speedup_vs_w1"));
   EXPECT_TRUE(higher_is_better("cases/pack_scratch/reuses"));
+  EXPECT_TRUE(higher_is_better("cases/table1_replay_w1/collectives_per_host_s"));
   EXPECT_FALSE(higher_is_better("cases/x/wall_ms"));
 }
 
@@ -200,6 +204,30 @@ TEST(Ingest, FlattensCasesByNameAndSkipsEnvelope) {
   // Envelope fields are identity, not metrics.
   EXPECT_EQ(rec.find_metric("schema_version"), nullptr);
   EXPECT_EQ(rec.find_metric("workers"), nullptr);
+}
+
+// tsr_gate diff: deterministic paths only, by value and by presence.
+TEST(Diff, NamesDeterministicPathsThatDifferAndSkipsHostOnes) {
+  LedgerRecord a, b, c;
+  std::string err;
+  ASSERT_TRUE(ingest_document(parse(bench_doc(12.5, 100.0)), &a, &err));
+  // Another wall time (host-class): no difference.
+  ASSERT_TRUE(ingest_document(parse(bench_doc(12.5, 250.0)), &b, &err));
+  EXPECT_TRUE(diff_deterministic(a, b).empty());
+  ASSERT_TRUE(ingest_document(parse(bench_doc(12.75, 100.0)), &c, &err));
+  auto diffs = diff_deterministic(a, c);
+  ASSERT_EQ(diffs.size(), 1u);
+  EXPECT_EQ(diffs[0].path, "cases/c0/fwd_ms");
+  EXPECT_EQ(*diffs[0].a, 12.5);
+  EXPECT_EQ(*diffs[0].b, 12.75);
+  // A path only one side has is named with the other side empty.
+  c.metrics.emplace_back("cases/c0/segment_runs", 176.0);
+  c.metrics.emplace_back("cases/c0/scheduler_parks", 5.0);
+  diffs = diff_deterministic(c, a);
+  ASSERT_EQ(diffs.size(), 2u);
+  EXPECT_EQ(diffs[1].path, "cases/c0/segment_runs");
+  EXPECT_EQ(*diffs[1].a, 176.0);
+  EXPECT_FALSE(diffs[1].b.has_value());
 }
 
 TEST(Ingest, RejectsDocumentWithoutEnvelope) {

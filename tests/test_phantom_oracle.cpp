@@ -9,7 +9,10 @@
 // 64 KiB pipelined threshold, ragged byte counts, every root, each key
 // issued three times from differently staggered clocks, stragglers, intra-
 // and inter-node links, row and column sub-communicators in flight at once,
-// and two communicators over the same ranks.
+// and two communicators over the same ranks. The paper's layer replays run
+// their layer loops through Communicator::repeat, whose steady state is a
+// segment program; they must match the message path as well, and bodies
+// that cannot be a segment program must fall back to the plain loop.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "perf/cost_model.hpp"
 #include "scoped_config.hpp"
 
 namespace tsr::comm {
@@ -314,6 +318,220 @@ TEST(PhantomOracle64, SingleMemberGroupsSkipTheRendezvous) {
   EXPECT_EQ(world.rendezvous().counts().replays, 0u);
   EXPECT_EQ(world.total_stats().msgs_sent, 0);
   EXPECT_EQ(world.total_stats().collective_calls(), 4);
+}
+
+// ---- Layer loops through Communicator::repeat ------------------------------
+
+struct ReplayOutcome {
+  std::vector<double> after_fwd;  // per world rank
+  std::vector<double> after_bwd;
+  std::vector<CommStats> stats;
+  PhantomCounts counts;
+};
+
+// Replays `layers` forward layers, then as many backward ones, from
+// staggered clocks with stragglers. `repeat` runs perf::replay_schedule
+// (Communicator::repeat); otherwise the layer loop is written out, the
+// per-collective path as it was before repeat existed.
+ReplayOutcome replay_layers(const perf::EvalConfig& cfg, bool oracle,
+                            bool repeat) {
+  const int n = cfg.total_ranks();
+  World world(n, cfg.spec);
+  if (oracle) world.enable_metrics();  // forces the message path
+  for (int r = 0; r < n; ++r) {
+    world.clock(r).reset(1e-7 * r);
+    if (r % 3 == 1) world.clock(r).set_slowdown(1.75);
+  }
+  ReplayOutcome out;
+  out.after_fwd.resize(static_cast<std::size_t>(n));
+  out.after_bwd.resize(static_cast<std::size_t>(n));
+  world.run([&](Communicator& c) {
+    for (const bool backward : {false, true}) {
+      if (repeat) {
+        perf::replay_schedule(cfg, c, backward);
+      } else if (cfg.scheme == perf::Scheme::Megatron1D) {
+        for (int l = 0; l < cfg.layers; ++l) {
+          backward ? perf::phantom_megatron_backward(c, cfg.dims)
+                   : perf::phantom_megatron_forward(c, cfg.dims);
+        }
+      } else {
+        pdg::TesseractComms tc = pdg::TesseractComms::create(
+            c, cfg.q, cfg.scheme == perf::Scheme::Optimus2D ? 1 : cfg.d);
+        for (int l = 0; l < cfg.layers; ++l) {
+          backward ? perf::phantom_tesseract_backward(tc, cfg.dims)
+                   : perf::phantom_tesseract_forward(tc, cfg.dims);
+        }
+      }
+      auto& after = backward ? out.after_bwd : out.after_fwd;
+      after[static_cast<std::size_t>(c.world_rank())] = c.clock().now();
+    }
+  });
+  for (int r = 0; r < n; ++r) out.stats.push_back(world.stats(r));
+  out.counts = world.rendezvous().counts();
+  return out;
+}
+
+void expect_same_replay(const ReplayOutcome& a, const ReplayOutcome& b,
+                        const std::string& label) {
+  ASSERT_EQ(a.stats.size(), b.stats.size()) << label;
+  for (std::size_t r = 0; r < a.stats.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.after_fwd[r]),
+              std::bit_cast<std::uint64_t>(b.after_fwd[r]))
+        << label << " rank " << r << " forward: " << a.after_fwd[r] << " vs "
+        << b.after_fwd[r];
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(a.after_bwd[r]),
+              std::bit_cast<std::uint64_t>(b.after_bwd[r]))
+        << label << " rank " << r << " backward: " << a.after_bwd[r]
+        << " vs " << b.after_bwd[r];
+    const CommStats& sa = a.stats[r];
+    const CommStats& sb = b.stats[r];
+    EXPECT_EQ(sa.msgs_sent, sb.msgs_sent) << label << " rank " << r;
+    EXPECT_EQ(sa.bytes_sent, sb.bytes_sent) << label << " rank " << r;
+    EXPECT_EQ(sa.bytes_intra_node, sb.bytes_intra_node) << label;
+    EXPECT_EQ(sa.bytes_inter_node, sb.bytes_inter_node) << label;
+    ASSERT_EQ(sa.collectives.size(), sb.collectives.size()) << label;
+    for (const auto& [name, op] : sb.collectives) {
+      const auto it = sa.collectives.find(name);
+      ASSERT_NE(it, sa.collectives.end()) << label << " " << name;
+      EXPECT_EQ(it->second.calls, op.calls) << label << " " << name;
+      EXPECT_EQ(it->second.bytes, op.bytes) << label << " " << name;
+    }
+  }
+}
+
+struct ReplayCase {
+  perf::Scheme scheme;
+  int p, q, d;
+};
+
+class RepeatOracle : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
+  const ReplayCase rc = GetParam();
+  perf::EvalConfig cfg;
+  cfg.scheme = rc.scheme;
+  cfg.p = rc.p;
+  cfg.q = rc.q;
+  cfg.d = rc.d;
+  // Weight broadcasts cross the 64 KiB protocol switch; activations do not.
+  cfg.dims = perf::LayerDims{/*batch=*/8, /*seq=*/32, /*hidden=*/256,
+                             /*heads=*/8};
+  ScopedRunConfig run_cfg;
+  for (const int layers : {1, 2, 3, 5}) {
+    cfg.layers = layers;
+    for (const Backend& b : kBackends) {
+      run_cfg->spmd_threads = b.threads;
+      run_cfg->workers = b.workers;
+      const std::string label = cfg.shape_string() + " layers=" +
+                                std::to_string(layers) + " [" + b.name + "]";
+      const ReplayOutcome fast = replay_layers(cfg, false, true);
+      const ReplayOutcome loop = replay_layers(cfg, false, false);
+      const ReplayOutcome oracle = replay_layers(cfg, true, true);
+      expect_same_replay(fast, oracle, label + " repeat vs messages");
+      expect_same_replay(loop, oracle, label + " loop vs messages");
+      EXPECT_EQ(fast.counts.replays, loop.counts.replays) << label;
+      EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << label;
+      EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << label;
+      // Forward and backward each skip layers - 2 iterations.
+      EXPECT_EQ(fast.counts.segment_runs,
+                layers > 2 ? 2u * static_cast<unsigned>(layers - 2) : 0u)
+          << label;
+      EXPECT_EQ(loop.counts.segment_runs, 0u) << label;
+      EXPECT_EQ(oracle.counts.replays + oracle.counts.compiled_runs +
+                    oracle.counts.segment_runs,
+                0u)
+          << label << ": oracle left the message path";
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, RepeatOracle,
+    ::testing::Values(ReplayCase{perf::Scheme::Megatron1D, 4, 0, 1},
+                      ReplayCase{perf::Scheme::Optimus2D, 0, 2, 1},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 2, 2},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 4, 2}),
+    [](const ::testing::TestParamInfo<ReplayCase>& info) {
+      const ReplayCase& rc = info.param;
+      switch (rc.scheme) {
+        case perf::Scheme::Megatron1D:
+          return "megatron" + std::to_string(rc.p);
+        case perf::Scheme::Optimus2D:
+          return "optimus" + std::to_string(rc.q) + "x" + std::to_string(rc.q);
+        default:
+          return "tesseract" + std::to_string(rc.q) + "x" +
+                 std::to_string(rc.q) + "x" + std::to_string(rc.d);
+      }
+    });
+
+// A body that cannot become a segment program runs as a plain loop, with
+// the same clocks and CommStats as the message path.
+void check_fallback(const std::function<void(Communicator&, int)>& body,
+                    const std::string& label) {
+  constexpr int n = 4;
+  constexpr int times = 5;
+  ScopedRunConfig cfg;
+  for (const Backend& b : kBackends) {
+    cfg->spmd_threads = b.threads;
+    cfg->workers = b.workers;
+    auto run_repeat = [&](bool oracle) {
+      World world(n, spec_with_nodes_of(2));
+      if (oracle) world.enable_metrics();
+      world.clock(1).set_slowdown(1.75);
+      world.run([&](Communicator& c) {
+        int iteration = 0;
+        c.repeat(times, [&] { body(c, iteration++); });
+      });
+      ReplayOutcome out;
+      for (int r = 0; r < n; ++r) {
+        out.after_fwd.push_back(world.clock(r).now());
+        out.after_bwd.push_back(world.clock(r).now());
+        out.stats.push_back(world.stats(r));
+      }
+      out.counts = world.rendezvous().counts();
+      return out;
+    };
+    const std::string where = label + " [" + b.name + "]";
+    const ReplayOutcome fast = run_repeat(false);
+    expect_same_replay(fast, run_repeat(true), where);
+    EXPECT_EQ(fast.counts.segment_runs, 0u) << where << ": no fallback";
+    EXPECT_GT(fast.counts.compiled_runs, 0u) << where;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+TEST(RepeatFallback, ChargesThatDependOnTheIteration) {
+  check_fallback(
+      [](Communicator& c, int iteration) {
+        c.charge(1e-6 * (iteration + 1) * (c.rank() + 1));
+        c.phantom_all_reduce(100000);
+        c.charge(2e-6 * (c.rank() % 2 + 1));
+        c.phantom_broadcast(0, 4096);
+      },
+      "iteration-dependent charges");
+}
+
+TEST(RepeatFallback, PointToPointMessages) {
+  check_fallback(
+      [](Communicator& c, int) {
+        c.charge(1e-6 * (c.rank() + 1));
+        c.phantom_all_reduce(100000);
+        c.phantom_sendrecv((c.rank() + 1) % c.size(),
+                           (c.rank() + c.size() - 1) % c.size(), 4096);
+      },
+      "phantom_sendrecv");
+}
+
+// Local work charged straight to the clock escapes the logs; the runner's
+// check of the program against the second iteration catches it.
+TEST(RepeatFallback, ClockChangesTheLogsMissed) {
+  check_fallback(
+      [](Communicator& c, int) {
+        c.clock().advance(1e-6 * (c.rank() + 1));
+        c.phantom_all_reduce(100000);
+      },
+      "unlogged advance");
 }
 
 }  // namespace

@@ -16,6 +16,13 @@
 //       mismatch: the CI hard gate. --deterministic-only restricts the
 //       check to the simulated-clock metrics, the mode for gating against a
 //       baseline ledger committed from another machine.
+//   tsr_gate diff <a.json> <b.json>
+//       Flattens two BENCH_*/REPORT_* documents the way the ledger does and
+//       compares their deterministic metrics exactly: names every path
+//       whose value differs or that only one of them has, and exits 1 if
+//       any does. Host-class metrics (wall times, scheduler_*, reuses, ...)
+//       vary from run to run and are skipped, so two runs of the same code
+//       always pass where a byte-level cmp would not.
 //   tsr_gate history <ledger.jsonl> [--source S] [--metric M]
 //       Lists the recorded series (or one series' records with --source;
 //       one metric's value trajectory with --metric).
@@ -43,6 +50,7 @@ int usage() {
       "[--verbose]\n"
       "  gate <ledger.jsonl> <artifact.json...> [--deterministic-only] "
       "[--verbose]\n"
+      "  diff <a.json> <b.json>\n"
       "  history <ledger.jsonl> [--source S] [--metric M]\n");
   return 2;
 }
@@ -145,6 +153,48 @@ int cmd_gate(int argc, char** argv, bool hard) {
   return 0;
 }
 
+bool load_record(const char* path, obs::LedgerRecord* rec) {
+  obs::JsonValue doc;
+  if (!load_json(path, &doc)) return false;
+  std::string err;
+  if (!obs::ingest_document(doc, rec, &err)) {
+    std::fprintf(stderr, "tsr_gate: %s: %s\n", path, err.c_str());
+    return false;
+  }
+  return true;
+}
+
+int cmd_diff(int argc, char** argv) {
+  if (argc != 2) return usage();
+  obs::LedgerRecord a, b;
+  if (!load_record(argv[0], &a) || !load_record(argv[1], &b)) return 1;
+  if (a.series_key() != b.series_key()) {
+    std::printf("different documents: %s vs %s\n", a.series_key().c_str(),
+                b.series_key().c_str());
+    return 1;
+  }
+  const std::vector<obs::MetricDiff> diffs = obs::diff_deterministic(a, b);
+  for (const obs::MetricDiff& d : diffs) {
+    if (!d.b) {
+      std::printf("%s: %.17g, only in %s\n", d.path.c_str(), *d.a, argv[0]);
+    } else if (!d.a) {
+      std::printf("%s: %.17g, only in %s\n", d.path.c_str(), *d.b, argv[1]);
+    } else {
+      std::printf("%s: %.17g -> %.17g\n", d.path.c_str(), *d.a, *d.b);
+    }
+  }
+  std::size_t compared = 0;
+  for (const auto& [path, value] : a.metrics) {
+    (void)value;
+    if (obs::classify_metric(path) == obs::MetricClass::Deterministic) {
+      ++compared;
+    }
+  }
+  std::printf("%s: %zu deterministic metrics, %zu differ\n",
+              a.series_key().c_str(), compared, diffs.size());
+  return diffs.empty() ? 0 : 1;
+}
+
 int cmd_history(int argc, char** argv) {
   if (argc < 1) return usage();
   std::string source, metric;
@@ -216,6 +266,7 @@ int main(int argc, char** argv) {
   if (cmd == "record") return cmd_record(argc - 2, argv + 2);
   if (cmd == "compare") return cmd_gate(argc - 2, argv + 2, /*hard=*/false);
   if (cmd == "gate") return cmd_gate(argc - 2, argv + 2, /*hard=*/true);
+  if (cmd == "diff") return cmd_diff(argc - 2, argv + 2);
   if (cmd == "history") return cmd_history(argc - 2, argv + 2);
   return usage();
 }
