@@ -366,7 +366,10 @@ class Communicator {
   /// CommStats once per skipped iteration. Otherwise, or when the logs
   /// cannot make a program (a message crossed a mailbox, the two iterations
   /// differ), it is a plain loop. Clocks, CommStats and PhantomCounts are
-  /// identical either way.
+  /// identical either way. Skipped iterations do not advance the tag
+  /// sequence of the communicators `body` calls, so tags and split() ids
+  /// after a segment program differ from a plain loop's; they still agree
+  /// across members and reuse no earlier value.
   void repeat(int times, const std::function<void()>& body);
 
  private:

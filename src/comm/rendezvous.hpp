@@ -57,8 +57,11 @@
 // then runs the program for the remaining iterations on the World's clocks,
 // with no meeting, wake or fiber switch. A spoiled log, a walk that gets
 // stuck or a failed check makes every rank run the remaining iterations
-// normally. Meetings, slots and call counters are left as they were: every
-// member skips the same calls.
+// normally. Meetings, slots, call counters and each communicator's tag
+// sequence are left as they were: every member skips the same calls. So the
+// tags and split() ids that follow a repeat differ from a plain loop's, but
+// agree across members and reuse no earlier one; no simulated number
+// depends on them.
 //
 // The message path stays the reference: traced, metered, live and faulted
 // runs and every real-payload collective use it, and the tests compare

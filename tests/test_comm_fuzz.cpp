@@ -201,13 +201,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SubgroupFuzz, ::testing::Range(0, 8));
 // Draws cover ragged byte counts on both sides of the 64 KiB protocol
 // switch, random roots, node sizes, stragglers, concurrent row/column
 // subgroups and two communicators over the same ranks (a second handle on
-// the row, and a split of the world). The drawn schedule runs once, then
-// as the body of a Communicator::repeat with a drawn count of at least
-// three: every key is replayed, compiled and run compiled at its meetings
-// in the first three passes, then run compiled in a segment program from
-// fresh entry clocks. The oracle runs the same repeat as a plain loop. A
-// segment program runs no body, so the clocks after each call are compared
-// over the first three passes and the final clocks over all of them.
+// the row, and a split of the world). The drawn schedule runs three times
+// with different local work before each call, so every key is replayed,
+// compiled, and then run compiled from fresh entry clocks. It then runs as
+// the body of a Communicator::repeat with a drawn count of at least three
+// and local work of its own, so the skipped iterations run as a segment
+// program from yet other entry clocks; the oracle runs the repeat as a plain
+// loop. A segment program runs no body, so the clocks after each call are
+// compared up to the repeat's second iteration, and the final clocks after.
 class PhantomFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
@@ -258,23 +259,30 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
       Communicator groups[5] = {c, c.subgroup(row_ranks),
                                 c.subgroup(col_ranks), c.subgroup(row_ranks),
                                 c.split(0, c.rank())};
-      auto pass = [&] {
-        for (const Op& op : schedule) {
-          Communicator& g = groups[op.group];
-          c.charge(op.work * (1 + c.rank() % 3));
-          const int root = op.root % g.size();
-          switch (op.kind) {
-            case 0: g.phantom_broadcast(root, op.bytes); break;
-            case 1: g.phantom_reduce(root, op.bytes); break;
-            case 2: g.phantom_all_reduce(op.bytes); break;
-            case 3: g.phantom_all_gather(op.bytes); break;
-            default: g.phantom_reduce_scatter(op.bytes); break;
-          }
-          clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
+      auto call = [&](const Op& op) {
+        Communicator& g = groups[op.group];
+        const int root = op.root % g.size();
+        switch (op.kind) {
+          case 0: g.phantom_broadcast(root, op.bytes); break;
+          case 1: g.phantom_reduce(root, op.bytes); break;
+          case 2: g.phantom_all_reduce(op.bytes); break;
+          case 3: g.phantom_all_gather(op.bytes); break;
+          default: g.phantom_reduce_scatter(op.bytes); break;
         }
+        clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
       };
-      pass();
-      c.repeat(passes, pass);
+      for (int pass = 0; pass < 3; ++pass) {
+        for (const Op& op : schedule) {
+          c.clock().advance(op.work * (1 + (c.rank() + pass) % 3));
+          call(op);
+        }
+      }
+      c.repeat(passes, [&] {
+        for (const Op& op : schedule) {
+          c.charge(op.work * (1 + (2 * c.rank()) % 3));
+          call(op);
+        }
+      });
       clocks[static_cast<std::size_t>(c.rank())].push_back(c.clock().now());
     });
     std::vector<CommStats> stats;
@@ -299,13 +307,13 @@ TEST_P(PhantomFuzz, PerCollectiveMatchesMessageLevel) {
     EXPECT_GT(fast.compiled_runs, 0u);
     EXPECT_EQ(fast.segment_runs, static_cast<std::uint64_t>(passes - 2));
     EXPECT_EQ(ref.replays + ref.compiled_runs + ref.segment_runs, 0u);
-    const std::size_t logged = 3 * schedule.size();
+    const std::size_t logged = 5 * schedule.size();
     for (int r = 0; r < n; ++r) {
       const auto& a = fast_clocks[static_cast<std::size_t>(r)];
       const auto& b = ref_clocks[static_cast<std::size_t>(r)];
       ASSERT_EQ(a.size(), logged + 1);
       ASSERT_EQ(b.size(),
-                static_cast<std::size_t>(1 + passes) * schedule.size() + 1);
+                static_cast<std::size_t>(3 + passes) * schedule.size() + 1);
       for (std::size_t k = 0; k < logged; ++k) {
         ASSERT_EQ(std::bit_cast<std::uint64_t>(a[k]),
                   std::bit_cast<std::uint64_t>(b[k]))

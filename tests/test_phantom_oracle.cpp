@@ -534,5 +534,70 @@ TEST(RepeatFallback, ClockChangesTheLogsMissed) {
       "unlogged advance");
 }
 
+// Skipped iterations leave each communicator's tag sequence where the
+// second iteration left it, so a split after a segment program derives
+// another id than after a plain loop. What follows the repeat (a split, its
+// phantom collectives, a real all-reduce on the repeated communicator) must
+// still give the plain loop's clocks, CommStats and PhantomCounts, and the
+// message path's clocks and CommStats.
+TEST(RepeatThenSplit, MatchesThePlainLoop) {
+  constexpr int n = 4;
+  constexpr int times = 6;
+  enum class Mode { Repeat, Loop, Messages };
+  ScopedRunConfig cfg;
+  for (const Backend& b : kBackends) {
+    cfg->spmd_threads = b.threads;
+    cfg->workers = b.workers;
+    auto run = [&](Mode mode) {
+      World world(n, spec_with_nodes_of(2));
+      if (mode == Mode::Messages) world.enable_metrics();
+      world.clock(1).set_slowdown(1.75);
+      std::vector<float> sums(static_cast<std::size_t>(n));
+      world.run([&](Communicator& c) {
+        Communicator pair = c.subgroup(c.rank() < 2 ? std::vector<int>{0, 1}
+                                                    : std::vector<int>{2, 3});
+        auto body = [&] {
+          c.charge(1e-6 * (c.rank() + 1));
+          c.phantom_all_reduce(100000);
+          pair.phantom_broadcast(0, 4096);
+        };
+        if (mode == Mode::Repeat) {
+          c.repeat(times, body);
+        } else {
+          for (int i = 0; i < times; ++i) body();
+        }
+        Communicator half = c.split(c.rank() % 2, c.rank());
+        half.phantom_all_reduce(70000);
+        half.phantom_all_gather(8192);
+        pair.phantom_all_reduce(1000);
+        std::vector<float> v(8, static_cast<float>(c.rank() + 1));
+        c.all_reduce(v);
+        sums[static_cast<std::size_t>(c.rank())] = v[7];
+      });
+      ReplayOutcome out;
+      for (int r = 0; r < n; ++r) {
+        out.after_fwd.push_back(world.clock(r).now());
+        out.after_bwd.push_back(world.clock(r).now());
+        out.stats.push_back(world.stats(r));
+        EXPECT_EQ(sums[static_cast<std::size_t>(r)], 10.0f) << "rank " << r;
+      }
+      out.counts = world.rendezvous().counts();
+      return out;
+    };
+    const std::string where = std::string(" [") + b.name + "]";
+    const ReplayOutcome fast = run(Mode::Repeat);
+    const ReplayOutcome loop = run(Mode::Loop);
+    expect_same_replay(fast, loop, "repeat vs loop" + where);
+    expect_same_replay(fast, run(Mode::Messages), "repeat vs messages" + where);
+    EXPECT_EQ(fast.counts.segment_runs, static_cast<std::uint64_t>(times - 2))
+        << where;
+    EXPECT_EQ(loop.counts.segment_runs, 0u) << where;
+    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << where;
+    EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << where;
+    EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << where;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 }  // namespace
 }  // namespace tsr::comm
