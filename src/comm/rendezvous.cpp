@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <cstring>
 #include <deque>
 #include <stdexcept>
 #include <unordered_map>
@@ -127,9 +128,24 @@ struct ReplayMember {
 struct Scratch {
   std::vector<ReplayMember> members;
   std::vector<int> ready;  // runnable group ranks
-  std::vector<rt::SimClock> clocks;
-  std::vector<double> arrivals;
+  std::vector<double> now, slow, arrivals;  // a compiled run's lane state
 };
+
+// A fingerprint of a compiled program: its member and send counts and
+// every step, bit for bit.
+std::uint64_t fingerprint(std::size_t members, std::int32_t nsends,
+                          const std::vector<Step>& steps) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
+  const auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001b3ull; };
+  mix(members);
+  mix(static_cast<std::uint64_t>(nsends));
+  for (const Step& s : steps) {
+    const auto words = std::bit_cast<std::array<std::uint64_t, 2>>(s);
+    mix(words[0]);
+    mix(words[1]);
+  }
+  return h;
+}
 
 }  // namespace
 
@@ -155,8 +171,23 @@ struct Rendezvous::Plan {
   std::vector<Member> members;  // per group rank
   std::vector<double> sends;    // detached members' NIC times, per member
   std::int32_t nsends = 0;
+  std::uint64_t fingerprint = 0;  // of members, nsends and steps
   std::atomic<bool> ready{false};
 };
+
+namespace {
+
+// True when two compiled programs do the same thing to their members'
+// clocks: the same member and send counts and the same steps, bit for bit.
+bool same_steps(const Rendezvous::Plan& a, const Rendezvous::Plan& b) {
+  return a.fingerprint == b.fingerprint &&
+         a.members.size() == b.members.size() && a.nsends == b.nsends &&
+         a.steps.size() == b.steps.size() &&
+         std::memcmp(a.steps.data(), b.steps.data(),
+                     a.steps.size() * sizeof(Step)) == 0;
+}
+
+}  // namespace
 
 struct Rendezvous::Collective {
   std::int64_t bytes;
@@ -288,7 +319,7 @@ void Rendezvous::reset() {
 
 PhantomCounts Rendezvous::counts() const {
   return {replays_.load(), compiles_.load(), compiled_runs_.load(),
-          segment_runs_.load()};
+          segment_runs_.load(), lane_fires_.load()};
 }
 
 bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
@@ -524,6 +555,7 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
       m.count = static_cast<std::uint32_t>(p.sends.size()) - m.first;
     }
     p.nsends = nsends;
+    p.fingerprint = fingerprint(p.members.size(), nsends, p.steps);
     p.ready.store(true, std::memory_order_release);
     compiles_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -534,39 +566,59 @@ void Rendezvous::run_compiled(Meetings& comm, const Plan& p, std::size_t k) {
   const std::size_t g = ranks.size();
   const Seat* seats = comm.seats_of(k);
   Scratch& sc = comm.scratch;
-  sc.clocks.resize(g);
-  for (std::size_t i = 0; i < g; ++i) sc.clocks[i] = seats[i].entry;
-  run_steps(p, sc.clocks.data());
+  sc.now.resize(g);
+  sc.slow.resize(g);
+  sc.arrivals.resize(static_cast<std::size_t>(p.nsends));
+  for (std::size_t i = 0; i < g; ++i) {
+    sc.now[i] = seats[i].entry.now();
+    sc.slow[i] = seats[i].entry.slowdown();
+  }
+  run_steps<1>(p, sc.now.data(), sc.slow.data(), sc.arrivals.data());
   for (std::size_t i = 0; i < g; ++i) {
     if (p.members[i].detached) continue;  // charged itself at arrival
-    world_.clock(ranks[i]) = sc.clocks[i];
+    world_.clock(ranks[i]).reset(sc.now[i]);
     add_counts(world_.stats(ranks[i]), p.members[i].counts);
   }
 }
 
-void Rendezvous::run_steps(const Plan& p, rt::SimClock* clocks) const {
+template <int W>
+void Rendezvous::run_steps(const Plan& p, double* now, const double* slow,
+                           double* arrivals) const {
   const topo::MachineSpec& spec = world_.spec();
-  const double intra_alpha = spec.params(topo::LinkType::IntraNode).alpha;
-  const double inter_alpha = spec.params(topo::LinkType::InterNode).alpha;
-  std::vector<double>& arrivals = p.comm->scratch.arrivals;
-  arrivals.resize(static_cast<std::size_t>(p.nsends));
+  const double alphas[2] = {spec.params(topo::LinkType::IntraNode).alpha,
+                            spec.params(topo::LinkType::InterNode).alpha};
+  static_assert(kSendIntra == 0 && kSendInter == 1);
+  // The lane loops carry no dependence, and the arrays never overlap.
   for (const Step& s : p.steps) {
-    rt::SimClock& clock = clocks[s.member];
-    double& arrival = arrivals[s.slot];
+    double* t = now + static_cast<std::size_t>(s.member) * W;
+    double* a = arrivals + static_cast<std::size_t>(s.slot) * W;
     switch (s.op) {
       case kSendIntra:
-        clock.advance(s.busy);
-        arrival = clock.now() + intra_alpha;
+      case kSendInter: {
+        // SimClock::advance, then the arrival stamp.
+        if (const double busy = s.busy; busy > 0) {
+          const double* f = slow + static_cast<std::size_t>(s.member) * W;
+#pragma omp simd
+          for (int l = 0; l < W; ++l) t[l] += busy * f[l];
+        }
+        const double alpha = alphas[s.op];
+#pragma omp simd
+        for (int l = 0; l < W; ++l) a[l] = t[l] + alpha;
         break;
-      case kSendInter:
-        clock.advance(s.busy);
-        arrival = clock.now() + inter_alpha;
-        break;
+      }
       case kSelfSend:
-        arrival = clock.now();
+#pragma omp simd
+        for (int l = 0; l < W; ++l) a[l] = t[l];
         break;
-      default:
-        clock.advance_to(arrival);
+      default:  // SimClock::advance_to
+        if constexpr (W == 1) {
+          // A branch, as in SimClock: the host predicts it, so a receiver
+          // that need not wait does not wait on its sender's chain either.
+          if (a[0] > t[0]) t[0] = a[0];
+        } else {
+#pragma omp simd
+          for (int l = 0; l < W; ++l) t[l] = a[l] > t[l] ? a[l] : t[l];
+        }
         break;
     }
   }
@@ -620,46 +672,67 @@ bool Rendezvous::build_and_run_segment(int more) {
   for (const Log& log : logs_) {
     if (!log.valid) return false;
   }
-  // Walk the logs in dataflow order. A rank runs until it reaches a
-  // collective whose members have not all arrived; the last member to
-  // arrive fires it and makes the others runnable again. Every member calls
-  // a communicator's collectives in the same order, so each communicator
-  // has at most one collective waiting for members.
+  // Walk the logs in rounds. Each rank that can move runs to its next
+  // collective; a collective whose members all wait on it fires, and its
+  // members move in the next round. Every member calls a communicator's
+  // collectives in the same order, so each communicator has at most one
+  // collective waiting for members.
   struct Waiting {
     const Plan* plan = nullptr;
     std::size_t arrived = 0;
   };
   std::unordered_map<const Meetings*, Waiting> waiting;
   std::vector<std::size_t> pc(n, 0);
-  std::vector<int> ready;
-  for (std::size_t r = n; r-- > 0;) ready.push_back(static_cast<int>(r));
-  std::vector<SegmentOp> program;
+  std::vector<int> ready, next;
+  for (std::size_t r = 0; r < n; ++r) ready.push_back(static_cast<int>(r));
+  std::vector<const Plan*> fired;
+  SegmentProgram program;
   std::uint64_t fires = 0;
   while (!ready.empty()) {
-    const int r = ready.back();
-    ready.pop_back();
-    const std::vector<Event>& events = logs_[static_cast<std::size_t>(r)].events;
-    std::size_t& at = pc[static_cast<std::size_t>(r)];
-    while (at < events.size()) {
-      const Event& e = events[at];
-      if (e.plan == nullptr) {
-        program.push_back({nullptr, e.seconds, r});
-        ++at;
-        continue;
+    fired.clear();
+    for (const int r : ready) {
+      const std::vector<Event>& events =
+          logs_[static_cast<std::size_t>(r)].events;
+      std::size_t& at = pc[static_cast<std::size_t>(r)];
+      for (; at < events.size() && events[at].plan == nullptr; ++at) {
+        program.ops.push_back(
+            {nullptr, events[at].seconds, static_cast<std::uint32_t>(r), 0});
       }
-      Waiting& w = waiting[e.plan->comm];
-      if (w.plan == nullptr) w.plan = e.plan;
-      if (w.plan != e.plan) return false;  // members disagree
-      const std::vector<int>& members = e.plan->comm->ranks;
-      if (++w.arrived < members.size()) break;  // wait for the rest
-      program.push_back({e.plan, 0.0, 0});
-      ++fires;
-      w = Waiting{};
-      for (int m : members) {
-        ++pc[static_cast<std::size_t>(m)];
-        if (m != r) ready.push_back(m);
+      if (at == events.size()) continue;
+      const Plan* plan = events[at].plan;
+      Waiting& w = waiting[plan->comm];
+      if (w.plan == nullptr) w.plan = plan;
+      if (w.plan != plan) return false;  // members disagree
+      if (++w.arrived == plan->comm->ranks.size()) {
+        fired.push_back(plan);
+        w = Waiting{};
       }
     }
+    next.clear();
+    for (const Plan* plan : fired) {
+      for (const int m : plan->comm->ranks) {
+        ++pc[static_cast<std::size_t>(m)];
+        next.push_back(m);
+      }
+    }
+    fires += fired.size();
+    // Fires of one round touch disjoint ranks; those with identical steps
+    // run as lanes of one batch, in the order they fired.
+    for (std::size_t i = 0; i < fired.size(); ++i) {
+      if (fired[i] == nullptr) continue;  // already in a batch
+      SegmentOp batch{fired[i], 0.0,
+                      static_cast<std::uint32_t>(program.lanes.size()), 0};
+      for (std::size_t j = i; j < fired.size(); ++j) {
+        if (fired[j] == nullptr || !same_steps(*batch.plan, *fired[j])) {
+          continue;
+        }
+        program.lanes.push_back(&fired[j]->comm->ranks);
+        ++batch.lanes;
+        fired[j] = nullptr;
+      }
+      program.ops.push_back(batch);
+    }
+    ready.swap(next);
   }
   for (std::size_t r = 0; r < n; ++r) {
     if (pc[r] != logs_[r].events.size()) return false;  // stuck
@@ -669,7 +742,7 @@ bool Rendezvous::build_and_run_segment(int more) {
   // clock change the logs missed.
   std::vector<rt::SimClock> check(n);
   for (std::size_t r = 0; r < n; ++r) check[r] = logs_[r].entry;
-  run_segment_program(program, check.data());
+  std::uint64_t lane_fires = run_segment_program(program, check.data());
   for (std::size_t r = 0; r < n; ++r) {
     if (std::bit_cast<std::uint64_t>(check[r].now()) !=
         std::bit_cast<std::uint64_t>(world_.clock(static_cast<int>(r)).now())) {
@@ -677,28 +750,65 @@ bool Rendezvous::build_and_run_segment(int more) {
     }
   }
   rt::SimClock* clocks = &world_.clock(0);
-  for (int i = 0; i < more; ++i) run_segment_program(program, clocks);
+  for (int i = 0; i < more; ++i) {
+    lane_fires += run_segment_program(program, clocks);
+  }
   const auto runs = static_cast<std::uint64_t>(more);
   compiled_runs_.fetch_add(fires * runs, std::memory_order_relaxed);
   segment_runs_.fetch_add(runs, std::memory_order_relaxed);
+  lane_fires_.fetch_add(lane_fires, std::memory_order_relaxed);
   return true;
 }
 
-void Rendezvous::run_segment_program(const std::vector<SegmentOp>& program,
-                                     rt::SimClock* clocks) {
-  for (const SegmentOp& op : program) {
+std::uint64_t Rendezvous::run_segment_program(const SegmentProgram& program,
+                                              rt::SimClock* clocks) {
+  constexpr int kLanes = 8;  // a batch's chunk width
+  std::uint64_t lane_fires = 0;
+  for (const SegmentOp& op : program.ops) {
     if (op.plan == nullptr) {
-      clocks[op.rank].advance(op.seconds);
+      clocks[op.at].advance(op.seconds);
       continue;
     }
-    // A fire: the members' clocks are their entry clocks, and the run
-    // leaves their exit clocks (detached members' too).
-    const std::vector<int>& ranks = op.plan->comm->ranks;
-    std::vector<rt::SimClock>& group = op.plan->comm->scratch.clocks;
-    group.resize(ranks.size());
-    for (std::size_t i = 0; i < ranks.size(); ++i) group[i] = clocks[ranks[i]];
-    run_steps(*op.plan, group.data());
-    for (std::size_t i = 0; i < ranks.size(); ++i) clocks[ranks[i]] = group[i];
+    const std::vector<int>* const* lanes = &program.lanes[op.at];
+    if (op.lanes == 1) {
+      run_lanes<1>(*op.plan, lanes, 1, clocks);
+      continue;
+    }
+    lane_fires += op.lanes;
+    for (std::uint32_t first = 0; first < op.lanes; first += kLanes) {
+      run_lanes<kLanes>(*op.plan, lanes + first,
+                        std::min<std::uint32_t>(kLanes, op.lanes - first),
+                        clocks);
+    }
+  }
+  return lane_fires;
+}
+
+template <int W>
+void Rendezvous::run_lanes(const Plan& plan, const std::vector<int>* const* lanes,
+                           std::uint32_t real, rt::SimClock* clocks) {
+  // Each fire's members' clocks are their entry clocks, and the run leaves
+  // their exit clocks (detached members' too). Lanes past `real` pad the
+  // chunk with copies of its first lane; their results are dropped.
+  const std::size_t g = plan.members.size();
+  lane_now_.resize(g * W);
+  lane_slow_.resize(g * W);
+  lane_arrivals_.resize(static_cast<std::size_t>(plan.nsends) * W);
+  for (std::uint32_t l = 0; l < W; ++l) {
+    const std::vector<int>& ranks = *lanes[l < real ? l : 0];
+    for (std::size_t i = 0; i < g; ++i) {
+      const rt::SimClock& c = clocks[ranks[i]];
+      lane_now_[i * W + l] = c.now();
+      lane_slow_[i * W + l] = c.slowdown();
+    }
+  }
+  run_steps<W>(plan, lane_now_.data(), lane_slow_.data(),
+               lane_arrivals_.data());
+  for (std::uint32_t l = 0; l < real; ++l) {
+    const std::vector<int>& ranks = *lanes[l];
+    for (std::size_t i = 0; i < g; ++i) {
+      clocks[ranks[i]].reset(lane_now_[i * W + l]);
+    }
   }
 }
 

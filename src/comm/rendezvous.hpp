@@ -1,5 +1,5 @@
 // Collective-granularity simulation of phantom collectives: compile once per
-// World, then run a flat wire program.
+// World, then run a flat wire program, several identical ones side by side.
 //
 // A phantom collective moves no data, so its outcome — every member's exit
 // clock and wire counters — is a pure function of the members' entry clocks
@@ -48,20 +48,40 @@
 // must log the same events; any mailbox send or receive in either one
 // spoils the log. By the end of the second iteration every plan is
 // compiled. The ranks then meet once. The last to arrive walks the logs in
-// dataflow order: a collective fires once all its members have reached it.
-// The walk emits a segment program: per-rank charges and plan fires in one
-// valid global order. The program references plans; fires and compiled runs
-// share one step interpreter. The runner first runs the program on the
-// clocks every rank had when its second iteration started and checks that
-// this gives the clocks the iteration really ended with, bit for bit. It
-// then runs the program for the remaining iterations on the World's clocks,
-// with no meeting, wake or fiber switch. A spoiled log, a walk that gets
-// stuck or a failed check makes every rank run the remaining iterations
-// normally. Meetings, slots, call counters and each communicator's tag
-// sequence are left as they were: every member skips the same calls. So the
-// tags and split() ids that follow a repeat differ from a plain loop's, but
-// agree across members and reuse no earlier one; no simulated number
-// depends on them.
+// rounds. In each round every rank that can move emits its charges up to
+// its next phantom collective, and every collective whose members all wait
+// on it fires. A rank waits on one collective at a time, so the fires of a
+// round touch disjoint ranks and their order cannot change any clock. The
+// walk emits a lane program: per round, the charges, then the fires grouped
+// into batches. A batch is the fires of one round whose plans are
+// identical, step for step and bit for bit (each plan keeps a fingerprint
+// of its steps, and fires are compared in full only when fingerprints
+// match). In the SPMD grids of the paper every row group (and every column
+// group) of a step makes the same call, so a batch holds one fire per
+// group (a [q,q,d] grid has q * d row groups).
+//
+// One step interpreter, a template on the lane width, runs every compiled
+// program. A lane is one fire: the interpreter keeps a [member][lane] array
+// of clocks and slowdowns, gathered from the members' SimClocks, and does
+// each step for all lanes in one inner loop with SimClock's arithmetic —
+// send: if (busy > 0) now += busy * slowdown, arrival = now + alpha; receive:
+// now = max(arrival, now). Lanes never mix, so each lane's result is bit
+// for bit what the fire alone would give, whatever slowdown each member
+// has. Meetings and single-fire batches run at width 1; larger batches run
+// in chunks of 8, the last one padded with copies of a real lane whose
+// results are dropped. The results go back with SimClock::reset, which
+// keeps each rank's slowdown.
+//
+// The runner first runs the lane program on the clocks every rank had when
+// its second iteration started and checks that this gives the clocks the
+// iteration really ended with, bit for bit. It then runs the program for
+// the remaining iterations on the World's clocks, with no meeting, wake or
+// fiber switch. A spoiled log, a walk that gets stuck or a failed check
+// makes every rank run the remaining iterations normally. Meetings, slots,
+// call counters and each communicator's tag sequence are left as they were:
+// every member skips the same calls. So the tags and split() ids that
+// follow a repeat differ from a plain loop's, but agree across members and
+// reuse no earlier one; no simulated number depends on them.
 //
 // The message path stays the reference: traced, metered, live and faulted
 // runs and every real-payload collective use it, and the tests compare
@@ -91,13 +111,16 @@ struct WireOp {
 };
 
 /// What a World's Rendezvous has simulated (tests and benches read it). All
-/// four are deterministic for a given program.
+/// five are deterministic for a given program.
 struct PhantomCounts {
   std::uint64_t replays = 0;        ///< calls replayed from recorded op lists
   std::uint64_t compiles = 0;       ///< plans compiled (keys called twice)
   /// Calls run from a compiled program, by a meeting or a segment program.
   std::uint64_t compiled_runs = 0;
   std::uint64_t segment_runs = 0;  ///< iterations run as a segment program
+  /// Fires that segment programs ran as lanes of a batch of two or more,
+  /// the runner's check run included.
+  std::uint64_t lane_fires = 0;
 };
 
 /// Per-World meeting point and plan table of phantom collectives.
@@ -200,9 +223,13 @@ class Rendezvous {
   void run_compiled(Meetings& comm, const Plan& plan, std::size_t slot);
   void release(Meetings& comm, std::size_t slot, std::uint64_t next_call);
   void wake(int world_rank);
-  // Runs `plan` with its members' clocks in `clocks` (group order): the one
-  // step interpreter of compiled runs and segment fires.
-  void run_steps(const Plan& plan, rt::SimClock* clocks) const;
+  // Runs `plan` on W lanes at once. Member i of lane l has the clock
+  // now[i * W + l] and the slowdown slow[i * W + l]; arrival slot s of lane
+  // l is arrivals[s * W + l]. The one step interpreter of compiled meetings
+  // (W = 1) and segment fires.
+  template <int W>
+  void run_steps(const Plan& plan, double* now, const double* slow,
+                 double* arrivals) const;
 
   // One event of a rank's iteration: a charge of `seconds` when `plan` is
   // null, else an arrival at a phantom collective of that plan.
@@ -220,32 +247,48 @@ class Rendezvous {
     std::vector<Event> events;  // the first iteration
     rt::SimClock entry;  // clock at the second iteration's start
   };
-  // One step of a segment program: a charge of `seconds` on world rank
-  // `rank` when `plan` is null, else a fire of `plan`.
+  // One op of a lane program: a charge of `seconds` on world rank `at` when
+  // `plan` is null, else a batch of `lanes` fires of `plan`'s steps, whose
+  // members are SegmentProgram::lanes[at, at + lanes).
   struct SegmentOp {
     const Plan* plan = nullptr;
     double seconds = 0.0;
-    int rank = 0;
+    std::uint32_t at = 0;
+    std::uint32_t lanes = 0;
+  };
+  struct SegmentProgram {
+    std::vector<SegmentOp> ops;
+    std::vector<const std::vector<int>*> lanes;  // each fire's world ranks
   };
   void note(Log& log, const Event& e);
-  // The runner's part of run_segment: walks the logs into a segment program
+  // The runner's part of run_segment: walks the logs into a lane program
   // and runs it; false when the ranks must run the iterations themselves.
   bool build_and_run_segment(int more);
-  // Runs `program` once on `clocks` (indexed by world rank).
-  void run_segment_program(const std::vector<SegmentOp>& program,
-                           rt::SimClock* clocks);
+  // Runs `program` once on `clocks` (indexed by world rank). Returns the
+  // fires it ran as lanes of a batch of two or more.
+  std::uint64_t run_segment_program(const SegmentProgram& program,
+                                    rt::SimClock* clocks);
+  // Runs `plan` for the fires whose members are lanes[0, real), real <= W,
+  // on `clocks` (indexed by world rank).
+  template <int W>
+  void run_lanes(const Plan& plan, const std::vector<int>* const* lanes,
+                 std::uint32_t real, rt::SimClock* clocks);
 
   World& world_;
   std::vector<std::vector<WireOp>> recorders_;  // per world rank
   std::vector<Log> logs_;  // per world rank
   std::atomic<int> segment_arrived_{0};
   bool segment_ok_ = false;  // the runner's verdict, read after the wake
+  // The segment runner's lane state ([member][lane] clocks and slowdowns,
+  // [slot][lane] arrivals); only the runner touches it.
+  std::vector<double> lane_now_, lane_slow_, lane_arrivals_;
   std::mutex mu_;  // guards comms_ and each Meetings' plan table
   std::vector<std::unique_ptr<Meetings>> comms_;
   std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> compiled_runs_{0};
   std::atomic<std::uint64_t> segment_runs_{0};
+  std::atomic<std::uint64_t> lane_fires_{0};
 };
 
 }  // namespace tsr::comm

@@ -11,8 +11,9 @@
 // and inter-node links, row and column sub-communicators in flight at once,
 // and two communicators over the same ranks. The paper's layer replays run
 // their layer loops through Communicator::repeat, whose steady state is a
-// segment program; they must match the message path as well, and bodies
-// that cannot be a segment program must fall back to the plain loop.
+// segment program, whose identical fires run side by side as lanes; they
+// must match the message path as well, and bodies that cannot be a segment
+// program must fall back to the plain loop.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -330,17 +331,20 @@ struct ReplayOutcome {
 };
 
 // Replays `layers` forward layers, then as many backward ones, from
-// staggered clocks with stragglers. `repeat` runs perf::replay_schedule
-// (Communicator::repeat); otherwise the layer loop is written out, the
-// per-collective path as it was before repeat existed.
+// staggered clocks with stragglers: every third rank, or only `slow_rank`
+// when it is set. `repeat` runs perf::replay_schedule (Communicator::repeat);
+// otherwise the layer loop is written out, the per-collective path as it was
+// before repeat existed.
 ReplayOutcome replay_layers(const perf::EvalConfig& cfg, bool oracle,
-                            bool repeat) {
+                            bool repeat, int slow_rank = -1) {
   const int n = cfg.total_ranks();
   World world(n, cfg.spec);
   if (oracle) world.enable_metrics();  // forces the message path
   for (int r = 0; r < n; ++r) {
     world.clock(r).reset(1e-7 * r);
-    if (r % 3 == 1) world.clock(r).set_slowdown(1.75);
+    if (slow_rank < 0 ? r % 3 == 1 : r == slow_rank) {
+      world.clock(r).set_slowdown(1.75);
+    }
   }
   ReplayOutcome out;
   out.after_fwd.resize(static_cast<std::size_t>(n));
@@ -404,6 +408,18 @@ struct ReplayCase {
   int p, q, d;
 };
 
+std::string case_name(const ReplayCase& rc) {
+  switch (rc.scheme) {
+    case perf::Scheme::Megatron1D:
+      return "megatron" + std::to_string(rc.p);
+    case perf::Scheme::Optimus2D:
+      return "optimus" + std::to_string(rc.q) + "x" + std::to_string(rc.q);
+    default:
+      return "tesseract" + std::to_string(rc.q) + "x" + std::to_string(rc.q) +
+             "x" + std::to_string(rc.d);
+  }
+}
+
 class RepeatOracle : public ::testing::TestWithParam<ReplayCase> {};
 
 TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
@@ -437,8 +453,9 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
                 layers > 2 ? 2u * static_cast<unsigned>(layers - 2) : 0u)
           << label;
       EXPECT_EQ(loop.counts.segment_runs, 0u) << label;
+      EXPECT_EQ(loop.counts.lane_fires, 0u) << label;
       EXPECT_EQ(oracle.counts.replays + oracle.counts.compiled_runs +
-                    oracle.counts.segment_runs,
+                    oracle.counts.segment_runs + oracle.counts.lane_fires,
                 0u)
           << label << ": oracle left the message path";
       if (::testing::Test::HasFailure()) return;
@@ -453,17 +470,132 @@ INSTANTIATE_TEST_SUITE_P(
                       ReplayCase{perf::Scheme::Tesseract, 0, 2, 2},
                       ReplayCase{perf::Scheme::Tesseract, 0, 4, 2}),
     [](const ::testing::TestParamInfo<ReplayCase>& info) {
-      const ReplayCase& rc = info.param;
-      switch (rc.scheme) {
-        case perf::Scheme::Megatron1D:
-          return "megatron" + std::to_string(rc.p);
-        case perf::Scheme::Optimus2D:
-          return "optimus" + std::to_string(rc.q) + "x" + std::to_string(rc.q);
-        default:
-          return "tesseract" + std::to_string(rc.q) + "x" +
-                 std::to_string(rc.q) + "x" + std::to_string(rc.d);
-      }
+      return case_name(info.param);
     });
+
+// ---- Segment fires as lanes -----------------------------------------------
+
+// The row (and column) groups of a grid make the same call in each round of
+// the segment program, so their fires run side by side as lanes of one
+// batch. One straggler, in one group, makes the lanes of its batches carry
+// different slowdowns. A 1-D layer calls only whole-world collectives: one
+// lane per fire.
+class LaneOracle : public ::testing::TestWithParam<ReplayCase> {};
+
+TEST_P(LaneOracle, BatchedFiresMatchTheMessagePath) {
+  const ReplayCase rc = GetParam();
+  perf::EvalConfig cfg;
+  cfg.scheme = rc.scheme;
+  cfg.p = rc.p;
+  cfg.q = rc.q;
+  cfg.d = rc.d;
+  cfg.dims = perf::LayerDims{/*batch=*/8, /*seq=*/32, /*hidden=*/256,
+                             /*heads=*/8};
+  cfg.layers = 4;
+  const int slow_rank = cfg.total_ranks() / 2 + 1;
+  const bool grid = rc.scheme != perf::Scheme::Megatron1D;
+  ScopedRunConfig run_cfg;
+  for (const Backend& b : kBackends) {
+    run_cfg->spmd_threads = b.threads;
+    run_cfg->workers = b.workers;
+    const std::string label = case_name(rc) + " [" + b.name + "]";
+    const ReplayOutcome fast = replay_layers(cfg, false, true, slow_rank);
+    const ReplayOutcome loop = replay_layers(cfg, false, false, slow_rank);
+    const ReplayOutcome oracle = replay_layers(cfg, true, true, slow_rank);
+    expect_same_replay(fast, oracle, label + " repeat vs messages");
+    expect_same_replay(fast, loop, label + " repeat vs loop");
+    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << label;
+    EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << label;
+    EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << label;
+    EXPECT_EQ(fast.counts.segment_runs, 4u) << label;  // 2 fwd + 2 bwd
+    if (grid) {
+      EXPECT_GT(fast.counts.lane_fires, 0u) << label << ": no batch of lanes";
+    } else {
+      EXPECT_EQ(fast.counts.lane_fires, 0u) << label << ": lanes in 1-D";
+    }
+    EXPECT_EQ(loop.counts.lane_fires + oracle.counts.lane_fires, 0u) << label;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Schemes, LaneOracle,
+    ::testing::Values(ReplayCase{perf::Scheme::Optimus2D, 0, 4, 1},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 2, 2},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 4, 2},
+                      ReplayCase{perf::Scheme::Megatron1D, 4, 0, 1}),
+    [](const ::testing::TestParamInfo<ReplayCase>& info) {
+      return case_name(info.param);
+    });
+
+// A 4 x 4 grid (one node per row) whose iteration is three rounds: every
+// row broadcasts, every column all-reduces, then every row all-reduces, the
+// first two rows 4096 bytes and the last two 4104. Rows share one plan's
+// steps, and so do columns, so each of the first two rounds is one batch of
+// four lanes. The third is two batches of two: its plans differ only in
+// their NIC times. Rank 5 (row 1, column 1) is a straggler. The lane program
+// runs once as the runner's check and then times - 2 times, each with 12
+// lane fires.
+TEST(LaneBatches, RowsAndColumnsRunAsLanes) {
+  constexpr int q = 4;
+  constexpr int times = 6;
+  enum class Mode { Repeat, Loop, Messages };
+  ScopedRunConfig cfg;
+  for (const Backend& b : kBackends) {
+    cfg->spmd_threads = b.threads;
+    cfg->workers = b.workers;
+    auto run = [&](Mode mode) {
+      World world(q * q, spec_with_nodes_of(q));
+      if (mode == Mode::Messages) world.enable_metrics();
+      for (int r = 0; r < q * q; ++r) world.clock(r).reset(1e-7 * r);
+      world.clock(5).set_slowdown(1.75);
+      world.run([&](Communicator& c) {
+        const int i = c.rank() / q;
+        const int j = c.rank() % q;
+        std::vector<int> row_ranks, col_ranks;
+        for (int t = 0; t < q; ++t) {
+          row_ranks.push_back(i * q + t);
+          col_ranks.push_back(t * q + j);
+        }
+        Communicator row = c.subgroup(row_ranks);
+        Communicator col = c.subgroup(col_ranks);
+        auto body = [&] {
+          c.charge(1e-6 * (c.rank() % 5 + 1));
+          row.phantom_broadcast(0, 3 * 65536 + 5);
+          c.charge(2e-6 * (c.rank() % 3 + 1));
+          col.phantom_all_reduce(4096);
+          row.phantom_all_reduce(i < 2 ? 4096 : 4104);
+        };
+        if (mode == Mode::Repeat) {
+          c.repeat(times, body);
+        } else {
+          for (int k = 0; k < times; ++k) body();
+        }
+      });
+      ReplayOutcome out;
+      for (int r = 0; r < q * q; ++r) {
+        out.after_fwd.push_back(world.clock(r).now());
+        out.after_bwd.push_back(world.clock(r).now());
+        out.stats.push_back(world.stats(r));
+      }
+      out.counts = world.rendezvous().counts();
+      return out;
+    };
+    const std::string where = std::string(" [") + b.name + "]";
+    const ReplayOutcome fast = run(Mode::Repeat);
+    const ReplayOutcome loop = run(Mode::Loop);
+    expect_same_replay(fast, loop, "repeat vs loop" + where);
+    expect_same_replay(fast, run(Mode::Messages), "repeat vs messages" + where);
+    EXPECT_EQ(fast.counts.segment_runs, static_cast<std::uint64_t>(times - 2))
+        << where;
+    EXPECT_EQ(fast.counts.lane_fires, 12u * (times - 1)) << where;
+    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << where;
+    EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << where;
+    EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << where;
+    EXPECT_EQ(loop.counts.lane_fires, 0u) << where;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
 
 // A body that cannot become a segment program runs as a plain loop, with
 // the same clocks and CommStats as the message path.
