@@ -131,22 +131,6 @@ struct Scratch {
   std::vector<double> now, slow, arrivals;  // a compiled run's lane state
 };
 
-// A fingerprint of a compiled program: its member and send counts and
-// every step, bit for bit.
-std::uint64_t fingerprint(std::size_t members, std::int32_t nsends,
-                          const std::vector<Step>& steps) {
-  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a over 64-bit words
-  const auto mix = [&h](std::uint64_t w) { h = (h ^ w) * 0x100000001b3ull; };
-  mix(members);
-  mix(static_cast<std::uint64_t>(nsends));
-  for (const Step& s : steps) {
-    const auto words = std::bit_cast<std::array<std::uint64_t, 2>>(s);
-    mix(words[0]);
-    mix(words[1]);
-  }
-  return h;
-}
-
 }  // namespace
 
 struct Rendezvous::Plan {
@@ -171,7 +155,6 @@ struct Rendezvous::Plan {
   std::vector<Member> members;  // per group rank
   std::vector<double> sends;    // detached members' NIC times, per member
   std::int32_t nsends = 0;
-  std::uint64_t fingerprint = 0;  // of members, nsends and steps
   std::atomic<bool> ready{false};
 };
 
@@ -180,8 +163,7 @@ namespace {
 // True when two compiled programs do the same thing to their members'
 // clocks: the same member and send counts and the same steps, bit for bit.
 bool same_steps(const Rendezvous::Plan& a, const Rendezvous::Plan& b) {
-  return a.fingerprint == b.fingerprint &&
-         a.members.size() == b.members.size() && a.nsends == b.nsends &&
+  return a.members.size() == b.members.size() && a.nsends == b.nsends &&
          a.steps.size() == b.steps.size() &&
          std::memcmp(a.steps.data(), b.steps.data(),
                      a.steps.size() * sizeof(Step)) == 0;
@@ -555,7 +537,6 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
       m.count = static_cast<std::uint32_t>(p.sends.size()) - m.first;
     }
     p.nsends = nsends;
-    p.fingerprint = fingerprint(p.members.size(), nsends, p.steps);
     p.ready.store(true, std::memory_order_release);
     compiles_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -785,29 +766,30 @@ std::uint64_t Rendezvous::run_segment_program(const SegmentProgram& program,
 }
 
 template <int W>
-void Rendezvous::run_lanes(const Plan& plan, const std::vector<int>* const* lanes,
+void Rendezvous::run_lanes(const Plan& plan,
+                           const std::vector<int>* const* lanes,
                            std::uint32_t real, rt::SimClock* clocks) {
   // Each fire's members' clocks are their entry clocks, and the run leaves
   // their exit clocks (detached members' too). Lanes past `real` pad the
   // chunk with copies of its first lane; their results are dropped.
   const std::size_t g = plan.members.size();
-  lane_now_.resize(g * W);
-  lane_slow_.resize(g * W);
-  lane_arrivals_.resize(static_cast<std::size_t>(plan.nsends) * W);
+  Scratch& sc = plan.comm->scratch;
+  sc.now.resize(g * W);
+  sc.slow.resize(g * W);
+  sc.arrivals.resize(static_cast<std::size_t>(plan.nsends) * W);
   for (std::uint32_t l = 0; l < W; ++l) {
     const std::vector<int>& ranks = *lanes[l < real ? l : 0];
     for (std::size_t i = 0; i < g; ++i) {
       const rt::SimClock& c = clocks[ranks[i]];
-      lane_now_[i * W + l] = c.now();
-      lane_slow_[i * W + l] = c.slowdown();
+      sc.now[i * W + l] = c.now();
+      sc.slow[i * W + l] = c.slowdown();
     }
   }
-  run_steps<W>(plan, lane_now_.data(), lane_slow_.data(),
-               lane_arrivals_.data());
+  run_steps<W>(plan, sc.now.data(), sc.slow.data(), sc.arrivals.data());
   for (std::uint32_t l = 0; l < real; ++l) {
     const std::vector<int>& ranks = *lanes[l];
     for (std::size_t i = 0; i < g; ++i) {
-      clocks[ranks[i]].reset(lane_now_[i * W + l]);
+      clocks[ranks[i]].reset(sc.now[i * W + l]);
     }
   }
 }

@@ -54,9 +54,8 @@
 // round touch disjoint ranks and their order cannot change any clock. The
 // walk emits a lane program: per round, the charges, then the fires grouped
 // into batches. A batch is the fires of one round whose plans are
-// identical, step for step and bit for bit (each plan keeps a fingerprint
-// of its steps, and fires are compared in full only when fingerprints
-// match). In the SPMD grids of the paper every row group (and every column
+// identical: the same member and send counts and the same steps, bit for
+// bit. In the SPMD grids of the paper every row group (and every column
 // group) of a step makes the same call, so a batch holds one fire per
 // group (a [q,q,d] grid has q * d row groups).
 //
@@ -269,7 +268,8 @@ class Rendezvous {
   std::uint64_t run_segment_program(const SegmentProgram& program,
                                     rt::SimClock* clocks);
   // Runs `plan` for the fires whose members are lanes[0, real), real <= W,
-  // on `clocks` (indexed by world rank).
+  // on `clocks` (indexed by world rank), in the lane state of the plan's
+  // communicator (its members are parked).
   template <int W>
   void run_lanes(const Plan& plan, const std::vector<int>* const* lanes,
                  std::uint32_t real, rt::SimClock* clocks);
@@ -279,9 +279,6 @@ class Rendezvous {
   std::vector<Log> logs_;  // per world rank
   std::atomic<int> segment_arrived_{0};
   bool segment_ok_ = false;  // the runner's verdict, read after the wake
-  // The segment runner's lane state ([member][lane] clocks and slowdowns,
-  // [slot][lane] arrivals); only the runner touches it.
-  std::vector<double> lane_now_, lane_slow_, lane_arrivals_;
   std::mutex mu_;  // guards comms_ and each Meetings' plan table
   std::vector<std::unique_ptr<Meetings>> comms_;
   std::atomic<std::uint64_t> replays_{0};

@@ -332,11 +332,11 @@ struct ReplayOutcome {
 
 // Replays `layers` forward layers, then as many backward ones, from
 // staggered clocks with stragglers: every third rank, or only `slow_rank`
-// when it is set. `repeat` runs perf::replay_schedule (Communicator::repeat);
-// otherwise the layer loop is written out, the per-collective path as it was
-// before repeat existed.
+// when it is >= 0. `repeat` runs perf::replay_schedule
+// (Communicator::repeat); otherwise the layer loop is written out, the
+// per-collective path as it was before repeat existed.
 ReplayOutcome replay_layers(const perf::EvalConfig& cfg, bool oracle,
-                            bool repeat, int slow_rank = -1) {
+                            bool repeat, int slow_rank) {
   const int n = cfg.total_ranks();
   World world(n, cfg.spec);
   if (oracle) world.enable_metrics();  // forces the message path
@@ -403,21 +403,30 @@ void expect_same_replay(const ReplayOutcome& a, const ReplayOutcome& b,
   }
 }
 
+// A layer shape and its stragglers: every third rank, or only `slow_rank`
+// when it is set. One straggler in one group makes the lanes of its
+// segment batches carry different slowdowns.
 struct ReplayCase {
   perf::Scheme scheme;
   int p, q, d;
+  int slow_rank;
 };
 
 std::string case_name(const ReplayCase& rc) {
+  std::string name;
   switch (rc.scheme) {
     case perf::Scheme::Megatron1D:
-      return "megatron" + std::to_string(rc.p);
+      name = "megatron" + std::to_string(rc.p);
+      break;
     case perf::Scheme::Optimus2D:
-      return "optimus" + std::to_string(rc.q) + "x" + std::to_string(rc.q);
+      name = "optimus" + std::to_string(rc.q) + "x" + std::to_string(rc.q);
+      break;
     default:
-      return "tesseract" + std::to_string(rc.q) + "x" + std::to_string(rc.q) +
+      name = "tesseract" + std::to_string(rc.q) + "x" + std::to_string(rc.q) +
              "x" + std::to_string(rc.d);
   }
+  if (rc.slow_rank >= 0) name += "_slow" + std::to_string(rc.slow_rank);
+  return name;
 }
 
 class RepeatOracle : public ::testing::TestWithParam<ReplayCase> {};
@@ -440,9 +449,10 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
       run_cfg->workers = b.workers;
       const std::string label = cfg.shape_string() + " layers=" +
                                 std::to_string(layers) + " [" + b.name + "]";
-      const ReplayOutcome fast = replay_layers(cfg, false, true);
-      const ReplayOutcome loop = replay_layers(cfg, false, false);
-      const ReplayOutcome oracle = replay_layers(cfg, true, true);
+      const int slow = rc.slow_rank;
+      const ReplayOutcome fast = replay_layers(cfg, false, true, slow);
+      const ReplayOutcome loop = replay_layers(cfg, false, false, slow);
+      const ReplayOutcome oracle = replay_layers(cfg, true, true, slow);
       expect_same_replay(fast, oracle, label + " repeat vs messages");
       expect_same_replay(loop, oracle, label + " loop vs messages");
       EXPECT_EQ(fast.counts.replays, loop.counts.replays) << label;
@@ -452,6 +462,13 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
       EXPECT_EQ(fast.counts.segment_runs,
                 layers > 2 ? 2u * static_cast<unsigned>(layers - 2) : 0u)
           << label;
+      // The row and column groups of a grid make the same calls, so their
+      // segment fires run as lanes; a 1-D layer's fires span the world.
+      if (layers > 2 && rc.scheme != perf::Scheme::Megatron1D) {
+        EXPECT_GT(fast.counts.lane_fires, 0u) << label << ": no lanes";
+      } else {
+        EXPECT_EQ(fast.counts.lane_fires, 0u) << label;
+      }
       EXPECT_EQ(loop.counts.segment_runs, 0u) << label;
       EXPECT_EQ(loop.counts.lane_fires, 0u) << label;
       EXPECT_EQ(oracle.counts.replays + oracle.counts.compiled_runs +
@@ -465,68 +482,16 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
 
 INSTANTIATE_TEST_SUITE_P(
     Schemes, RepeatOracle,
-    ::testing::Values(ReplayCase{perf::Scheme::Megatron1D, 4, 0, 1},
-                      ReplayCase{perf::Scheme::Optimus2D, 0, 2, 1},
-                      ReplayCase{perf::Scheme::Tesseract, 0, 2, 2},
-                      ReplayCase{perf::Scheme::Tesseract, 0, 4, 2}),
+    ::testing::Values(ReplayCase{perf::Scheme::Megatron1D, 4, 0, 1, -1},
+                      ReplayCase{perf::Scheme::Optimus2D, 0, 2, 1, -1},
+                      ReplayCase{perf::Scheme::Optimus2D, 0, 4, 1, 9},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 2, 2, -1},
+                      ReplayCase{perf::Scheme::Tesseract, 0, 4, 2, -1}),
     [](const ::testing::TestParamInfo<ReplayCase>& info) {
       return case_name(info.param);
     });
 
 // ---- Segment fires as lanes -----------------------------------------------
-
-// The row (and column) groups of a grid make the same call in each round of
-// the segment program, so their fires run side by side as lanes of one
-// batch. One straggler, in one group, makes the lanes of its batches carry
-// different slowdowns. A 1-D layer calls only whole-world collectives: one
-// lane per fire.
-class LaneOracle : public ::testing::TestWithParam<ReplayCase> {};
-
-TEST_P(LaneOracle, BatchedFiresMatchTheMessagePath) {
-  const ReplayCase rc = GetParam();
-  perf::EvalConfig cfg;
-  cfg.scheme = rc.scheme;
-  cfg.p = rc.p;
-  cfg.q = rc.q;
-  cfg.d = rc.d;
-  cfg.dims = perf::LayerDims{/*batch=*/8, /*seq=*/32, /*hidden=*/256,
-                             /*heads=*/8};
-  cfg.layers = 4;
-  const int slow_rank = cfg.total_ranks() / 2 + 1;
-  const bool grid = rc.scheme != perf::Scheme::Megatron1D;
-  ScopedRunConfig run_cfg;
-  for (const Backend& b : kBackends) {
-    run_cfg->spmd_threads = b.threads;
-    run_cfg->workers = b.workers;
-    const std::string label = case_name(rc) + " [" + b.name + "]";
-    const ReplayOutcome fast = replay_layers(cfg, false, true, slow_rank);
-    const ReplayOutcome loop = replay_layers(cfg, false, false, slow_rank);
-    const ReplayOutcome oracle = replay_layers(cfg, true, true, slow_rank);
-    expect_same_replay(fast, oracle, label + " repeat vs messages");
-    expect_same_replay(fast, loop, label + " repeat vs loop");
-    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << label;
-    EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << label;
-    EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << label;
-    EXPECT_EQ(fast.counts.segment_runs, 4u) << label;  // 2 fwd + 2 bwd
-    if (grid) {
-      EXPECT_GT(fast.counts.lane_fires, 0u) << label << ": no batch of lanes";
-    } else {
-      EXPECT_EQ(fast.counts.lane_fires, 0u) << label << ": lanes in 1-D";
-    }
-    EXPECT_EQ(loop.counts.lane_fires + oracle.counts.lane_fires, 0u) << label;
-    if (::testing::Test::HasFailure()) return;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Schemes, LaneOracle,
-    ::testing::Values(ReplayCase{perf::Scheme::Optimus2D, 0, 4, 1},
-                      ReplayCase{perf::Scheme::Tesseract, 0, 2, 2},
-                      ReplayCase{perf::Scheme::Tesseract, 0, 4, 2},
-                      ReplayCase{perf::Scheme::Megatron1D, 4, 0, 1}),
-    [](const ::testing::TestParamInfo<ReplayCase>& info) {
-      return case_name(info.param);
-    });
 
 // A 4 x 4 grid (one node per row) whose iteration is three rounds: every
 // row broadcasts, every column all-reduces, then every row all-reduces, the
