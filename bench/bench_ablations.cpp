@@ -6,9 +6,14 @@
 //      paper's claim that the arrangement exploits "less communication
 //      between its d layers".
 //   C. Depth sweep at fixed p = 64 — the paper's central design parameter.
+// Every simulated number printed is also written to BENCH_ablations.json,
+// which CI gates against the committed ledger baseline (the fp16 rows are
+// the only gated elem_bytes = 2 replay).
 #include <cstdio>
+#include <string>
 
 #include "perf/cost_model.hpp"
+#include "perf/export.hpp"
 #include "runtime/config.hpp"
 
 using namespace tsr;
@@ -46,6 +51,7 @@ topo::MachineSpec flat(topo::LinkParams link) {
 int main() {
   tsr::config_from_env();
   const topo::MachineSpec melu = topo::MachineSpec::meluxina();
+  perf::BenchReport report("ablations");
 
   std::printf("=== A. Wire precision (64 GPUs, h = 3072, 8 layers) ===\n");
   std::printf("%-22s %12s %12s %10s\n", "config", "fp32 fwd(s)", "fp16 fwd(s)",
@@ -68,6 +74,9 @@ int main() {
     if (c.scheme == perf::Scheme::Tesseract) fp16_tess = t16;
     if (c.scheme == perf::Scheme::Megatron1D) fp16_mega = t16;
     std::printf("%-22s %12.4f %12.4f %9.2fx\n", c.name, t32, t16, t32 / t16);
+    obs::JsonValue& row = report.add_case(std::string("precision ") + c.name);
+    row["fp32_fwd_s"] = t32;
+    row["fp16_fwd_s"] = t16;
   }
   std::printf("Tesseract advantage over Megatron at fp16: %.2fx\n\n",
               fp16_mega / fp16_tess);
@@ -89,6 +98,9 @@ int main() {
     const double wide = fwd(perf::Scheme::Tesseract, 8, 1, dims64(4), n.spec);
     std::printf("%-22s %14.4f %14.4f %11.2fx\n", n.name, deep, wide,
                 wide / deep);
+    obs::JsonValue& row = report.add_case(std::string("network ") + n.name);
+    row["deep_fwd_s"] = deep;
+    row["wide_fwd_s"] = wide;
   }
   std::printf(
       "(depth keeps winning even on a flat network — the mechanism is the\n"
@@ -113,11 +125,21 @@ int main() {
         12.0 * h * h * sh.d / (64.0) * 4.0 / (1 << 20);
     std::printf("[%d,%d,%d]%*s %14.4f %14.3f %15.1f MB\n", sh.q, sh.q, sh.d,
                 sh.d >= 10 ? 3 : 4, "", r.fwd_seconds, r.throughput, weight_mb);
+    obs::JsonValue& row = report.add_case("depth " + cfg.shape_string());
+    row["fwd_s"] = r.fwd_seconds;
+    row["throughput"] = r.throughput;
   }
   std::printf(
       "(deeper-than-q grids keep getting faster per iteration but the\n"
       " replicated-weight term b*c*d/p of eq. (8) grows linearly in d —\n"
       " [2,2,16] stores 16x the weights of [8,8,1]. The paper's d <= q\n"
       " constraint is a memory constraint, not a speed one.)\n");
+
+  const char* out = "BENCH_ablations.json";
+  if (report.write(out)) {
+    std::printf("\nwrote %s\n", out);
+  } else {
+    std::fprintf(stderr, "failed to write %s\n", out);
+  }
   return 0;
 }
