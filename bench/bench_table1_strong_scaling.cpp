@@ -3,7 +3,7 @@
 // paper's 12 configurations of Megatron-LM, Optimus and Tesseract.
 //
 // Times come from the phantom replay of the real layer schedules on the
-// simulated MeluXina machine (see perf/layer_costs.hpp); the paper's
+// simulated MeluXina machine (see perf/cost_model.hpp); the paper's
 // absolute numbers are testbed wall-clock and are not expected to match,
 // but the ordering and ratios should (and the key ones are printed).
 #include <cstdio>
@@ -13,7 +13,6 @@
 #include "comm/communicator.hpp"
 #include "obs/expect.hpp"
 #include "obs/live.hpp"
-#include "pdgemm/block.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/export.hpp"
 #include "perf/flame.hpp"
@@ -138,11 +137,12 @@ int main() {
     world.enable_live(lc);
     obs::ExpectationMonitor monitor(profile, obs::DriftConfig{}, world.size());
     world.live()->set_monitor(&monitor);
+    perf::EvalConfig one_layer = cfg;
+    one_layer.layers = 1;
     world.run([&](comm::Communicator& c) {
-      pdg::TesseractComms tc = pdg::TesseractComms::create(c, cfg.q, cfg.d);
       for (int l = 0; l < cfg.layers; ++l) {
-        perf::phantom_tesseract_forward(tc, cfg.dims);
-        perf::phantom_tesseract_backward(tc, cfg.dims);
+        perf::replay_schedule(one_layer, c, /*backward=*/false);
+        perf::replay_schedule(one_layer, c, /*backward=*/true);
       }
     });
     world.finish_live();

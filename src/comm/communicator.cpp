@@ -998,8 +998,19 @@ void Communicator::phantom_all_reduce(std::int64_t bytes) {
 }
 
 void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
-  float* d = data.data();
-  const std::int64_t count = static_cast<std::int64_t>(data.size());
+  all_reduce_compressed_impl(data.data(), static_cast<std::int64_t>(data.size()),
+                             op);
+}
+
+void Communicator::phantom_all_reduce_compressed(std::int64_t count) {
+  phantom_collective(CollectiveKind::AllReduceCompressed, 0, 2 * count,
+                     2 * count, [&] {
+    all_reduce_compressed_impl(nullptr, count, ReduceOp::Sum);
+  });
+}
+
+void Communicator::all_reduce_compressed_impl(float* d, std::int64_t count,
+                                              ReduceOp op) {
   // bf16 wire format: exactly 2 bytes per element, half of fp32.
   const std::int64_t wire_total = 2 * count;
   TraceSpan span(this, "all_reduce_compressed", wire_total);
@@ -1009,6 +1020,7 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
   const std::uint64_t tag = next_tag();
   const int right = (grank_ + 1) % g;
   const int left = (grank_ - 1 + g) % g;
+  const bool real = d != nullptr;
 
   auto ccount = [&](int c) { return chunk_size(count, g, c); };
   auto coffset = [&](int c) { return chunk_offset(count, g, c); };
@@ -1020,11 +1032,16 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
   // operand order of apply_reduce), and re-encodes. The fully-reduced chunk
   // is encoded exactly once after its last hop; phase 2 forwards those same
   // encoded bits to every rank, so all ranks decode identical values no
-  // matter the backend or worker count.
-  PayloadPtr carry = world_->pool(world_rank()).acquire();
-  carry->resize(static_cast<std::size_t>(bf16_packed_count(ccount(grank_))));
-  bf16_compress(d + coffset(grank_), ccount(grank_), carry->data());
-  PayloadPtr scratch = world_->pool(world_rank()).acquire();
+  // matter the backend or worker count. A phantom call (no data) sends the
+  // same per-chunk byte counts with no payload.
+  PayloadPtr carry;
+  PayloadPtr scratch;
+  if (real) {
+    carry = world_->pool(world_rank()).acquire();
+    carry->resize(static_cast<std::size_t>(bf16_packed_count(ccount(grank_))));
+    bf16_compress(d + coffset(grank_), ccount(grank_), carry->data());
+    scratch = world_->pool(world_rank()).acquire();
+  }
 
   // Phase 1 — ring reduce-scatter over encoded chunks.
   for (int s = 0; s < g - 1; ++s) {
@@ -1033,6 +1050,7 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
     send_msg(right, tag, std::move(carry), cbytes(send_c));
     Message m = recv_msg(left, tag);
     carry = std::move(m.payload);
+    if (!real || carry == nullptr) continue;
     const std::int64_t n = ccount(recv_c);
     scratch->resize(static_cast<std::size_t>(n));
     bf16_decompress(carry->data(), n, scratch->data());
@@ -1043,7 +1061,9 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
   // The owned chunk exists only as codes in `carry`; land its decoded form
   // before circulating the codes themselves.
   const int own = (grank_ + 1) % g;
-  bf16_decompress(carry->data(), ccount(own), d + coffset(own));
+  if (real && carry != nullptr) {
+    bf16_decompress(carry->data(), ccount(own), d + coffset(own));
+  }
 
   // Phase 2 — ring all-gather of the encoded owned chunks.
   for (int s = 0; s < g - 1; ++s) {
@@ -1052,7 +1072,9 @@ void Communicator::all_reduce_compressed(std::span<float> data, ReduceOp op) {
     send_msg(right, tag, std::move(carry), cbytes(send_c));
     Message m = recv_msg(left, tag);
     carry = std::move(m.payload);
-    bf16_decompress(carry->data(), ccount(recv_c), d + coffset(recv_c));
+    if (real && carry != nullptr) {
+      bf16_decompress(carry->data(), ccount(recv_c), d + coffset(recv_c));
+    }
   }
   recycle(std::move(carry));
   recycle(std::move(scratch));

@@ -329,13 +329,25 @@ class Communicator {
   void all_to_all(std::span<const float> in, std::span<float> out);
 
   // ---- Tensor conveniences --------------------------------------------------
+  // A phantom tensor (Tensor::phantom) runs the phantom twin below with its
+  // nbytes(), so a layer written once on Tensors runs real or phantom.
 
-  void broadcast(Tensor& t, int root) { broadcast(t.span(), root); }
+  void broadcast(Tensor& t, int root) {
+    if (t.is_phantom()) return phantom_broadcast(root, t.nbytes());
+    broadcast(t.span(), root);
+  }
   void all_reduce(Tensor& t, ReduceOp op = ReduceOp::Sum) {
+    if (t.is_phantom()) return phantom_all_reduce(t.nbytes());
     all_reduce(t.span(), op);
   }
   void reduce(Tensor& t, int root, ReduceOp op = ReduceOp::Sum) {
+    if (t.is_phantom()) return phantom_reduce(root, t.nbytes());
     reduce(t.span(), root, op);
+  }
+  /// The bf16 wire carries 2 bytes per element whatever t's element size.
+  void all_reduce_compressed(Tensor& t, ReduceOp op = ReduceOp::Sum) {
+    if (t.is_phantom()) return phantom_all_reduce_compressed(t.numel());
+    all_reduce_compressed(t.span(), op);
   }
 
   // ---- Phantom collectives (timing + stats only) ---------------------------
@@ -346,6 +358,9 @@ class Communicator {
   void phantom_broadcast(int root, std::int64_t bytes);
   void phantom_reduce(int root, std::int64_t bytes);
   void phantom_all_reduce(std::int64_t bytes);
+  /// all_reduce_compressed of `count` elements: 2 wire bytes per element,
+  /// chunked by element as the real call is.
+  void phantom_all_reduce_compressed(std::int64_t count);
   void phantom_all_gather(std::int64_t bytes_per_rank);
   void phantom_reduce_scatter(std::int64_t total_bytes);
   void phantom_sendrecv(int dst, int src, std::int64_t bytes);
@@ -443,6 +458,8 @@ class Communicator {
                    int root, ReduceOp op);
   void all_reduce_impl(float* data, std::int64_t count,
                        std::int64_t total_bytes, ReduceOp op);
+  // count elements either way; data == nullptr for the phantom call.
+  void all_reduce_compressed_impl(float* data, std::int64_t count, ReduceOp op);
   void all_gather_impl(const float* local, float* out, std::int64_t chunk_count,
                        std::int64_t chunk_bytes);
   void reduce_scatter_impl(const float* data, float* out, std::int64_t count,

@@ -9,10 +9,11 @@ constexpr float kGeluCoef = 0.044715f;
 }  // namespace
 
 Tensor gelu(const Tensor& x, Tensor* dydx) {
-  Tensor y(x.shape());
+  Tensor y = Tensor::like(x, x.shape());
   if (dydx != nullptr) {
     check(dydx->numel() == x.numel(), "gelu: derivative size mismatch");
   }
+  if (y.is_phantom()) return y;
   for (std::int64_t i = 0; i < x.numel(); ++i) {
     const float v = x.data()[i];
     const float u = kSqrt2OverPi * (v + kGeluCoef * v * v * v);

@@ -1,6 +1,7 @@
 // Pointwise activations with explicit backward.
 #pragma once
 
+#include "nn/param.hpp"
 #include "tensor/tensor.hpp"
 
 namespace tsr::nn {
@@ -20,17 +21,17 @@ Tensor relu_backward(const Tensor& x, const Tensor& dy);
 class Gelu {
  public:
   Tensor forward(const Tensor& x) {
-    Tensor dydx(x.shape());
+    Tensor dydx = Tensor::like(x, x.shape());
     Tensor y = gelu(x, &dydx);
     grad_stack_.push_back(std::move(dydx));
     return y;
   }
   /// dx = dy * dy/dx, written over the popped cache.
   Tensor backward(const Tensor& dy) {
-    check(!grad_stack_.empty(), "Gelu::backward: no forward in flight");
-    Tensor dx = std::move(grad_stack_.back());
-    grad_stack_.pop_back();
+    Tensor dx = pop_cache(grad_stack_, dy, "Gelu::backward: no forward in flight",
+                          [&] { return Tensor::like(dy, dy.shape()); });
     check(dx.numel() == dy.numel(), "Gelu::backward: size mismatch");
+    if (dx.is_phantom()) return dx;
     for (std::int64_t i = 0; i < dx.numel(); ++i) {
       dx.data()[i] = dy.data()[i] * dx.data()[i];
     }
@@ -43,8 +44,8 @@ class Gelu {
   /// Bytes currently held by in-flight caches.
   std::int64_t cached_bytes() const {
     std::int64_t n = 0;
-    for (const Tensor& t : grad_stack_) n += t.numel();
-    return n * static_cast<std::int64_t>(sizeof(float));
+    for (const Tensor& t : grad_stack_) n += t.nbytes();
+    return n;
   }
 
  private:

@@ -16,7 +16,8 @@ Tensor split_heads(const Tensor& x, std::int64_t heads) {
   const std::int64_t h = x.dim(2);
   check(h % heads == 0, "split_heads: hidden not divisible by heads");
   const std::int64_t hd = h / heads;
-  Tensor out({b * heads, s, hd});
+  Tensor out = Tensor::like(x, {b * heads, s, hd});
+  if (out.is_phantom()) return out;
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t n = 0; n < heads; ++n) {
       for (std::int64_t t = 0; t < s; ++t) {
@@ -35,7 +36,8 @@ Tensor merge_heads(const Tensor& x, std::int64_t batch) {
   const std::int64_t heads = x.dim(0) / batch;
   const std::int64_t s = x.dim(1);
   const std::int64_t hd = x.dim(2);
-  Tensor out({batch, s, heads * hd});
+  Tensor out = Tensor::like(x, {batch, s, heads * hd});
+  if (out.is_phantom()) return out;
   for (std::int64_t bi = 0; bi < batch; ++bi) {
     for (std::int64_t n = 0; n < heads; ++n) {
       for (std::int64_t t = 0; t < s; ++t) {
@@ -51,6 +53,7 @@ Tensor merge_heads(const Tensor& x, std::int64_t batch) {
 void apply_causal_mask(Tensor& scores) {
   check(scores.ndim() == 3 && scores.dim(1) == scores.dim(2),
         "apply_causal_mask: expected [heads, s, s] scores");
+  if (scores.is_phantom()) return;
   const std::int64_t n = scores.dim(0);
   const std::int64_t s = scores.dim(1);
   for (std::int64_t b = 0; b < n; ++b) {

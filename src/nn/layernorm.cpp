@@ -6,8 +6,8 @@
 
 namespace tsr::nn {
 
-LayerNorm::LayerNorm(std::int64_t features, float eps)
-    : gamma({features}), beta({features}), eps_(eps) {
+LayerNorm::LayerNorm(std::int64_t features, Init init, float eps)
+    : gamma(init.param({features})), beta(init.param({features})), eps_(eps) {
   gamma.value.fill(1.0f);
 }
 
@@ -15,9 +15,10 @@ Tensor LayerNorm::forward(const Tensor& x) {
   const std::int64_t f = gamma.value.dim(0);
   check(x.dim(-1) == f, "LayerNorm::forward: feature mismatch");
   const std::int64_t rows = x.numel() / f;
-  Tensor y(x.shape());
-  xhat_cache_ = Tensor({x.shape()});
-  inv_std_cache_ = Tensor({rows});
+  Tensor y = Tensor::like(x, x.shape());
+  xhat_cache_ = Tensor::like(x, x.shape());
+  inv_std_cache_ = Tensor::like(x, {rows});
+  if (y.is_phantom()) return y;
   const float* px = x.data();
   float* py = y.data();
   float* pxh = xhat_cache_.data();
@@ -50,10 +51,12 @@ Tensor LayerNorm::forward(const Tensor& x) {
 }
 
 Tensor LayerNorm::backward(const Tensor& dy) {
-  check(!xhat_cache_.empty(), "LayerNorm::backward: forward() not called");
   const std::int64_t f = gamma.value.dim(0);
-  check(dy.numel() == xhat_cache_.numel(), "LayerNorm::backward: size mismatch");
   const std::int64_t rows = dy.numel() / f;
+  // A phantom backward needs no cache: the replay may time one alone.
+  if (dy.is_phantom()) return Tensor::like(dy, dy.shape());
+  check(!xhat_cache_.empty(), "LayerNorm::backward: forward() not called");
+  check(dy.numel() == xhat_cache_.numel(), "LayerNorm::backward: size mismatch");
   Tensor dx(dy.shape());
   const float* pdy = dy.data();
   const float* pxh = xhat_cache_.data();

@@ -13,7 +13,7 @@ namespace tsr::nn {
 /// all-reduces across a grid row (paper Section 3.2.2).
 class LayerNorm {
  public:
-  explicit LayerNorm(std::int64_t features, float eps = 1e-5f);
+  explicit LayerNorm(std::int64_t features, Init init = {}, float eps = 1e-5f);
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);

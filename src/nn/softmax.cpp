@@ -9,7 +9,8 @@ Tensor softmax(const Tensor& x) {
   check(x.ndim() >= 1, "softmax: needs at least 1-D input");
   const std::int64_t f = x.dim(-1);
   const std::int64_t rows = x.numel() / f;
-  Tensor y(x.shape());
+  Tensor y = Tensor::like(x, x.shape());
+  if (y.is_phantom()) return y;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* row = x.data() + r * f;
     float* out = y.data() + r * f;
@@ -30,7 +31,8 @@ Tensor softmax_backward(const Tensor& y, const Tensor& dy) {
   check(y.numel() == dy.numel(), "softmax_backward: size mismatch");
   const std::int64_t f = y.dim(-1);
   const std::int64_t rows = y.numel() / f;
-  Tensor dx(y.shape());
+  Tensor dx = Tensor::like(y, y.shape());
+  if (dx.is_phantom()) return dx;
   for (std::int64_t r = 0; r < rows; ++r) {
     const float* yr = y.data() + r * f;
     const float* dyr = dy.data() + r * f;

@@ -116,13 +116,16 @@ class Registry {
 
 /// RAII timer recording one histogram sample of simulated elapsed time.
 /// Null registry or clock makes it a no-op, so call sites need no branching;
-/// timers nest freely (each records its own inclusive duration).
+/// timers nest freely (each records its own inclusive duration). `name` must
+/// outlive the timer (call sites pass literals); the metric's std::string is
+/// built only when a registry records it, so a disabled timer never
+/// allocates.
 class ScopedTimer {
  public:
-  ScopedTimer(Registry* registry, const rt::SimClock* clock, std::string name)
+  ScopedTimer(Registry* registry, const rt::SimClock* clock, const char* name)
       : registry_(registry),
         clock_(clock),
-        name_(std::move(name)),
+        name_(name),
         t0_(clock != nullptr ? clock->now() : 0.0) {}
 
   ScopedTimer(const ScopedTimer&) = delete;
@@ -130,7 +133,7 @@ class ScopedTimer {
   ScopedTimer(ScopedTimer&& other) noexcept
       : registry_(other.registry_),
         clock_(other.clock_),
-        name_(std::move(other.name_)),
+        name_(other.name_),
         t0_(other.t0_) {
     other.registry_ = nullptr;
   }
@@ -144,7 +147,7 @@ class ScopedTimer {
  private:
   Registry* registry_;
   const rt::SimClock* clock_;
-  std::string name_;
+  const char* name_;
   double t0_;
 };
 

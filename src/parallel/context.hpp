@@ -37,11 +37,12 @@ class TesseractContext {
 
   /// Scoped per-op timer over this rank's simulated clock, recorded into the
   /// world metrics registry; a no-op unless World::enable_metrics() was
-  /// called. Layers wrap forward/backward bodies in one of these.
-  obs::ScopedTimer timer(std::string name) {
+  /// called. Layers wrap forward/backward bodies in one of these; `name` is
+  /// a literal.
+  obs::ScopedTimer timer(const char* name) {
     comm::World& w = tc_.grid.world();
     return obs::ScopedTimer(w.metrics_enabled() ? &w.metrics() : nullptr,
-                            &tc_.grid.clock(), std::move(name));
+                            &tc_.grid.clock(), name);
   }
 
  private:

@@ -15,10 +15,19 @@ namespace tsr::par {
 
 MegatronColumnLinear::MegatronColumnLinear(MegatronContext& ctx,
                                            std::int64_t in, std::int64_t out,
-                                           Rng& rng, bool with_bias)
+                                           nn::Init init, bool with_bias)
     : ctx_(&ctx) {
+  if (init.phantom()) {
+    check(out % ctx.p() == 0, "MegatronColumnLinear: out not divisible by p");
+    in_ = in;
+    out_ = out;
+    w = init.param({in, out / ctx.p()});
+    has_bias_ = with_bias;
+    if (has_bias_) b = init.param({out / ctx.p()});
+    return;
+  }
   Tensor full_w({in, out});
-  xavier_uniform(full_w, rng);
+  xavier_uniform(full_w, init.rng());
   init_from_full(full_w, with_bias ? Tensor::zeros({out}) : Tensor());
 }
 
@@ -54,7 +63,7 @@ Tensor MegatronColumnLinear::forward(const Tensor& x) {
   ctx_->charge_gemm(x_cache_.dim(0), w.value.dim(1), in_);
   if (has_bias_) {
     add_bias(y, b.value);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_memory(y.nbytes());
   }
   Shape out_shape = x.shape();
   out_shape.back() = out_ / ctx_->p();
@@ -62,8 +71,12 @@ Tensor MegatronColumnLinear::forward(const Tensor& x) {
 }
 
 Tensor MegatronColumnLinear::backward(const Tensor& dy) {
-  check(!x_cache_.empty(), "MegatronColumnLinear::backward: forward() missing");
   const Tensor dym = dy.as_matrix();
+  // A phantom backward timed alone (the replay) gets a phantom input.
+  if (x_cache_.empty() && dy.is_phantom()) {
+    x_cache_ = Tensor::like(dy, {dym.dim(0), in_});
+  }
+  check(!x_cache_.empty(), "MegatronColumnLinear::backward: forward() missing");
   matmul_acc(x_cache_, dym, w.grad, Trans::T, Trans::N);
   ctx_->charge_gemm(in_, dym.dim(1), dym.dim(0));
   if (has_bias_) axpy(1.0f, bias_grad(dym), b.grad);
@@ -91,16 +104,18 @@ std::vector<nn::Param*> MegatronColumnLinear::params() {
 // ---- MegatronRowLinear -------------------------------------------------------
 
 MegatronRowLinear::MegatronRowLinear(MegatronContext& ctx, std::int64_t in,
-                                     std::int64_t out, Rng& rng, bool with_bias)
+                                     std::int64_t out, nn::Init init,
+                                     bool with_bias)
     : ctx_(&ctx), in_(in), out_(out), has_bias_(with_bias) {
   const int p = ctx.p();
   check(in % p == 0, "MegatronRowLinear: in not divisible by p");
-  Tensor full_w({in, out});
-  xavier_uniform(full_w, rng);
   const std::int64_t lin = in / p;
-  w = nn::Param({lin, out});
+  w = init.param({lin, out});
+  if (has_bias_) b = init.param({out});
+  if (init.phantom()) return;
+  Tensor full_w({in, out});
+  xavier_uniform(full_w, init.rng());
   w.value.copy_from(slice_block(full_w, ctx.rank() * lin, 0, lin, out));
-  if (has_bias_) b = nn::Param({out});
 }
 
 Tensor MegatronRowLinear::forward(const Tensor& x) {
@@ -113,7 +128,7 @@ Tensor MegatronRowLinear::forward(const Tensor& x) {
   ctx_->comm().all_reduce(y);
   if (has_bias_) {
     add_bias(y, b.value);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_memory(y.nbytes());
   }
   Shape out_shape = x.shape();
   out_shape.back() = out_;
@@ -121,8 +136,11 @@ Tensor MegatronRowLinear::forward(const Tensor& x) {
 }
 
 Tensor MegatronRowLinear::backward(const Tensor& dy) {
-  check(!x_cache_.empty(), "MegatronRowLinear::backward: forward() missing");
   const Tensor dym = dy.as_matrix();
+  if (x_cache_.empty() && dy.is_phantom()) {
+    x_cache_ = Tensor::like(dy, {dym.dim(0), in_ / ctx_->p()});
+  }
+  check(!x_cache_.empty(), "MegatronRowLinear::backward: forward() missing");
   matmul_acc(x_cache_, dym, w.grad, Trans::T, Trans::N);
   ctx_->charge_gemm(x_cache_.dim(1), out_, dym.dim(0));
   if (has_bias_) {
@@ -153,21 +171,21 @@ std::vector<nn::Param*> MegatronRowLinear::params() {
 // ---- MegatronFeedForward -----------------------------------------------------
 
 MegatronFeedForward::MegatronFeedForward(MegatronContext& ctx,
-                                         std::int64_t hidden, Rng& rng,
+                                         std::int64_t hidden, nn::Init init,
                                          std::int64_t expansion)
-    : fc1(ctx, hidden, expansion * hidden, rng),
-      fc2(ctx, expansion * hidden, hidden, rng),
+    : fc1(ctx, hidden, expansion * hidden, init),
+      fc2(ctx, expansion * hidden, hidden, init),
       ctx_(&ctx) {}
 
 Tensor MegatronFeedForward::forward(const Tensor& x) {
   Tensor h = act_.forward(fc1.forward(x));
-  ctx_->charge_memory(h.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(h.nbytes());
   return fc2.forward(h);
 }
 
 Tensor MegatronFeedForward::backward(const Tensor& dy) {
   Tensor dh = act_.backward(fc2.backward(dy));
-  ctx_->charge_memory(dh.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(dh.nbytes());
   return fc1.backward(dh);
 }
 
@@ -185,15 +203,18 @@ std::vector<nn::Param*> MegatronFeedForward::params() {
 // ---- MegatronAttention -------------------------------------------------------
 
 MegatronAttention::MegatronAttention(MegatronContext& ctx, std::int64_t hidden,
-                                     std::int64_t heads, Rng& rng)
-    : qkv(ctx,
-          [&] {
-            Tensor serial_w({hidden, 3 * hidden});
-            xavier_uniform(serial_w, rng);
-            return qkv_blocked_layout(serial_w, ctx.p(), heads);
-          }(),
-          Tensor::zeros({3 * hidden})),
-      proj(ctx, hidden, hidden, rng),
+                                     std::int64_t heads, nn::Init init)
+    : qkv([&] {
+        if (init.phantom()) {
+          return MegatronColumnLinear(ctx, hidden, 3 * hidden, init);
+        }
+        Tensor serial_w({hidden, 3 * hidden});
+        xavier_uniform(serial_w, init.rng());
+        return MegatronColumnLinear(
+            ctx, qkv_blocked_layout(serial_w, ctx.p(), heads),
+            Tensor::zeros({3 * hidden}));
+      }()),
+      proj(ctx, hidden, hidden, init),
       ctx_(&ctx),
       hidden_(hidden),
       heads_(heads) {
@@ -225,7 +246,7 @@ Tensor MegatronAttention::forward(const Tensor& x) {
   ctx_->charge_gemm(batch_ * nl * s, s, hd);
   scale(scores, 1.0f / std::sqrt(static_cast<float>(hd)));
   attn_ = nn::softmax(scores);
-  ctx_->charge_memory(2 * attn_.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(2 * attn_.nbytes());
   Tensor ctxv = bmm(attn_, v_);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
   Tensor merged = nn::merge_heads(ctxv, batch_);  // [b, s, h/p]
@@ -233,11 +254,18 @@ Tensor MegatronAttention::forward(const Tensor& x) {
 }
 
 Tensor MegatronAttention::backward(const Tensor& dy) {
-  check(!attn_.empty(), "MegatronAttention::backward: forward() not called");
-  const std::int64_t s = q_.dim(1);
   const std::int64_t lh = hidden_ / ctx_->p();
   const std::int64_t nl = local_heads();
   const std::int64_t hd = hidden_ / heads_;
+  if (attn_.empty() && dy.is_phantom()) {
+    // A phantom backward timed alone: shape-only caches from dy.
+    batch_ = dy.dim(0);
+    const std::int64_t len = dy.dim(1);
+    q_ = k_ = v_ = Tensor::like(dy, {batch_ * nl, len, hd});
+    attn_ = Tensor::like(dy, {batch_ * nl, len, len});
+  }
+  check(!attn_.empty(), "MegatronAttention::backward: forward() not called");
+  const std::int64_t s = q_.dim(1);
 
   Tensor dmerged = proj.backward(dy);
   Tensor dctx = nn::split_heads(dmerged, nl);
@@ -246,7 +274,7 @@ Tensor MegatronAttention::backward(const Tensor& dy) {
   Tensor dv = bmm(attn_, dctx, Trans::T, Trans::N);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
   Tensor dscores = nn::softmax_backward(attn_, dattn);
-  ctx_->charge_memory(2 * dscores.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(2 * dscores.nbytes());
   scale(dscores, 1.0f / std::sqrt(static_cast<float>(hd)));
   Tensor dq = bmm(dscores, k_);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
@@ -275,24 +303,25 @@ std::vector<nn::Param*> MegatronAttention::params() {
 
 MegatronTransformerLayer::MegatronTransformerLayer(MegatronContext& ctx,
                                                    std::int64_t hidden,
-                                                   std::int64_t heads, Rng& rng,
+                                                   std::int64_t heads,
+                                                   nn::Init init,
                                                    std::int64_t ffn_expansion)
-    : ln1(hidden), attn(ctx, hidden, heads, rng), ln2(hidden),
-      ffn(ctx, hidden, rng, ffn_expansion), ctx_(&ctx) {}
+    : ln1(hidden, init), attn(ctx, hidden, heads, init), ln2(hidden, init),
+      ffn(ctx, hidden, init, ffn_expansion), ctx_(&ctx) {}
 
 Tensor MegatronTransformerLayer::forward(const Tensor& x) {
   Tensor y = add(x, attn.forward(ln1.forward(x)));
-  ctx_->charge_memory(3 * y.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(3 * y.nbytes());
   Tensor z = add(y, ffn.forward(ln2.forward(y)));
-  ctx_->charge_memory(3 * z.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(3 * z.nbytes());
   return z;
 }
 
 Tensor MegatronTransformerLayer::backward(const Tensor& dy) {
   Tensor dy2 = add(dy, ln2.backward(ffn.backward(dy)));
-  ctx_->charge_memory(3 * dy2.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(3 * dy2.nbytes());
   Tensor dx = add(dy2, ln1.backward(attn.backward(dy2)));
-  ctx_->charge_memory(3 * dx.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(3 * dx.nbytes());
   return dx;
 }
 

@@ -44,8 +44,10 @@ class MegatronContext {
 /// Y = X W + b with W column-sharded: [in, out/p] per rank.
 class MegatronColumnLinear {
  public:
+  /// Draws the full weight from `init`'s Rng and keeps this rank's columns;
+  /// a phantom `init` makes a phantom shard and draws nothing.
   MegatronColumnLinear(MegatronContext& ctx, std::int64_t in, std::int64_t out,
-                       Rng& rng, bool with_bias = true);
+                       nn::Init init, bool with_bias = true);
   /// Shares a pre-built full weight (head-blocked QKV layout).
   MegatronColumnLinear(MegatronContext& ctx, const Tensor& full_w,
                        const Tensor& full_b);
@@ -73,7 +75,7 @@ class MegatronColumnLinear {
 class MegatronRowLinear {
  public:
   MegatronRowLinear(MegatronContext& ctx, std::int64_t in, std::int64_t out,
-                    Rng& rng, bool with_bias = true);
+                    nn::Init init, bool with_bias = true);
 
   /// x local [..., in/p] -> replicated [..., out] (all-reduced).
   Tensor forward(const Tensor& x);
@@ -96,8 +98,8 @@ class MegatronRowLinear {
 /// Column-parallel -> GELU -> row-parallel MLP (Fig. 2).
 class MegatronFeedForward {
  public:
-  MegatronFeedForward(MegatronContext& ctx, std::int64_t hidden, Rng& rng,
-                      std::int64_t expansion = 4);
+  MegatronFeedForward(MegatronContext& ctx, std::int64_t hidden,
+                      nn::Init init, std::int64_t expansion = 4);
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);
@@ -118,7 +120,7 @@ class MegatronFeedForward {
 class MegatronAttention {
  public:
   MegatronAttention(MegatronContext& ctx, std::int64_t hidden,
-                    std::int64_t heads, Rng& rng);
+                    std::int64_t heads, nn::Init init);
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);
@@ -140,11 +142,12 @@ class MegatronAttention {
 };
 
 /// Full encoder layer: serial LayerNorms (replicated, h is not sharded in
-/// 1-D parallelism), parallel attention and MLP, local residuals.
+/// 1-D parallelism), parallel attention and MLP, local residuals. A phantom
+/// `init` builds the shape-only layer of the paper-scale replay.
 class MegatronTransformerLayer {
  public:
   MegatronTransformerLayer(MegatronContext& ctx, std::int64_t hidden,
-                           std::int64_t heads, Rng& rng,
+                           std::int64_t heads, nn::Init init,
                            std::int64_t ffn_expansion = 4);
 
   Tensor forward(const Tensor& x);

@@ -11,22 +11,24 @@
 
 namespace tsr::par {
 
-Tensor TesseractAttention::build_qkv_weight(TesseractContext& ctx,
-                                            std::int64_t hidden,
-                                            std::int64_t heads, Rng& rng) {
+TesseractLinear TesseractAttention::build_qkv(TesseractContext& ctx,
+                                              std::int64_t hidden,
+                                              std::int64_t heads,
+                                              nn::Init init) {
+  if (init.phantom()) return TesseractLinear(ctx, hidden, 3 * hidden, init);
   // Draw in the serial [Q | K | V] order (stream-aligned with nn::Linear),
   // then reorder the columns so each q-column shard holds complete heads.
   Tensor serial_w({hidden, 3 * hidden});
-  xavier_uniform(serial_w, rng);
-  return qkv_blocked_layout(serial_w, ctx.q(), heads);
+  xavier_uniform(serial_w, init.rng());
+  return TesseractLinear(ctx, qkv_blocked_layout(serial_w, ctx.q(), heads),
+                         Tensor::zeros({3 * hidden}));
 }
 
 TesseractAttention::TesseractAttention(TesseractContext& ctx,
                                        std::int64_t hidden, std::int64_t heads,
-                                       Rng& rng, bool causal)
-    : qkv(ctx, build_qkv_weight(ctx, hidden, heads, rng),
-          Tensor::zeros({3 * hidden})),
-      proj(ctx, hidden, hidden, rng),
+                                       nn::Init init, bool causal)
+    : qkv(build_qkv(ctx, hidden, heads, init)),
+      proj(ctx, hidden, hidden, init),
       ctx_(&ctx),
       hidden_(hidden),
       heads_(heads),
@@ -68,8 +70,7 @@ Tensor TesseractAttention::forward(const Tensor& x_local) {
   // cost is folded into the softmax's memory-bound charge.
   if (causal_) nn::apply_causal_mask(scores);
   cache.attn = nn::softmax(scores);
-  ctx_->charge_memory(2 * cache.attn.numel() *
-                      static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(2 * cache.attn.nbytes());
   Tensor ctxv = bmm(cache.attn, cache.v);
   ctx_->charge_gemm(batch * nl * s, hd, s);
   Tensor merged = nn::merge_heads(ctxv, batch);  // [b', s, h/q]
@@ -79,15 +80,20 @@ Tensor TesseractAttention::forward(const Tensor& x_local) {
 
 Tensor TesseractAttention::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.attention.backward.sim_seconds");
-  check(!cache_stack_.empty(),
-        "TesseractAttention::backward: forward() not called");
-  Cache cache = std::move(cache_stack_.back());
-  cache_stack_.pop_back();
-  const std::int64_t batch = cache.batch;
-  const std::int64_t s = cache.q.dim(1);
   const std::int64_t lh = hidden_ / ctx_->q();
   const std::int64_t nl = local_heads();
   const std::int64_t hd = hidden_ / heads_;
+  Cache cache = nn::pop_cache(
+      cache_stack_, dy_local,
+      "TesseractAttention::backward: forward() not called", [&] {
+        const std::int64_t b = dy_local.dim(0);
+        const std::int64_t len = dy_local.dim(1);
+        const Tensor head = Tensor::like(dy_local, {b * nl, len, hd});
+        return Cache{head, head, head,
+                     Tensor::like(dy_local, {b * nl, len, len}), b};
+      });
+  const std::int64_t batch = cache.batch;
+  const std::int64_t s = cache.q.dim(1);
 
   Tensor dmerged = proj.backward(dy_local);        // [b', s, h/q]
   Tensor dctx = nn::split_heads(dmerged, nl);      // [b'*nl, s, hd]
@@ -96,7 +102,7 @@ Tensor TesseractAttention::backward(const Tensor& dy_local) {
   Tensor dv = bmm(cache.attn, dctx, Trans::T, Trans::N);
   ctx_->charge_gemm(batch * nl * s, hd, s);
   Tensor dscores = nn::softmax_backward(cache.attn, dattn);
-  ctx_->charge_memory(2 * dscores.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(2 * dscores.nbytes());
   scale(dscores, 1.0f / std::sqrt(static_cast<float>(hd)));
   Tensor dq = bmm(dscores, cache.k);
   ctx_->charge_gemm(batch * nl * s, hd, s);
@@ -119,10 +125,9 @@ void TesseractAttention::clear_caches() {
 std::int64_t TesseractAttention::cached_bytes() const {
   std::int64_t n = 0;
   for (const Cache& c : cache_stack_) {
-    n += c.q.numel() + c.k.numel() + c.v.numel() + c.attn.numel();
+    n += c.q.nbytes() + c.k.nbytes() + c.v.nbytes() + c.attn.nbytes();
   }
-  return n * static_cast<std::int64_t>(sizeof(float)) + qkv.cached_bytes() +
-         proj.cached_bytes();
+  return n + qkv.cached_bytes() + proj.cached_bytes();
 }
 
 void TesseractAttention::zero_grad() {

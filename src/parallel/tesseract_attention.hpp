@@ -15,10 +15,11 @@ namespace tsr::par {
 class TesseractAttention {
  public:
   /// Consumes the same RNG draws as nn::MultiHeadAttention(hidden, heads),
-  /// so a serial model built from an equal-seed Rng has identical weights.
-  /// Requires heads % q == 0 and (h/heads) head dim consistency.
+  /// so a serial model built from an equal-seed Rng has identical weights
+  /// (a phantom `init` draws nothing). Requires heads % q == 0 and
+  /// (h/heads) head dim consistency.
   TesseractAttention(TesseractContext& ctx, std::int64_t hidden,
-                     std::int64_t heads, Rng& rng, bool causal = false);
+                     std::int64_t heads, nn::Init init, bool causal = false);
 
   /// x_local: [b/(d*q), s, h/q] -> same shape.
   Tensor forward(const Tensor& x_local);
@@ -50,8 +51,8 @@ class TesseractAttention {
   };
   std::vector<Cache> cache_stack_;
 
-  static Tensor build_qkv_weight(TesseractContext& ctx, std::int64_t hidden,
-                                 std::int64_t heads, Rng& rng);
+  static TesseractLinear build_qkv(TesseractContext& ctx, std::int64_t hidden,
+                                   std::int64_t heads, nn::Init init);
 };
 
 }  // namespace tsr::par

@@ -3,23 +3,23 @@
 namespace tsr::par {
 
 TesseractFeedForward::TesseractFeedForward(TesseractContext& ctx,
-                                           std::int64_t hidden, Rng& rng,
+                                           std::int64_t hidden, nn::Init init,
                                            std::int64_t expansion)
-    : fc1(ctx, hidden, expansion * hidden, rng),
-      fc2(ctx, expansion * hidden, hidden, rng),
+    : fc1(ctx, hidden, expansion * hidden, init),
+      fc2(ctx, expansion * hidden, hidden, init),
       ctx_(&ctx) {}
 
 Tensor TesseractFeedForward::forward(const Tensor& x_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.feedforward.forward.sim_seconds");
   Tensor h = act_.forward(fc1.forward(x_local));
-  ctx_->charge_memory(h.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(h.nbytes());
   return fc2.forward(h);
 }
 
 Tensor TesseractFeedForward::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.feedforward.backward.sim_seconds");
   Tensor dh = act_.backward(fc2.backward(dy_local));
-  ctx_->charge_memory(dh.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(dh.nbytes());
   return fc1.backward(dh);
 }
 

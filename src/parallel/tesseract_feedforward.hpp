@@ -11,8 +11,8 @@ namespace tsr::par {
 
 class TesseractFeedForward {
  public:
-  TesseractFeedForward(TesseractContext& ctx, std::int64_t hidden, Rng& rng,
-                       std::int64_t expansion = 4);
+  TesseractFeedForward(TesseractContext& ctx, std::int64_t hidden,
+                       nn::Init init, std::int64_t expansion = 4);
 
   Tensor forward(const Tensor& x_local);
   Tensor backward(const Tensor& dy_local);

@@ -17,7 +17,7 @@ class TesseractLayerNorm {
  public:
   /// `features` is the FULL hidden size h; this rank holds h/q of it.
   TesseractLayerNorm(TesseractContext& ctx, std::int64_t features,
-                     float eps = 1e-5f);
+                     nn::Init init = {}, float eps = 1e-5f);
 
   /// x_local: [..., h/q] -> [..., h/q].
   Tensor forward(const Tensor& x_local);

@@ -8,11 +8,22 @@
 namespace tsr::par {
 
 TesseractLinear::TesseractLinear(TesseractContext& ctx, std::int64_t in_features,
-                                 std::int64_t out_features, Rng& rng,
+                                 std::int64_t out_features, nn::Init init,
                                  bool with_bias)
     : ctx_(&ctx) {
+  if (init.phantom()) {
+    const int q = ctx_->q();
+    check(in_features % q == 0 && out_features % q == 0,
+          "TesseractLinear: features must be divisible by q");
+    in_ = in_features;
+    out_ = out_features;
+    w = init.param({in_ / q, out_ / q});
+    has_bias_ = with_bias;
+    if (has_bias_) b = init.param({out_ / q});
+    return;
+  }
   Tensor full_w({in_features, out_features});
-  xavier_uniform(full_w, rng);
+  xavier_uniform(full_w, init.rng());
   Tensor full_b = with_bias ? Tensor::zeros({out_features}) : Tensor();
   init_from_full(full_w, full_b);
 }
@@ -57,7 +68,7 @@ Tensor TesseractLinear::forward(const Tensor& x_local) {
     Tensor bias_bcast = b.value.clone();
     ctx_->comms().col.broadcast(bias_bcast, /*root=*/0);
     add_bias(y, bias_bcast);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_memory(y.nbytes());
   }
   Shape out_shape = x_local.shape();
   out_shape.back() = out_ / ctx_->q();
@@ -66,12 +77,12 @@ Tensor TesseractLinear::forward(const Tensor& x_local) {
 
 Tensor TesseractLinear::backward(const Tensor& dy_local) {
   obs::ScopedTimer t = ctx_->timer("layer.linear.backward.sim_seconds");
-  check(!x_stack_.empty(), "TesseractLinear::backward: forward() not called");
   check(dy_local.dim(-1) == out_ / ctx_->q(),
         "TesseractLinear::backward: local feature shard mismatch");
   const Tensor dym = dy_local.as_matrix();
-  Tensor x = std::move(x_stack_.back());
-  x_stack_.pop_back();
+  Tensor x = nn::pop_cache(
+      x_stack_, dy_local, "TesseractLinear::backward: forward() not called",
+      [&] { return Tensor::like(dym, {dym.dim(0), in_ / ctx_->q()}); });
 
   // Weight gradient: dW = x^T dy, all-reduced along the depth line
   // (Section 3.1: the q^2 B partitions receive d*q^2 partial gradients).
@@ -87,7 +98,7 @@ Tensor TesseractLinear::backward(const Tensor& dy_local) {
     if (ctx_->i() == 0) {
       if (ctx_->d() > 1) {
         if (run_config().compress_depth) {
-          ctx_->comms().depth.all_reduce_compressed(db.span());
+          ctx_->comms().depth.all_reduce_compressed(db);
         } else {
           ctx_->comms().depth.all_reduce(db);
         }
@@ -105,8 +116,8 @@ Tensor TesseractLinear::backward(const Tensor& dy_local) {
 
 std::int64_t TesseractLinear::cached_bytes() const {
   std::int64_t n = 0;
-  for (const Tensor& t : x_stack_) n += t.numel();
-  return n * static_cast<std::int64_t>(sizeof(float));
+  for (const Tensor& t : x_stack_) n += t.nbytes();
+  return n;
 }
 
 void TesseractLinear::zero_grad() {

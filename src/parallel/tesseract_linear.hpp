@@ -15,17 +15,18 @@
 
 #include "nn/param.hpp"
 #include "parallel/context.hpp"
-#include "tensor/rng.hpp"
 
 namespace tsr::par {
 
 class TesseractLinear {
  public:
-  /// Xavier-initializes the FULL [in, out] weight from `rng` (consuming the
-  /// same number of draws as the serial nn::Linear so the two stay stream-
-  /// aligned) and keeps only this rank's block.
+  /// Xavier-initializes the FULL [in, out] weight from `init`'s Rng
+  /// (consuming the same number of draws as the serial nn::Linear so the two
+  /// stay stream-aligned) and keeps only this rank's block. A phantom `init`
+  /// makes phantom blocks and draws nothing.
   TesseractLinear(TesseractContext& ctx, std::int64_t in_features,
-                  std::int64_t out_features, Rng& rng, bool with_bias = true);
+                  std::int64_t out_features, nn::Init init,
+                  bool with_bias = true);
 
   /// Takes ownership of a pre-built full weight/bias (used by the attention
   /// layer, whose fused QKV weight needs the head-blocked column layout).

@@ -5,29 +5,29 @@
 namespace tsr::par {
 
 TesseractTransformerLayer::TesseractTransformerLayer(
-    TesseractContext& ctx, std::int64_t hidden, std::int64_t heads, Rng& rng,
-    std::int64_t ffn_expansion, bool causal)
-    : ln1(ctx, hidden),
-      attn(ctx, hidden, heads, rng, causal),
-      ln2(ctx, hidden),
-      ffn(ctx, hidden, rng, ffn_expansion),
+    TesseractContext& ctx, std::int64_t hidden, std::int64_t heads,
+    nn::Init init, std::int64_t ffn_expansion, bool causal)
+    : ln1(ctx, hidden, init),
+      attn(ctx, hidden, heads, init, causal),
+      ln2(ctx, hidden, init),
+      ffn(ctx, hidden, init, ffn_expansion),
       ctx_(&ctx) {}
 
 Tensor TesseractTransformerLayer::forward(const Tensor& x_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.transformer_layer.forward.sim_seconds");
   Tensor y = add(x_local, attn.forward(ln1.forward(x_local)));
-  ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(y.nbytes());
   Tensor z = add(y, ffn.forward(ln2.forward(y)));
-  ctx_->charge_memory(z.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(z.nbytes());
   return z;
 }
 
 Tensor TesseractTransformerLayer::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.transformer_layer.backward.sim_seconds");
   Tensor dy2 = add(dy_local, ln2.backward(ffn.backward(dy_local)));
-  ctx_->charge_memory(dy2.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(dy2.nbytes());
   Tensor dx = add(dy2, ln1.backward(attn.backward(dy2)));
-  ctx_->charge_memory(dx.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_memory(dx.nbytes());
   return dx;
 }
 
@@ -114,9 +114,7 @@ std::int64_t TesseractTransformer::cached_bytes() const {
   std::int64_t n = 0;
   for (const auto& layer : layers_) n += layer->cached_bytes();
   for (const auto& stack : layer_inputs_) {
-    for (const Tensor& t : stack) {
-      n += t.numel() * static_cast<std::int64_t>(sizeof(float));
-    }
+    for (const Tensor& t : stack) n += t.nbytes();
   }
   return n;
 }

@@ -17,8 +17,10 @@ namespace tsr::par {
 /// conduct operations locally on individual GPUs").
 class TesseractTransformerLayer {
  public:
+  /// A phantom `init` (nn::Init::phantom) builds the shape-only layer the
+  /// paper-scale replay runs on phantom activations.
   TesseractTransformerLayer(TesseractContext& ctx, std::int64_t hidden,
-                            std::int64_t heads, Rng& rng,
+                            std::int64_t heads, nn::Init init,
                             std::int64_t ffn_expansion = 4,
                             bool causal = false);
 

@@ -137,6 +137,12 @@ TesseractComms TesseractComms::create(comm::Communicator& parent, int q, int d) 
   tc.row = parent.subgroup(to_world(grid.row_group(c.i, c.k)));
   tc.col = parent.subgroup(to_world(grid.col_group(c.j, c.k)));
   tc.depth = parent.subgroup(to_world(grid.depth_group(c.i, c.j)));
+  tc.plane.grid = tc.layer;
+  tc.plane.row = tc.row;
+  tc.plane.col = tc.col;
+  tc.plane.q = q;
+  tc.plane.i = c.i;
+  tc.plane.j = c.j;
   return tc;
 }
 

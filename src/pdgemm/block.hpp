@@ -59,6 +59,10 @@ struct TesseractComms {
   comm::Communicator row;    ///< ranks sharing (i, k) (size q, ordered by j)
   comm::Communicator col;    ///< ranks sharing (j, k) (size q, ordered by i)
   comm::Communicator depth;  ///< ranks sharing (i, j) (size d, ordered by k)
+  /// My depth layer as the [q, q] grid it runs SUMMA on (layer, row and col
+  /// above, i, j): the product forms of pdgemm/tesseract_mm.hpp reuse these
+  /// handles call after call.
+  Grid2DComms plane;
   int q = 0;
   int d = 0;
   int i = 0;

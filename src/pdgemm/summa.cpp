@@ -10,16 +10,19 @@ Tensor summa_ab_local(Grid2DComms& g, const Tensor& a_block,
   const int q = g.q;
   check(a_block.dim(1) == b_block.dim(0),
         "summa_ab_local: inner block dimensions mismatch");
-  Tensor c = Tensor::zeros({a_block.dim(0), b_block.dim(1)});
-  Tensor a_recv(a_block.shape());
-  Tensor b_recv(b_block.shape());
+  Tensor c = Tensor::like(a_block, {a_block.dim(0), b_block.dim(1)});
+  c.fill(0.0f);
+  // A root sends straight from its own block (a shared handle, no copy: a
+  // broadcast root only reads) and multiplies with it.
+  Tensor a_own = a_block;
+  Tensor b_own = b_block;
+  Tensor a_recv = Tensor::like(a_block, a_block.shape());
+  Tensor b_recv = Tensor::like(b_block, b_block.shape());
   for (int t = 0; t < q; ++t) {
     // Broadcast A_{it} along row i and B_{tj} down column j (Algorithm 2).
-    // A root sends straight from its own block (a shared handle, no copy:
-    // a broadcast root only reads) and multiplies with it.
-    Tensor a_panel = g.j == t ? a_block : a_recv;
+    Tensor& a_panel = g.j == t ? a_own : a_recv;
     g.row.broadcast(a_panel, t);
-    Tensor b_panel = g.i == t ? b_block : b_recv;
+    Tensor& b_panel = g.i == t ? b_own : b_recv;
     g.col.broadcast(b_panel, t);
     matmul_acc(a_panel, b_panel, c);
     charge_gemm(g.grid, a_panel.dim(0), b_panel.dim(1), a_panel.dim(1));
@@ -33,10 +36,11 @@ Tensor summa_abt_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(1) == b_block.dim(1),
         "summa_abt_local: trailing block dimensions must match (both split c)");
   Tensor result;  // filled at t == my column
-  Tensor b_recv(b_block.shape());
+  Tensor b_own = b_block;
+  Tensor b_recv = Tensor::like(b_block, b_block.shape());
   for (int t = 0; t < q; ++t) {
     // B_{tj} lives at grid row t; broadcast it down column j.
-    Tensor b_panel = g.i == t ? b_block : b_recv;
+    Tensor& b_panel = g.i == t ? b_own : b_recv;
     g.col.broadcast(b_panel, t);
     // Local partial of C_{it} = sum_j A_{ij} * B_{tj}^T.
     Tensor partial = matmul(a_block, b_panel, Trans::N, Trans::T);
@@ -54,10 +58,11 @@ Tensor summa_atb_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(0) == b_block.dim(0),
         "summa_atb_local: leading block dimensions must match (both split a)");
   Tensor result;  // filled at t == my row
-  Tensor a_recv(a_block.shape());
+  Tensor a_own = a_block;
+  Tensor a_recv = Tensor::like(a_block, a_block.shape());
   for (int t = 0; t < q; ++t) {
     // A_{it} lives at grid column t; broadcast it along row i.
-    Tensor a_panel = g.j == t ? a_block : a_recv;
+    Tensor& a_panel = g.j == t ? a_own : a_recv;
     g.row.broadcast(a_panel, t);
     // Local partial of C_{tj} = sum_i A_{it}^T * B_{ij}.
     Tensor partial = matmul(a_panel, b_block, Trans::T, Trans::N);

@@ -4,46 +4,31 @@
 #include "runtime/config.hpp"
 
 namespace tsr::pdg {
-namespace {
 
 // Each depth layer of the Tesseract grid is exactly a SUMMA grid over its
-// slice of A; expose it as one so the three product forms share the SUMMA
-// kernels (d = 1 reduces Tesseract to Optimus/SUMMA, as the paper notes).
-Grid2DComms layer_view(TesseractComms& tc) {
-  Grid2DComms g;
-  g.grid = tc.layer;
-  g.row = tc.row;
-  g.col = tc.col;
-  g.q = tc.q;
-  g.i = tc.i;
-  g.j = tc.j;
-  return g;
-}
-
-}  // namespace
+// slice of A (TesseractComms::plane), so the three product forms share the
+// SUMMA kernels (d = 1 reduces Tesseract to Optimus/SUMMA, as the paper
+// notes).
 
 Tensor tesseract_ab_local(TesseractComms& tc, const Tensor& a_block,
                           const Tensor& b_block) {
-  Grid2DComms layer = layer_view(tc);
-  return summa_ab_local(layer, a_block, b_block);
+  return summa_ab_local(tc.plane, a_block, b_block);
 }
 
 Tensor tesseract_abt_local(TesseractComms& tc, const Tensor& a_block,
                            const Tensor& b_block) {
-  Grid2DComms layer = layer_view(tc);
-  return summa_abt_local(layer, a_block, b_block);
+  return summa_abt_local(tc.plane, a_block, b_block);
 }
 
 Tensor tesseract_atb_local(TesseractComms& tc, const Tensor& a_block,
                            const Tensor& b_block, bool depth_allreduce) {
-  Grid2DComms layer = layer_view(tc);
-  Tensor partial = summa_atb_local(layer, a_block, b_block);
+  Tensor partial = summa_atb_local(tc.plane, a_block, b_block);
   if (depth_allreduce && tc.d > 1) {
     // Sum the per-layer partials: each layer saw only its row slice of A.
     // These B' gradient partials are the depth dimension's dominant wire
     // volume, so they are the target of the opt-in bf16 wire compression.
     if (run_config().compress_depth) {
-      tc.depth.all_reduce_compressed(partial.span());
+      tc.depth.all_reduce_compressed(partial);
     } else {
       tc.depth.all_reduce(partial);
     }

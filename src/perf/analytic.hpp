@@ -1,7 +1,7 @@
 // Closed-form per-layer time model for the three parallelization schemes.
 //
 // Two performance planes exist in this repository: the phantom replay
-// (perf/layer_costs.hpp) executes the exact message schedule on the virtual
+// (perf/cost_model.hpp) executes the exact message schedule on the virtual
 // cluster — slow-ish but exact; this analytic model evaluates alpha-beta
 // expressions in closed form — instant, so sweeps over thousands of
 // [q, q, d] candidates (auto-tuning, as in example_grid_explorer) are free.

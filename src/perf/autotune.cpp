@@ -67,16 +67,15 @@ fault::FaultPlan straggler_plan(const AutotuneConfig& cfg) {
   return plan;
 }
 
-std::string shape_str(const PlanCandidate& cand) {
-  std::ostringstream os;
-  if (cand.scheme == Scheme::Megatron1D) {
-    os << '[' << cand.p << ']';
-  } else if (cand.scheme == Scheme::Optimus2D) {
-    os << '[' << cand.q << ',' << cand.q << ']';
-  } else {
-    os << '[' << cand.q << ',' << cand.q << ',' << cand.d << ']';
-  }
-  return os.str();
+/// One stage's grid as an evaluator config: where a candidate's rank count
+/// and shape string come from.
+EvalConfig grid_of(const PlanCandidate& cand) {
+  EvalConfig ec;
+  ec.scheme = cand.scheme;
+  ec.p = cand.p;
+  ec.q = cand.q;
+  ec.d = cand.d;
+  return ec;
 }
 
 /// Fills the modeled memory fields. Formulas in docs/planning.md; every
@@ -177,26 +176,18 @@ double eval_step(const AutotuneConfig& cfg, const PlanCandidate& cand,
 
 }  // namespace
 
-int PlanCandidate::grid_ranks() const {
-  if (scheme == Scheme::Megatron1D) return p;
-  if (scheme == Scheme::Optimus2D) return q * q;
-  return q * q * d;
-}
+int PlanCandidate::grid_ranks() const { return grid_of(*this).total_ranks(); }
 
 std::string PlanCandidate::label() const {
   std::ostringstream os;
-  os << scheme_name(scheme) << ' ' << shape_str(*this);
+  os << scheme_name(scheme) << ' ' << grid_of(*this).shape_string();
   if (stages > 1) os << " pp" << stages;
   if (zero) os << " zero";
   return os.str();
 }
 
 EvalConfig PlanCandidate::eval_config(const AutotuneConfig& cfg) const {
-  EvalConfig ec;
-  ec.scheme = scheme;
-  ec.p = p;
-  ec.q = q;
-  ec.d = d;
+  EvalConfig ec = grid_of(*this);
   ec.dims = cfg.dims;
   if (stages > 1) {
     const int m = std::max(1, cfg.micros);
@@ -343,7 +334,7 @@ obs::JsonValue autotune_to_json(const AutotuneConfig& cfg,
   for (const ScoredCandidate& r : results) {
     obs::JsonValue& c = report.add_case(r.cand.label());
     c["scheme"] = scheme_name(r.cand.scheme);
-    c["shape"] = shape_str(r.cand);
+    c["shape"] = grid_of(r.cand).shape_string();
     c["q"] = static_cast<std::int64_t>(r.cand.q);
     c["d"] = static_cast<std::int64_t>(r.cand.d);
     c["stages"] = static_cast<std::int64_t>(r.cand.stages);

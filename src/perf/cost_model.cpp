@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "parallel/megatron.hpp"
+#include "parallel/tesseract_transformer.hpp"
 #include "perf/trace.hpp"
 #include "tensor/tensor.hpp"
 
@@ -39,27 +41,39 @@ std::string EvalConfig::shape_string() const {
 
 void replay_schedule(const EvalConfig& cfg, comm::Communicator& c,
                      bool backward) {
+  const LayerDims& dims = cfg.dims;
+  const nn::Init init = nn::Init::phantom(dims.elem_bytes);
   // Every layer repeats the same schedule: after two, the rest run as one
   // segment program (Communicator::repeat).
-  if (cfg.scheme == Scheme::Megatron1D) {
+  auto run = [&](auto& layer, const Tensor& x) {
     c.repeat(cfg.layers, [&] {
       if (backward) {
-        phantom_megatron_backward(c, cfg.dims);
-      } else {
-        phantom_megatron_forward(c, cfg.dims);
+        (void)layer.backward(x);
+        return;
       }
+      (void)layer.forward(x);
+      // Nothing pops a forward replay's caches (a backward replay makes its
+      // own); dropping them keeps the cache stacks' capacity for the next
+      // layer.
+      if constexpr (requires { layer.clear_caches(); }) layer.clear_caches();
     });
+  };
+  if (cfg.scheme == Scheme::Megatron1D) {
+    par::MegatronContext ctx(c);
+    par::MegatronTransformerLayer layer(ctx, dims.hidden, dims.heads, init,
+                                        dims.expansion);
+    run(layer, Tensor::phantom({dims.batch, dims.seq, dims.hidden},
+                               dims.elem_bytes));
     return;
   }
-  const int grid_d = cfg.scheme == Scheme::Optimus2D ? 1 : cfg.d;
-  pdg::TesseractComms tc = pdg::TesseractComms::create(c, cfg.q, grid_d);
-  c.repeat(cfg.layers, [&] {
-    if (backward) {
-      phantom_tesseract_backward(tc, cfg.dims);
-    } else {
-      phantom_tesseract_forward(tc, cfg.dims);
-    }
-  });
+  const int q = cfg.q;
+  const int d = cfg.scheme == Scheme::Optimus2D ? 1 : cfg.d;
+  par::TesseractContext ctx(c, q, d);
+  par::TesseractTransformerLayer layer(ctx, dims.hidden, dims.heads, init,
+                                       dims.expansion);
+  const std::int64_t slice = (dims.batch + d * q - 1) / (d * q);
+  run(layer, Tensor::phantom({slice, dims.seq, dims.hidden / q},
+                             dims.elem_bytes));
 }
 
 EvalResult evaluate(const EvalConfig& cfg) {

@@ -1,19 +1,35 @@
 // Configuration evaluator: produces the forward / backward / throughput /
 // inference numbers of the paper's Tables 1 and 2 for any parallelization
-// scheme and problem size, by phantom-replaying the layer schedule on a
-// simulated MeluXina-like cluster.
+// scheme and problem size on a simulated MeluXina-like cluster, by running
+// the real layers of parallel/ with phantom weights on phantom activations
+// (Tensor::phantom): their own collectives and charges, with no arithmetic
+// and no paper-scale allocation. tests/test_perf.cpp checks that phantom and
+// real runs give equal clocks and CommStats under every flag.
 #pragma once
 
 #include <string>
 
+#include "comm/communicator.hpp"
 #include "comm/rendezvous.hpp"
 #include "comm/stats.hpp"
 #include "fault/fault.hpp"
 #include "obs/expect.hpp"
-#include "perf/layer_costs.hpp"
 #include "topology/machine_spec.hpp"
 
 namespace tsr::perf {
+
+/// Problem dimensions of one encoder layer (paper notation: b, s, h, n).
+struct LayerDims {
+  std::int64_t batch = 0;
+  std::int64_t seq = 0;
+  std::int64_t hidden = 0;
+  std::int64_t heads = 0;
+  std::int64_t expansion = 4;
+  /// Bytes per activation/weight element: the phantom tensors' element
+  /// size. 4 = fp32 (the real float layers); 2 = fp16 mixed precision as in
+  /// the paper's Megatron-style training setups.
+  std::int64_t elem_bytes = 4;
+};
 
 enum class Scheme { Megatron1D, Optimus2D, Tesseract };
 
@@ -59,7 +75,10 @@ EvalResult evaluate(const EvalConfig& cfg);
 /// backward) on `c` — the shared body of evaluate() and the autotune search
 /// (perf/autotune.hpp), which replays per-stage slices of a candidate and
 /// appends its own optimizer phase. `c` must have exactly cfg.total_ranks()
-/// ranks.
+/// ranks. The Tesseract/Optimus input is [ceil(b/(d*q)), s, h/q]: a batch
+/// that does not divide d*q runs padded (Table 1's [4,4,2] row runs batch
+/// 12, 1.5 samples per slice). A backward runs with no forward before it.
+/// Throws std::invalid_argument when h or n does not divide over the grid.
 void replay_schedule(const EvalConfig& cfg, comm::Communicator& c,
                      bool backward);
 

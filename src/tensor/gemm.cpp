@@ -359,7 +359,8 @@ void matmul_dims(const Tensor& a, const Tensor& b, Trans ta, Trans tb,
 Tensor matmul(const Tensor& a, const Tensor& b, Trans ta, Trans tb) {
   std::int64_t m, n, k;
   matmul_dims(a, b, ta, tb, m, n, k);
-  Tensor c({m, n});
+  Tensor c = Tensor::like(a, {m, n});
+  if (c.is_phantom()) return c;
   gemm(ta, tb, m, n, k, 1.0f, a.data(), a.dim(1), b.data(), b.dim(1), 0.0f,
        c.data(), n);
   return c;
@@ -371,6 +372,7 @@ void matmul_acc(const Tensor& a, const Tensor& b, Tensor& c, Trans ta, Trans tb,
   matmul_dims(a, b, ta, tb, m, n, k);
   check(c.ndim() == 2 && c.dim(0) == m && c.dim(1) == n,
         "matmul_acc: output shape mismatch");
+  if (c.is_phantom()) return;
   gemm(ta, tb, m, n, k, 1.0f, a.data(), a.dim(1), b.data(), b.dim(1), beta,
        c.data(), n);
 }
@@ -384,7 +386,8 @@ Tensor bmm(const Tensor& a, const Tensor& b, Trans ta, Trans tb) {
   const std::int64_t kb = tb == Trans::N ? b.dim(1) : b.dim(2);
   const std::int64_t n = tb == Trans::N ? b.dim(2) : b.dim(1);
   check(ka == kb, "bmm: inner dimensions mismatch");
-  Tensor c({batch, m, n});
+  Tensor c = Tensor::like(a, {batch, m, n});
+  if (c.is_phantom()) return c;
   const std::int64_t as = a.dim(1) * a.dim(2);
   const std::int64_t bs = b.dim(1) * b.dim(2);
   const std::int64_t cs = m * n;

@@ -21,7 +21,8 @@ void check_same_numel(const Tensor& a, const Tensor& b, const char* op) {
 
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_numel(a, b, "add");
-  Tensor out(a.shape());
+  Tensor out = Tensor::like(a, a.shape());
+  if (out.is_phantom()) return out;
   const float* pa = a.data();
   const float* pb = b.data();
   float* po = out.data();
@@ -47,10 +48,12 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   check_same_numel(x, y, "axpy");
+  if (y.is_phantom()) return;
   active_kernel_variant().axpy(alpha, x.data(), y.data(), x.numel());
 }
 
 void scale(Tensor& t, float alpha) {
+  if (t.is_phantom()) return;
   active_kernel_variant().scale(t.data(), alpha, t.numel());
 }
 
@@ -64,6 +67,7 @@ void add_bias(Tensor& x, const Tensor& bias) {
   check(x.ndim() >= 1 && bias.ndim() == 1, "add_bias: bias must be 1-D");
   const std::int64_t f = x.dim(-1);
   check(bias.dim(0) == f, "add_bias: feature count mismatch");
+  if (x.is_phantom()) return;
   const std::int64_t rows = x.numel() / f;
   float* px = x.data();
   const float* pb = bias.data();
@@ -77,7 +81,9 @@ Tensor bias_grad(const Tensor& dy) {
   check(dy.ndim() >= 1, "bias_grad: needs at least 1-D input");
   const std::int64_t f = dy.dim(-1);
   const std::int64_t rows = dy.numel() / f;
-  Tensor g = Tensor::zeros({f});
+  Tensor g = Tensor::like(dy, {f});
+  if (g.is_phantom()) return g;
+  g.fill(0.0f);
   const float* p = dy.data();
   float* pg = g.data();
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -128,7 +134,8 @@ Tensor slice_block(const Tensor& src, std::int64_t r0, std::int64_t c0,
   check(src.ndim() == 2, "slice_block: source must be 2-D");
   check(r0 >= 0 && c0 >= 0 && r0 + rows <= src.dim(0) && c0 + cols <= src.dim(1),
         "slice_block: block out of bounds");
-  Tensor out({rows, cols});
+  Tensor out = Tensor::like(src, {rows, cols});
+  if (out.is_phantom()) return out;
   const std::int64_t ld = src.dim(1);
   for (std::int64_t r = 0; r < rows; ++r) {
     std::memcpy(out.data() + r * cols, src.data() + (r0 + r) * ld + c0,
@@ -170,7 +177,8 @@ Tensor hcat(const std::vector<Tensor>& parts) {
     check(p.ndim() == 2 && p.dim(0) == rows, "hcat: row count mismatch");
     cols += p.dim(1);
   }
-  Tensor out({rows, cols});
+  Tensor out = Tensor::like(parts.front(), {rows, cols});
+  if (out.is_phantom()) return out;
   std::int64_t c0 = 0;
   for (const Tensor& p : parts) {
     paste_block(out, p, 0, c0);

@@ -93,6 +93,20 @@ Tensor Tensor::of(std::initializer_list<float> values) {
               Shape{static_cast<std::int64_t>(values.size())});
 }
 
+Tensor Tensor::phantom(Shape shape, std::int64_t elem_bytes) {
+  check(elem_bytes > 0, "Tensor::phantom: element size must be positive");
+  Tensor t;
+  t.numel_ = shape_numel(shape);
+  t.shape_ = shape;
+  t.elem_bytes_ = elem_bytes;
+  return t;
+}
+
+Tensor Tensor::like(const Tensor& proto, Shape shape) {
+  if (proto.is_phantom()) return phantom(shape, proto.elem_bytes_);
+  return Tensor(shape);
+}
+
 Tensor Tensor::reshape(Shape new_shape) const {
   if (shape_numel(new_shape) != numel_) {
     throw std::invalid_argument("Tensor::reshape: cannot reshape " +
@@ -102,6 +116,7 @@ Tensor Tensor::reshape(Shape new_shape) const {
   Tensor view;
   view.shape_ = std::move(new_shape);
   view.numel_ = numel_;
+  view.elem_bytes_ = elem_bytes_;
   view.data_ = data_;
   return view;
 }
@@ -123,18 +138,20 @@ Tensor Tensor::clone() const {
     t.shape_ = shape_;
     return t;
   }
+  if (is_phantom()) return *this;
   Tensor t(shape_);
   std::memcpy(t.data(), data(), static_cast<std::size_t>(numel_) * sizeof(float));
   return t;
 }
 
 void Tensor::fill(float value) {
+  if (is_phantom()) return;
   for (std::int64_t i = 0; i < numel_; ++i) data_[i] = value;
 }
 
 void Tensor::copy_from(const Tensor& src) {
   check(src.numel() == numel_, "Tensor::copy_from: size mismatch");
-  if (numel_ > 0) {
+  if (numel_ > 0 && !is_phantom()) {
     std::memcpy(data(), src.data(), static_cast<std::size_t>(numel_) * sizeof(float));
   }
 }

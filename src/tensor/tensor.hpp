@@ -1,12 +1,19 @@
-// Dense row-major float32 tensor with shared ownership.
+// Dense row-major float32 tensor with shared ownership, or a storage-free
+// phantom of the same shape.
 //
 // The tensor library underpins every module in this repository: serial
 // reference kernels, the distributed matmul algorithms, and the neural-net
 // layers. Tensors are always contiguous; reshape() returns a view that
 // shares storage. All shapes use int64_t to avoid overflow in size
 // computations at paper-scale dimensions (e.g. 8192 x 32768 weights).
+//
+// A phantom tensor (Tensor::phantom) is a shape and an element size (4, or
+// 2 for fp16) with no buffer. Kernels given one skip the arithmetic and
+// return phantoms; collectives send nbytes() of payload-free messages. The
+// paper-scale replay (perf/cost_model.hpp) runs the real layers on them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
 #include <memory>
@@ -29,8 +36,38 @@ inline void check(bool cond, const char* what) {
   if (!cond) [[unlikely]] check_failed(what);
 }
 
-/// Shape of a tensor: up to 4 dimensions in practice, stored dynamically.
-using Shape = std::vector<std::int64_t>;
+/// Shape of a tensor: up to kMaxDims dimensions stored inline, so making,
+/// copying or reshaping a tensor never allocates for its shape.
+class Shape {
+ public:
+  static constexpr std::size_t kMaxDims = 4;
+  using const_iterator = const std::int64_t*;  // gtest prints it as a range
+
+  Shape() = default;
+  Shape(std::initializer_list<std::int64_t> dims) {
+    for (std::int64_t d : dims) push_back(d);
+  }
+
+  std::size_t size() const { return n_; }
+  bool empty() const { return n_ == 0; }
+  std::int64_t& operator[](std::size_t i) { return d_[i]; }
+  std::int64_t operator[](std::size_t i) const { return d_[i]; }
+  std::int64_t& back() { return d_[n_ - 1]; }
+  std::int64_t back() const { return d_[n_ - 1]; }
+  const std::int64_t* begin() const { return d_; }
+  const std::int64_t* end() const { return d_ + n_; }
+  void push_back(std::int64_t d) {
+    check(n_ < kMaxDims, "Shape: more than kMaxDims dimensions");
+    d_[n_++] = d;
+  }
+  friend bool operator==(const Shape& a, const Shape& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
+
+ private:
+  std::int64_t d_[kMaxDims] = {};
+  std::size_t n_ = 0;
+};
 
 /// Number of elements implied by a shape (1 for a scalar / empty shape).
 std::int64_t shape_numel(const Shape& shape);
@@ -38,7 +75,7 @@ std::int64_t shape_numel(const Shape& shape);
 /// Human-readable "[a, b, c]" form for error messages and reports.
 std::string shape_to_string(const Shape& shape);
 
-/// Dense, contiguous, row-major float tensor.
+/// Dense, contiguous, row-major float tensor (or a phantom of one).
 ///
 /// Copying a Tensor is cheap (shared storage); use clone() for a deep copy.
 /// Element accessors bounds-check in debug builds only (TSR_CHECK_BOUNDS).
@@ -60,12 +97,23 @@ class Tensor {
   static Tensor from(std::span<const float> values, Shape shape);
   /// 1-D tensor from an initializer list, convenience for tests.
   static Tensor of(std::initializer_list<float> values);
+  /// Storage-free tensor of `shape` whose elements count `elem_bytes` each.
+  static Tensor phantom(Shape shape, std::int64_t elem_bytes = sizeof(float));
+  /// Uninitialized tensor of `shape`: a phantom with `proto`'s element size
+  /// when `proto` is one, real storage otherwise. Kernels build their
+  /// outputs with it.
+  static Tensor like(const Tensor& proto, Shape shape);
 
   const Shape& shape() const { return shape_; }
   std::int64_t ndim() const { return static_cast<std::int64_t>(shape_.size()); }
   std::int64_t dim(std::int64_t i) const;
   std::int64_t numel() const { return numel_; }
   bool empty() const { return numel_ == 0; }
+  /// True for a non-empty tensor without storage (see Tensor::phantom).
+  bool is_phantom() const { return numel_ > 0 && !data_; }
+  std::int64_t elem_bytes() const { return elem_bytes_; }
+  /// numel() * elem_bytes(): what the tensor occupies, or would on the wire.
+  std::int64_t nbytes() const { return numel_ * elem_bytes_; }
 
   float* data() { return data_.get(); }
   const float* data() const { return data_.get(); }
@@ -98,11 +146,12 @@ class Tensor {
   /// The canonical "rows x features" view used by matmul-based layers.
   Tensor as_matrix() const;
 
-  /// Deep copy with fresh storage.
+  /// Deep copy with fresh storage (a phantom's clone is a phantom).
   Tensor clone() const;
-  /// Overwrite all elements with `value`.
+  /// Overwrite all elements with `value` (no-op on a phantom).
   void fill(float value);
-  /// Copy elements from `src` (shapes must have equal numel).
+  /// Copy elements from `src` (shapes must have equal numel; no-op on a
+  /// phantom).
   void copy_from(const Tensor& src);
 
   /// True if the two tensors share the same storage buffer.
@@ -124,6 +173,7 @@ class Tensor {
 
   Shape shape_;
   std::int64_t numel_ = 0;
+  std::int64_t elem_bytes_ = sizeof(float);
   std::shared_ptr<float[]> data_;
 };
 

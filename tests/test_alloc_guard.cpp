@@ -6,10 +6,16 @@
 //     matmul_acc and the elementwise ops (only the checks are counted: an op
 //     that returns a fresh tensor may allocate exactly what constructing that
 //     tensor allocates, nothing more);
-//   * a second gemm at a fixed shape, once the pack arena is warm.
+//   * a second gemm at a fixed shape, once the pack arena is warm;
+//   * a scoped timer while metrics are off (its name is a literal, turned
+//     into a std::string only for a registry).
 // A check that formats its message on every call (a std::string built from
 // a literal longer than the small-string buffer, or shape_to_string) shows
 // up here as one allocation per call.
+//
+// Tensor storage and comm payloads are the only users of aligned operator
+// new. The paper-scale replay runs the real layers on phantom tensors, so
+// it must make none of those: nothing at paper scale is materialised.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,15 +25,19 @@
 #include <string>
 #include <vector>
 
+#include "parallel/context.hpp"
+#include "perf/cost_model.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/kernels.hpp"
 #include "tensor/tensor.hpp"
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_aligned_allocations{0};
 
 void* counted_alloc(std::size_t n, std::size_t align) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (align != 0) g_aligned_allocations.fetch_add(1, std::memory_order_relaxed);
   if (n == 0) n = 1;
   void* p = align <= alignof(std::max_align_t)
                 ? std::malloc(n)
@@ -187,6 +197,46 @@ TEST(AllocGuard, SteadyStateGemmNeverAllocates) {
     call();  // grows the arena on first use
     EXPECT_EQ(allocations_during(call), 0u)
         << (tb == Trans::N ? "update" : "dot") << " form";
+  }
+}
+
+TEST(AllocGuard, DisabledTimersNeverAllocate) {
+  rt::SimClock clock;
+  EXPECT_EQ(allocations_during([&] {
+              for (int i = 0; i < 1000; ++i) {
+                obs::ScopedTimer t(nullptr, &clock,
+                                   "layer.transformer_layer.forward.sim_seconds");
+              }
+            }),
+            0u);
+  // A layer's timer on a World without metrics.
+  comm::World world(1);
+  std::uint64_t n = 1;
+  world.run([&](comm::Communicator& c) {
+    par::TesseractContext ctx(c, 1, 1);
+    n = allocations_during([&] {
+      for (int i = 0; i < 1000; ++i) {
+        obs::ScopedTimer t = ctx.timer("layer.linear.forward.sim_seconds");
+      }
+    });
+  });
+  EXPECT_EQ(n, 0u);
+}
+
+TEST(AllocGuard, PaperScaleReplayAllocatesNoTensorStorage) {
+  // Table 1's shape (b = 12, s = 512, h = 3072, n = 64): the full fused QKV
+  // weight alone would be 113 MB. The hand-written replay this one replaced
+  // made 0 aligned allocations here; the real layers on phantoms match it.
+  const perf::LayerDims dims{12, 512, 3072, 64};
+  for (const perf::EvalConfig& cfg :
+       {perf::EvalConfig{.scheme = perf::Scheme::Megatron1D, .p = 64,
+                         .dims = dims, .layers = 2},
+        perf::EvalConfig{.scheme = perf::Scheme::Tesseract, .q = 4, .d = 2,
+                         .dims = dims, .layers = 2}}) {
+    const std::uint64_t before = g_aligned_allocations.load();
+    const perf::EvalResult r = perf::evaluate(cfg);
+    EXPECT_EQ(g_aligned_allocations.load() - before, 0u) << cfg.shape_string();
+    EXPECT_GT(r.fwd_seconds, 0.0);
   }
 }
 

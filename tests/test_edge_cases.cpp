@@ -8,7 +8,7 @@
 #include "parallel/dist.hpp"
 #include "parallel/tesseract_transformer.hpp"
 #include "pdgemm/tesseract_mm.hpp"
-#include "perf/layer_costs.hpp"
+#include "perf/cost_model.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
@@ -144,13 +144,22 @@ TEST(Misuse, AttentionHeadDivisibility) {
 }
 
 TEST(Misuse, PhantomDimsDivisibility) {
-  comm::World world(4);
-  EXPECT_THROW(world.run([&](comm::Communicator& c) {
-                 pdg::TesseractComms tc = pdg::TesseractComms::create(c, 2, 1);
-                 perf::LayerDims dims{4, 2, 9, 2};  // hidden 9 % q 2 != 0
-                 perf::phantom_tesseract_forward(tc, dims);
-               }),
-               std::invalid_argument);
+  auto replay = [](perf::LayerDims dims) {
+    const perf::EvalConfig cfg{.scheme = perf::Scheme::Tesseract,
+                               .q = 2,
+                               .d = 1,
+                               .dims = dims,
+                               .layers = 1};
+    comm::World world(cfg.total_ranks());
+    world.run([&](comm::Communicator& c) {
+      perf::replay_schedule(cfg, c, /*backward=*/false);
+    });
+  };
+  // hidden 9 % q 2 != 0
+  EXPECT_THROW(replay(perf::LayerDims{4, 2, 9, 2}), std::invalid_argument);
+  // heads 3 % q 2 != 0 (hidden 12 splits into heads of 4)
+  EXPECT_THROW(replay(perf::LayerDims{4, 2, 12, 3}), std::invalid_argument);
+  EXPECT_NO_THROW(replay(perf::LayerDims{4, 2, 12, 2}));
 }
 
 TEST(Misuse, TransformerNeedsLayers) {

@@ -17,7 +17,6 @@
 #include "obs/live.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
-#include "pdgemm/block.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/export.hpp"
 #include "perf/run_report.hpp"
@@ -34,10 +33,14 @@ const perf::LayerDims kDims{4, 8, 64, 4};
 constexpr int kLayers = 2;
 
 void phantom_workload(comm::Communicator& c) {
-  pdg::TesseractComms tc = pdg::TesseractComms::create(c, 2, 2);
+  const perf::EvalConfig one_layer{.scheme = perf::Scheme::Tesseract,
+                                   .q = 2,
+                                   .d = 2,
+                                   .dims = kDims,
+                                   .layers = 1};
   for (int l = 0; l < kLayers; ++l) {
-    perf::phantom_tesseract_forward(tc, kDims);
-    perf::phantom_tesseract_backward(tc, kDims);
+    perf::replay_schedule(one_layer, c, /*backward=*/false);
+    perf::replay_schedule(one_layer, c, /*backward=*/true);
   }
 }
 

@@ -1,8 +1,13 @@
-// Performance model: the phantom layer replay must match the real layers
-// exactly (time and bytes) — this test is the contract that lets the table
-// benchmarks run at paper scale; plus the paper's closed-form claims and the
-// qualitative table shapes.
+// Performance model: the real layers on phantom tensors (the replay behind
+// the table benchmarks) must give the clocks and CommStats of the same
+// layers on real tensors, rank for rank, under every flag; plus the paper's
+// closed-form claims and the qualitative table shapes.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <functional>
+#include <tuple>
+#include <vector>
 
 #include "comm/communicator.hpp"
 #include "parallel/dist.hpp"
@@ -11,99 +16,197 @@
 #include "parallel/tesseract_transformer.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/formulas.hpp"
-#include "perf/layer_costs.hpp"
 #include "perf/report.hpp"
 #include "perf/trace.hpp"
+#include "scoped_config.hpp"
 #include "tensor/init.hpp"
 
 namespace tsr::perf {
 namespace {
+
+// Per-rank simulated clocks and CommStats at the end of a run.
+struct RankRecord {
+  std::vector<double> clocks;
+  std::vector<comm::CommStats> stats;
+
+  std::int64_t bytes_sent() const {
+    std::int64_t n = 0;
+    for (const comm::CommStats& s : stats) n += s.bytes_sent;
+    return n;
+  }
+  std::int64_t bytes_inter_node() const {
+    std::int64_t n = 0;
+    for (const comm::CommStats& s : stats) n += s.bytes_inter_node;
+    return n;
+  }
+};
+
+RankRecord run_ranks(int ranks,
+                     const std::function<void(comm::Communicator&)>& fn) {
+  comm::World world(ranks, topo::MachineSpec::meluxina());
+  world.run(fn);
+  RankRecord rec;
+  for (int r = 0; r < ranks; ++r) {
+    rec.clocks.push_back(world.clock(r).now());
+    rec.stats.push_back(world.stats(r));
+  }
+  return rec;
+}
+
+// Every rank's clock bit for bit and its full CommStats.
+void expect_same_ranks(const RankRecord& real, const RankRecord& phantom) {
+  ASSERT_EQ(real.clocks.size(), phantom.clocks.size());
+  for (std::size_t r = 0; r < real.clocks.size(); ++r) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(real.clocks[r]),
+              std::bit_cast<std::uint64_t>(phantom.clocks[r]))
+        << "rank " << r << ": real " << real.clocks[r] << " vs phantom "
+        << phantom.clocks[r];
+    const comm::CommStats& a = real.stats[r];
+    const comm::CommStats& b = phantom.stats[r];
+    EXPECT_EQ(a.msgs_sent, b.msgs_sent) << "rank " << r;
+    EXPECT_EQ(a.bytes_sent, b.bytes_sent) << "rank " << r;
+    EXPECT_EQ(a.bytes_intra_node, b.bytes_intra_node) << "rank " << r;
+    EXPECT_EQ(a.bytes_inter_node, b.bytes_inter_node) << "rank " << r;
+    ASSERT_EQ(a.collectives.size(), b.collectives.size()) << "rank " << r;
+    for (const auto& [name, op] : a.collectives) {
+      const auto it = b.collectives.find(name);
+      ASSERT_NE(it, b.collectives.end()) << "rank " << r << " " << name;
+      EXPECT_EQ(op.calls, it->second.calls) << "rank " << r << " " << name;
+      EXPECT_EQ(op.bytes, it->second.bytes) << "rank " << r << " " << name;
+    }
+  }
+}
+
+// One forward and one backward of the replay's phantom layer.
+RankRecord phantom_layer(const EvalConfig& cfg) {
+  return run_ranks(cfg.total_ranks(), [&](comm::Communicator& c) {
+    replay_schedule(cfg, c, /*backward=*/false);
+    replay_schedule(cfg, c, /*backward=*/true);
+  });
+}
+
+// The real TesseractTransformerLayer on real tensors against the same layer
+// on phantom tensors, as perf::replay_schedule runs it.
+RankRecord real_tesseract_layer(int q, int d, const LayerDims& dims) {
+  Rng data_rng(1);
+  const Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
+  const Tensor dy =
+      random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
+  return run_ranks(q * q * d, [&](comm::Communicator& c) {
+    par::TesseractContext ctx(c, q, d);
+    Rng wrng(11);
+    par::TesseractTransformerLayer layer(ctx, dims.hidden, dims.heads, wrng);
+    // Construction and distribution are communication- and charge-free.
+    (void)layer.forward(par::distribute_activation(ctx.comms(), x));
+    (void)layer.backward(par::distribute_activation(ctx.comms(), dy));
+  });
+}
+
+LayerDims tesseract_dims(int q, int d) {
+  return LayerDims{/*batch=*/2 * q * d, /*seq=*/3, /*hidden=*/8 * q,
+                   /*heads=*/2 * q};
+}
 
 struct GridCase {
   int q;
   int d;
 };
 
-class PhantomLayerEquivalence : public ::testing::TestWithParam<GridCase> {};
+class PhantomLayerEquivalence
+    : public ::testing::TestWithParam<std::tuple<GridCase, bool>> {};
 
 TEST_P(PhantomLayerEquivalence, TesseractForwardAndBackward) {
-  const auto [q, d] = GetParam();
-  const LayerDims dims{/*batch=*/2 * q * d, /*seq=*/3, /*hidden=*/8 * q,
-                       /*heads=*/2 * q};
-  const topo::MachineSpec spec = topo::MachineSpec::meluxina();
-
-  Rng data_rng(1);
-  Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
-  Tensor dy = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
-
-  comm::World real(q * q * d, spec);
-  Measurement mr = measure(real, [&](comm::Communicator& c) {
-    par::TesseractContext ctx(c, q, d);
-    Rng wrng(11);
-    par::TesseractTransformerLayer layer(ctx, dims.hidden, dims.heads, wrng);
-    Tensor xl = par::distribute_activation(ctx.comms(), x);
-    Tensor dyl = par::distribute_activation(ctx.comms(), dy);
-    // Clocks/stats are reset by measure() before this lambda runs, but layer
-    // construction happens inside it; construction is communication-free and
-    // charge-free, so the measurement is exactly fwd + bwd.
-    Tensor yl = layer.forward(xl);
-    (void)layer.backward(dyl);
-    (void)yl;
-  });
-
-  comm::World phantom(q * q * d, spec);
-  Measurement mp = measure(phantom, [&](comm::Communicator& c) {
-    pdg::TesseractComms tc = pdg::TesseractComms::create(c, q, d);
-    phantom_tesseract_forward(tc, dims);
-    phantom_tesseract_backward(tc, dims);
-  });
-
-  EXPECT_DOUBLE_EQ(mr.sim_seconds, mp.sim_seconds)
-      << "phantom replay diverged from the real layer schedule";
-  EXPECT_EQ(mr.total_stats.bytes_sent, mp.total_stats.bytes_sent);
-  EXPECT_EQ(mr.total_stats.msgs_sent, mp.total_stats.msgs_sent);
-  EXPECT_EQ(mr.total_stats.bytes_inter_node, mp.total_stats.bytes_inter_node);
+  const auto [grid, compress] = GetParam();
+  const auto [q, d] = grid;
+  ScopedRunConfig run_cfg;
+  run_cfg->compress_depth = compress;
+  const LayerDims dims = tesseract_dims(q, d);
+  const EvalConfig cfg{.scheme = Scheme::Tesseract, .q = q, .d = d,
+                       .dims = dims, .layers = 1};
+  expect_same_ranks(real_tesseract_layer(q, d, dims), phantom_layer(cfg));
 }
 
-INSTANTIATE_TEST_SUITE_P(Grids, PhantomLayerEquivalence,
-                         ::testing::Values(GridCase{1, 1}, GridCase{2, 1},
-                                           GridCase{2, 2}, GridCase{3, 2},
-                                           GridCase{4, 2}));
+INSTANTIATE_TEST_SUITE_P(
+    Grids, PhantomLayerEquivalence,
+    ::testing::Combine(::testing::Values(GridCase{1, 1}, GridCase{2, 1},
+                                         GridCase{2, 2}, GridCase{3, 2},
+                                         GridCase{4, 2}, GridCase{2, 4}),
+                       ::testing::Bool()));
 
-class PhantomMegatronEquivalence : public ::testing::TestWithParam<int> {};
+TEST(PhantomLayerEquivalence, CompressedDepthWireBytes) {
+  // The bf16 depth all-reduce halves the B' gradient traffic: the replay
+  // charges what the real layers send (fwd + bwd, all ranks).
+  struct Expected {
+    int q, d;
+    std::int64_t bytes, inter_node;
+  };
+  ScopedRunConfig run_cfg;
+  run_cfg->compress_depth = true;
+  for (const Expected& e : {Expected{2, 2, 124224, 13376},
+                            Expected{4, 2, 1353344, 957056},
+                            Expected{2, 4, 261824, 40128}}) {
+    const EvalConfig cfg{.scheme = Scheme::Tesseract, .q = e.q, .d = e.d,
+                         .dims = tesseract_dims(e.q, e.d), .layers = 1};
+    const RankRecord rec = phantom_layer(cfg);
+    EXPECT_EQ(rec.bytes_sent(), e.bytes) << cfg.shape_string();
+    EXPECT_EQ(rec.bytes_inter_node(), e.inter_node) << cfg.shape_string();
+  }
+}
+
+TEST(PhantomLayerEquivalence, CachedBytesMatchTheRealLayer) {
+  // Forward caches of one layer per rank, [2,2,2] at b=8 s=4 h=16 n=4: a
+  // phantom layer reports what the real one holds, so the planner can read
+  // activation memory off the replay at paper scale.
+  const int q = 2, d = 2;
+  const LayerDims dims{8, 4, 16, 4};
+  Rng data_rng(3);
+  const Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
+  std::vector<std::int64_t> real(q * q * d), phantom(q * q * d);
+  comm::World world(q * q * d);
+  world.run([&](comm::Communicator& c) {
+    par::TesseractContext ctx(c, q, d);
+    Rng wrng(5);
+    par::TesseractTransformerLayer layer(ctx, dims.hidden, dims.heads, wrng);
+    (void)layer.forward(par::distribute_activation(ctx.comms(), x));
+    real[static_cast<std::size_t>(c.rank())] = layer.cached_bytes();
+    par::TesseractTransformerLayer shapes(ctx, dims.hidden, dims.heads,
+                                          nn::Init::phantom(4));
+    (void)shapes.forward(Tensor::phantom({dims.batch / (q * d), dims.seq,
+                                          dims.hidden / q}));
+    phantom[static_cast<std::size_t>(c.rank())] = shapes.cached_bytes();
+  });
+  EXPECT_EQ(real, phantom);
+  EXPECT_EQ(real[0], 4416);
+}
+
+class PhantomMegatronEquivalence
+    : public ::testing::TestWithParam<std::tuple<int, bool>> {};
 
 TEST_P(PhantomMegatronEquivalence, ForwardAndBackward) {
-  const int p = GetParam();
+  const auto [p, compress] = GetParam();
+  ScopedRunConfig run_cfg;
+  run_cfg->compress_depth = compress;  // no depth: must change nothing
   const LayerDims dims{/*batch=*/2, /*seq=*/3, /*hidden=*/8 * p,
                        /*heads=*/2 * p};
-  const topo::MachineSpec spec = topo::MachineSpec::meluxina();
-
   Rng data_rng(2);
-  Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
-  Tensor dy = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
-
-  comm::World real(p, spec);
-  Measurement mr = measure(real, [&](comm::Communicator& c) {
+  const Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
+  const Tensor dy =
+      random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
+  const RankRecord real = run_ranks(p, [&](comm::Communicator& c) {
     par::MegatronContext ctx(c);
     Rng wrng(12);
     par::MegatronTransformerLayer layer(ctx, dims.hidden, dims.heads, wrng);
     (void)layer.forward(x);
     (void)layer.backward(dy);
   });
-
-  comm::World phantom(p, spec);
-  Measurement mp = measure(phantom, [&](comm::Communicator& c) {
-    phantom_megatron_forward(c, dims);
-    phantom_megatron_backward(c, dims);
-  });
-
-  EXPECT_DOUBLE_EQ(mr.sim_seconds, mp.sim_seconds);
-  EXPECT_EQ(mr.total_stats.bytes_sent, mp.total_stats.bytes_sent);
-  EXPECT_EQ(mr.total_stats.msgs_sent, mp.total_stats.msgs_sent);
+  const EvalConfig cfg{.scheme = Scheme::Megatron1D, .p = p, .dims = dims,
+                       .layers = 1};
+  expect_same_ranks(real, phantom_layer(cfg));
 }
 
 INSTANTIATE_TEST_SUITE_P(GroupSizes, PhantomMegatronEquivalence,
-                         ::testing::Values(1, 2, 4, 8));
+                         ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                                            ::testing::Bool()));
 
 // ---- closed-form claims (Sections 1 and 3.1) --------------------------------
 

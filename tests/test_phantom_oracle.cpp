@@ -333,7 +333,7 @@ struct ReplayOutcome {
 // Replays `layers` forward layers, then as many backward ones, from
 // staggered clocks with stragglers: every third rank, or only `slow_rank`
 // when it is >= 0. `repeat` runs perf::replay_schedule
-// (Communicator::repeat); otherwise the layer loop is written out, the
+// (Communicator::repeat); otherwise it replays one layer at a time, the
 // per-collective path as it was before repeat existed.
 ReplayOutcome replay_layers(const perf::EvalConfig& cfg, bool oracle,
                             bool repeat, int slow_rank) {
@@ -353,17 +353,11 @@ ReplayOutcome replay_layers(const perf::EvalConfig& cfg, bool oracle,
     for (const bool backward : {false, true}) {
       if (repeat) {
         perf::replay_schedule(cfg, c, backward);
-      } else if (cfg.scheme == perf::Scheme::Megatron1D) {
-        for (int l = 0; l < cfg.layers; ++l) {
-          backward ? perf::phantom_megatron_backward(c, cfg.dims)
-                   : perf::phantom_megatron_forward(c, cfg.dims);
-        }
       } else {
-        pdg::TesseractComms tc = pdg::TesseractComms::create(
-            c, cfg.q, cfg.scheme == perf::Scheme::Optimus2D ? 1 : cfg.d);
+        perf::EvalConfig one_layer = cfg;
+        one_layer.layers = 1;
         for (int l = 0; l < cfg.layers; ++l) {
-          backward ? perf::phantom_tesseract_backward(tc, cfg.dims)
-                   : perf::phantom_tesseract_forward(tc, cfg.dims);
+          perf::replay_schedule(one_layer, c, backward);
         }
       }
       auto& after = backward ? out.after_bwd : out.after_fwd;
