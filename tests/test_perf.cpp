@@ -85,8 +85,8 @@ RankRecord phantom_layer(const EvalConfig& cfg) {
   });
 }
 
-// The real TesseractTransformerLayer on real tensors against the same layer
-// on phantom tensors, as perf::replay_schedule runs it.
+// One forward and one backward of the real TesseractTransformerLayer on
+// real tensors.
 RankRecord real_tesseract_layer(int q, int d, const LayerDims& dims) {
   Rng data_rng(1);
   const Tensor x = random_normal({dims.batch, dims.seq, dims.hidden}, data_rng);
