@@ -16,6 +16,9 @@ struct Param {
   Param() = default;
   explicit Param(Shape shape)
       : value(Tensor::zeros(shape)), grad(Tensor::zeros(std::move(shape))) {}
+  /// A phantom parameter: value and grad are both `t` (a storage-free
+  /// handle; a real tensor would make them share storage).
+  explicit Param(const Tensor& t) : value(t), grad(t) {}
 
   void zero_grad() { grad.fill(0.0f); }
   std::int64_t numel() const { return value.numel(); }
@@ -43,9 +46,7 @@ class Init {
   /// A zero-initialized parameter of `shape`, or a phantom one.
   Param param(Shape shape) const {
     if (!phantom()) return Param(std::move(shape));
-    Param p;
-    p.value = p.grad = Tensor::phantom(std::move(shape), phantom_bytes_);
-    return p;
+    return Param(Tensor::phantom(std::move(shape), phantom_bytes_));
   }
 
  private:
