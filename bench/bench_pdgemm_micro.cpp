@@ -3,7 +3,10 @@
 // substrate here, not the simulated machine) and of the core GEMM kernel.
 // After the registered benchmarks run, a TESSERACT_WORKERS sweep times the
 // parallel GEMM at 1/2/4 workers, verifies byte-identity against W=1, and
-// writes GFLOP/s + speedups to BENCH_pdgemm_micro.json.
+// writes GFLOP/s + speedups to BENCH_pdgemm_micro.json. Last, every kernel
+// variant's GEMM and GELU are timed and memcmp-checked against scalar into
+// BENCH_kernel_variants.json. The binary exits 1 if a worker count or an
+// available variant fails its bit-identity check.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -127,8 +130,10 @@ void BM_Solomonik25D(benchmark::State& state) {
 BENCHMARK(BM_Solomonik25D)->Args({2, 1})->Args({2, 2})->Args({4, 2});
 
 // GEMM worker sweep: the register-blocked kernel split into column stripes
-// over the persistent pool. Bit-identity to W=1 is asserted, not assumed.
-void run_worker_sweep() {
+// over the persistent pool. Bit-identity to W=1 is checked, not assumed:
+// returns false when some worker count's result differs.
+bool run_worker_sweep() {
+  bool all_identical = true;
   const std::int64_t n = 384;  // ~113 MFLOP, well above the parallel cutoff
   const int iters = 8;
   const int workers[] = {1, 2, 4};
@@ -175,6 +180,7 @@ void run_worker_sweep() {
     jc["gflops"] = gflops;
     jc["speedup_vs_w1"] = speedup;
     jc["bit_identical_to_w1"] = identical;
+    all_identical = all_identical && identical;
   }
   run_config().workers = configured_workers;
 
@@ -192,13 +198,16 @@ void run_worker_sweep() {
   } else {
     std::fprintf(stderr, "failed to write %s\n", out);
   }
+  return all_identical;
 }
 
 // Kernel variant sweep: every registry entry forced in turn, timed on one
-// matmul size, and checked against its gate: each variant must match scalar
-// bit for bit (memcmp). Rows land in BENCH_kernel_variants.json
-// (bench_comm_volume appends its compression rows to the same file).
-void run_variant_sweep() {
+// matmul size and on one GELU pass (y and dy/dx), and checked against its
+// gate: each variant must match scalar bit for bit (memcmp). Rows land in
+// BENCH_kernel_variants.json (bench_comm_volume appends its compression rows
+// to the same file). Returns false when an available variant fails a gate.
+bool run_variant_sweep() {
+  bool all_pass = true;
   const std::int64_t n = 256;
   const int iters = 8;
   // Positive data in [0.5, 1.5): no cancellation, so a relative error against
@@ -263,8 +272,60 @@ void run_variant_sweep() {
     jc["bit_identical_to_scalar"] = identical;
     jc["max_rel_err_vs_scalar"] = max_rel;
     jc["gate_pass"] = identical;
+    all_pass = all_pass && identical;
   }
   force_kernel_variant(nullptr);
+
+  // GELU over one layer's FFN activations of perfbench's train_step, summed
+  // over its 8 ranks; inputs spread over [-8, 8), into both saturated tails.
+  const std::int64_t gn = 262144;
+  const int gelu_iters = 20;
+  Tensor gx({gn});
+  for (std::int64_t i = 0; i < gn; ++i) {
+    const std::uint32_t h = (static_cast<std::uint32_t>(i) + 3u) * 2654435761u;
+    gx.data()[i] = static_cast<float>(h % 65521u) / 4095.0625f - 8.0f;
+  }
+  const KernelVariant& scalar = kernel_variants()[0];
+  Tensor gy_ref({gn});
+  Tensor gd_ref({gn});
+  scalar.gelu(gx.data(), gy_ref.data(), gd_ref.data(), gn);
+  std::printf("\ngelu sweep (n=%lld, y and dy/dx, best of %d):\n",
+              static_cast<long long>(gn), gelu_iters);
+  for (const KernelVariant& v : kernel_variants()) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "gelu_%s", v.name);
+    obs::JsonValue& jc = report.add_case(name);
+    jc["variant"] = std::string(v.name);
+    jc["gate"] = "memcmp";
+    if (!v.available(cpu_features())) {
+      jc["available"] = false;
+      continue;
+    }
+    jc["available"] = true;
+    Tensor gy({gn});
+    Tensor gd({gn});
+    double best_ms = 0.0;
+    for (int i = 0; i < gelu_iters; ++i) {
+      const auto t0 = std::chrono::steady_clock::now();
+      v.gelu(gx.data(), gy.data(), gd.data(), gn);
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (i == 0 || ms < best_ms) best_ms = ms;
+    }
+    const auto bytes = static_cast<std::size_t>(gn) * sizeof(float);
+    const bool identical =
+        std::memcmp(gy.data(), gy_ref.data(), bytes) == 0 &&
+        std::memcmp(gd.data(), gd_ref.data(), bytes) == 0;
+    const double ns_per_elem = best_ms * 1e6 / static_cast<double>(gn);
+    std::printf("  %-8s %8.3f ms  %6.2f ns/element  %s\n", v.name, best_ms,
+                ns_per_elem, identical ? "bit-identical" : "GATE VIOLATION");
+    jc["wall_ms"] = best_ms;
+    jc["ns_per_element"] = ns_per_elem;
+    jc["bit_identical_to_scalar"] = identical;
+    jc["gate_pass"] = identical;
+    all_pass = all_pass && identical;
+  }
 
   const char* out = "BENCH_kernel_variants.json";
   // bench_comm_volume appends its depth-compression rows to this file; when
@@ -282,7 +343,8 @@ void run_variant_sweep() {
         for (const obs::JsonValue& c : cases->items()) {
           const obs::JsonValue* cn = c.find("name");
           if (cn != nullptr && cn->is_string() &&
-              cn->as_string().rfind("gemm_", 0) != 0) {
+              cn->as_string().rfind("gemm_", 0) != 0 &&
+              cn->as_string().rfind("gelu_", 0) != 0) {
             report.add_case(cn->as_string()) = c;
           }
         }
@@ -294,6 +356,7 @@ void run_variant_sweep() {
   } else {
     std::fprintf(stderr, "failed to write %s\n", out);
   }
+  return all_pass;
 }
 
 }  // namespace
@@ -304,7 +367,9 @@ int main(int argc, char** argv) {
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  run_worker_sweep();
-  run_variant_sweep();
-  return 0;
+  // A worker count that departs from W=1, or a variant that departs from
+  // scalar, fails the run, so CI's sweep step can fail.
+  const bool workers_ok = run_worker_sweep();
+  const bool variants_ok = run_variant_sweep();
+  return workers_ok && variants_ok ? 0 : 1;
 }

@@ -593,8 +593,7 @@ void Communicator::repeat(int times, const std::function<void()>& body) {
     throw;
   }
   if (rdv.run_segment(me, times - 2)) {
-    const CommStats iteration = stats().since(before);
-    for (int i = 2; i < times; ++i) stats().merge(iteration);
+    stats().merge(stats().since(before), times - 2);
     return;
   }
   for (int i = 2; i < times; ++i) body();

@@ -29,14 +29,15 @@ void CommStats::record_collective(CollectiveKind kind, std::int64_t bytes) {
   op->bytes += bytes;
 }
 
-void CommStats::merge(const CommStats& other) {
-  msgs_sent += other.msgs_sent;
-  bytes_sent += other.bytes_sent;
-  bytes_intra_node += other.bytes_intra_node;
-  bytes_inter_node += other.bytes_inter_node;
+void CommStats::merge(const CommStats& other, std::int64_t times) {
+  msgs_sent += times * other.msgs_sent;
+  bytes_sent += times * other.bytes_sent;
+  bytes_intra_node += times * other.bytes_intra_node;
+  bytes_inter_node += times * other.bytes_inter_node;
   for (const auto& [name, op] : other.collectives) {
-    collectives[name].calls += op.calls;
-    collectives[name].bytes += op.bytes;
+    OpStats& mine = collectives[name];
+    mine.calls += times * op.calls;
+    mine.bytes += times * op.bytes;
   }
 }
 

@@ -58,8 +58,9 @@ struct CommStats {
   /// Per-call update of a built-in collective: after the kind's first call
   /// it touches the cached map entry, with no string compare.
   void record_collective(CollectiveKind kind, std::int64_t bytes);
-  /// Accumulates `other` into this (for cluster-wide totals).
-  void merge(const CommStats& other);
+  /// Accumulates `times` copies of `other` into this (cluster-wide totals;
+  /// a segment program's remaining iterations).
+  void merge(const CommStats& other, std::int64_t times = 1);
   /// What was recorded since `earlier`, an earlier copy of these stats.
   CommStats since(const CommStats& earlier) const;
   void reset();

@@ -1,4 +1,4 @@
-// Pointwise activations with explicit backward.
+// The GELU activation with explicit backward.
 #pragma once
 
 #include "nn/param.hpp"
@@ -6,13 +6,12 @@
 
 namespace tsr::nn {
 
-/// GELU (tanh approximation, as used by BERT/GPT-2/ViT). When `dydx` is
-/// non-null it receives the derivative dy/dx at x (same shape), computed from
-/// the same tanh as y, so a backward pass is one multiply: dx = dy * dydx.
+/// GELU (tanh approximation, as used by BERT/GPT-2/ViT), dispatched to the
+/// active kernel variant's `gelu` (tensor/kernel_registry.hpp), which every
+/// variant computes to the same bits. When `dydx` is non-null it receives
+/// the derivative dy/dx at x (same shape), computed in the same pass as y,
+/// so a backward pass is one multiply: dx = dy * dydx.
 Tensor gelu(const Tensor& x, Tensor* dydx = nullptr);
-
-Tensor relu(const Tensor& x);
-Tensor relu_backward(const Tensor& x, const Tensor& dy);
 
 /// Stateful wrapper caching each forward's derivative dy/dx (the same size
 /// as its input) on a LIFO stack, so several forward passes may be in flight

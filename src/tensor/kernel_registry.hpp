@@ -1,5 +1,6 @@
 // Kernel variant registry: one dispatch table of signature-compatible
-// GEMM / elementwise / optimizer micro-kernels (the oalsfxpp mixer idiom).
+// GEMM / elementwise / activation / optimizer micro-kernels (the oalsfxpp
+// mixer idiom).
 // Every variant is memcmp-identical to scalar, so the choice changes host
 // time only, never a result.
 //
@@ -59,6 +60,15 @@ struct AdamScalars {
 ///   w -= lr * ((m / bc1) / (sqrt(v / bc2) + eps) + weight_decay * w)
 using AdamFn = void (*)(const AdamScalars& s, float* w, const float* g,
                         float* m, float* v, std::int64_t n);
+
+/// GELU (tanh approximation) over n elements: y[i] = gelu(x[i]) and, when
+/// dydx is non-null, dydx[i] = gelu'(x[i]). Computed as v * sigma(2u) with
+/// an in-kernel exp, so no variant calls libm and all agree bit for bit.
+/// Finite |x| > 9 gives the saturated values (y = x or -0, dy/dx = 1 or 0).
+/// NaN in gives NaN out; +inf gives y = inf, and -inf's y and either
+/// infinity's dy/dx are NaN (the inf * 0 of the formula).
+using GeluFn = void (*)(const float* x, float* y, float* dydx, std::int64_t n);
+
 struct KernelVariant {
   const char* name;
   std::int64_t nr;  ///< register tile width (micro-panel stride)
@@ -66,6 +76,7 @@ struct KernelVariant {
   AxpyFn axpy;
   ScaleFn scale;
   AdamFn adam;
+  GeluFn gelu;
   bool (*available)(const CpuFeatures& f);
 };
 
@@ -83,8 +94,9 @@ const KernelVariant* find_kernel_variant(std::string_view name);
 const KernelVariant& resolve_kernel_variant(std::string_view forced,
                                             const CpuFeatures& f);
 
-/// The variant every gemm/axpy/scale/adam dispatches through. First call resolves
-/// RunConfig::kernel against the host cpu_features() and caches the result.
+/// The variant every gemm/axpy/scale/adam/gelu dispatches through. First
+/// call resolves RunConfig::kernel against the host cpu_features() and
+/// caches the result.
 const KernelVariant& active_kernel_variant();
 
 /// Test/bench hook: forces the active variant by name (same fallback rule as

@@ -359,6 +359,14 @@ TEST(Stats, MergeAndToString) {
   EXPECT_EQ(a.collective_calls(), 3);
   EXPECT_EQ(a.collective_bytes(), 160);
   EXPECT_NE(a.to_string().find("broadcast"), std::string::npos);
+  // A counted merge is that many single merges.
+  CommStats thrice = a;
+  thrice.merge(b, 3);
+  for (int i = 0; i < 3; ++i) a.merge(b);
+  EXPECT_EQ(thrice.msgs_sent, a.msgs_sent);
+  EXPECT_EQ(thrice.bytes_intra_node, a.bytes_intra_node);
+  EXPECT_EQ(thrice.bytes_inter_node, a.bytes_inter_node);
+  EXPECT_EQ(thrice.to_string(), a.to_string());
 }
 
 // ---- failure handling -----------------------------------------------------------

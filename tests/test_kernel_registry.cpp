@@ -1,9 +1,9 @@
 // Kernel variant registry: table shape, the pure resolution rule (including
 // graceful fallback when AVX is absent), the forced-variant dispatch matrix
 // with every variant memcmp-equal to scalar, update-form GEMM reading B in
-// place (against scalar and the packed path), the Adam kernel, the bf16
-// round-trip bounds the wire compression relies on, elementwise dispatch,
-// and the aligned allocation contract.
+// place (against scalar and the packed path), the Adam and GELU kernels,
+// the bf16 round-trip bounds the wire compression relies on, elementwise
+// dispatch, and the aligned allocation contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -56,6 +56,7 @@ TEST(KernelRegistry, TableShapeAndInvariants) {
     EXPECT_NE(v.axpy, nullptr) << v.name;
     EXPECT_NE(v.scale, nullptr) << v.name;
     EXPECT_NE(v.adam, nullptr) << v.name;
+    EXPECT_NE(v.gelu, nullptr) << v.name;
     EXPECT_NE(v.available, nullptr) << v.name;
   }
   EXPECT_NE(find_kernel_variant("scalar"), nullptr);
@@ -527,6 +528,74 @@ TEST(KernelDispatch, AdamBitIdenticalAcrossVariants) {
               << " steps=" << steps << " wd=" << wd;
         }
       }
+    }
+  }
+}
+
+// ---- GELU -------------------------------------------------------------------
+
+// Signed data spread over [-12, 12) (both saturated tails and the body),
+// with every third element replaced by a special value; the offset by n
+// moves each special across SIMD lanes and into the scalar tail.
+std::vector<float> gelu_inputs(std::int64_t n) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  const float specials[] = {0.0f,      -0.0f,      inf,       -inf,
+                            std::numeric_limits<float>::quiet_NaN(),
+                            -std::numeric_limits<float>::quiet_NaN(),
+                            denorm_min, -denorm_min, 1e-40f,    -1e-40f,
+                            1e30f,     -1e30f,     9.0f,      -9.0f,
+                            9.000001f, -9.000001f, 25.0f,     -25.0f,
+                            6.0f,      -6.0f,      1e-20f,    -0.75f};
+  constexpr std::int64_t kSpecials = sizeof(specials) / sizeof(specials[0]);
+  std::vector<float> x = signed_data(n, 47);
+  for (std::int64_t i = 0; i < n; ++i) {
+    float& v = x[static_cast<std::size_t>(i)];
+    v *= 12.0f;
+    if (i % 3 == 0) v = specials[(i / 3 + n) % kSpecials];
+  }
+  return x;
+}
+
+bool same_bits(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+TEST(KernelDispatch, GeluBitIdenticalAcrossVariants) {
+  const KernelVariant* scalar = find_kernel_variant("scalar");
+  ASSERT_NE(scalar, nullptr);
+  for (std::int64_t n = 0; n <= 67; ++n) {
+    const std::vector<float> x = gelu_inputs(n);
+    const auto len = static_cast<std::size_t>(n);
+    std::vector<float> y_ref(len), d_ref(len), y_only(len);
+    scalar->gelu(x.data(), y_ref.data(), d_ref.data(), n);
+    scalar->gelu(x.data(), y_only.data(), nullptr, n);
+    EXPECT_TRUE(same_bits(y_only, y_ref))
+        << "scalar y depends on dydx: n=" << n;
+    for (std::size_t i = 0; i < len; ++i) {
+      const float v = x[i];
+      if (std::isnan(v)) {
+        EXPECT_TRUE(std::isnan(y_ref[i]) && std::isnan(d_ref[i])) << "n=" << n;
+      } else if (std::isfinite(v) && v > 9.0f) {
+        EXPECT_EQ(y_ref[i], v);
+        EXPECT_EQ(d_ref[i], 1.0f);
+      } else if (std::isfinite(v) && v < -9.0f) {
+        EXPECT_EQ(y_ref[i], 0.0f);
+        EXPECT_EQ(d_ref[i], 0.0f);
+      }
+    }
+    for (const KernelVariant& v : kernel_variants()) {
+      if (!v.available(cpu_features())) continue;
+      std::vector<float> y(len), d(len), y_alone(len);
+      v.gelu(x.data(), y.data(), d.data(), n);
+      v.gelu(x.data(), y_alone.data(), nullptr, n);
+      EXPECT_TRUE(same_bits(y, y_ref)) << v.name << " gelu y differs: n=" << n;
+      EXPECT_TRUE(same_bits(d, d_ref))
+          << v.name << " gelu dy/dx differs: n=" << n;
+      EXPECT_TRUE(same_bits(y_alone, y_ref))
+          << v.name << " gelu y without dy/dx differs: n=" << n;
     }
   }
 }

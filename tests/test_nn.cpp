@@ -2,8 +2,11 @@
 // invariants) and optimizers. Gradient correctness lives in test_nn_grad.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
+#include <numbers>
 
 #include "nn/activation.hpp"
 #include "nn/attention.hpp"
@@ -17,6 +20,7 @@
 #include "nn/softmax.hpp"
 #include "nn/transformer.hpp"
 #include "tensor/init.hpp"
+#include "tensor/kernel_registry.hpp"
 #include "tensor/kernels.hpp"
 
 namespace tsr::nn {
@@ -101,27 +105,25 @@ TEST(Activation, GeluKnownValues) {
   EXPECT_NEAR(y.at(2), 0.0f, 1e-3f);     // zero for large negative
 }
 
-// The pre-cache backward, kept as the reference: dy/dx recomputed from x
-// with its own tanh. Gelu::backward must match it bit for bit.
+// dy/dx recomputed from x by the scalar registry kernel, then dx = dy * dydx:
+// Gelu::backward, whatever variant is active, must match it bit for bit.
 Tensor reference_gelu_backward(const Tensor& x, const Tensor& dy) {
-  constexpr float kSqrt2OverPi = 0.7978845608028654f;
-  constexpr float kGeluCoef = 0.044715f;
+  const KernelVariant* scalar = find_kernel_variant("scalar");
+  check(scalar != nullptr, "no scalar kernel variant");
+  Tensor y(x.shape());
+  Tensor dydx(x.shape());
+  scalar->gelu(x.data(), y.data(), dydx.data(), x.numel());
   Tensor dx(x.shape());
   for (std::int64_t i = 0; i < x.numel(); ++i) {
-    const float v = x.data()[i];
-    const float u = kSqrt2OverPi * (v + kGeluCoef * v * v * v);
-    const float t = std::tanh(u);
-    const float du = kSqrt2OverPi * (1.0f + 3.0f * kGeluCoef * v * v);
-    const float grad = 0.5f * (1.0f + t) + 0.5f * v * (1.0f - t * t) * du;
-    dx.data()[i] = dy.data()[i] * grad;
+    dx.data()[i] = dy.data()[i] * dydx.data()[i];
   }
   return dx;
 }
 
 TEST(Activation, GeluBackwardBitIdenticalToReferenceFormula) {
   Rng rng(12);
-  // Wide inputs reach both tanh saturation tails; two forwards in flight
-  // check the LIFO pairing of cached derivatives.
+  // Wide inputs reach both saturated tails; two forwards in flight check
+  // the LIFO pairing of cached derivatives.
   Tensor x1 = scaled(random_normal({7, 37}, rng), 4.0f);
   Tensor x2 = random_normal({7, 37}, rng);
   const Tensor dy1 = random_normal({7, 37}, rng);
@@ -143,15 +145,54 @@ TEST(Activation, GeluBackwardBitIdenticalToReferenceFormula) {
   EXPECT_TRUE(same(y1, gelu(x1)));
 }
 
-TEST(Activation, ReluAndBackward) {
-  Tensor x = Tensor::of({-1.0f, 2.0f});
-  Tensor y = relu(x);
-  EXPECT_FLOAT_EQ(y.at(0), 0.0f);
-  EXPECT_FLOAT_EQ(y.at(1), 2.0f);
-  Tensor dy = Tensor::of({5.0f, 5.0f});
-  Tensor dx = relu_backward(x, dy);
-  EXPECT_FLOAT_EQ(dx.at(0), 0.0f);
-  EXPECT_FLOAT_EQ(dx.at(1), 5.0f);
+// The registry kernel against the tanh-approximation GELU evaluated in
+// double, over a dense sweep of [-20, 20]: y within 2e-7 * max(1, |v|) and
+// dy/dx within 4e-6 * max(1, |dy/dx|) (|dy/dx| <= 1.13, so in effect an
+// absolute bound; dy/dx crosses zero near v = -0.75, where no relative bound
+// holds). The float formula through std::tanh, which the kernel replaced,
+// is measured alongside and both maxima are printed.
+TEST(Activation, GeluAccuracyAgainstDoubleReference) {
+  constexpr std::int64_t kN = 1 << 20;
+  Tensor x({kN});
+  for (std::int64_t i = 0; i < kN; ++i) {
+    x.data()[i] =
+        -20.0f + 40.0f * static_cast<float>(i) / static_cast<float>(kN);
+  }
+  Tensor dydx({kN});
+  const Tensor y = gelu(x, &dydx);
+  const double c = std::sqrt(2.0 / std::numbers::pi);
+  const double a = 0.044715;
+  double y_err = 0.0, d_err = 0.0, y_err_tanh = 0.0, d_err_tanh = 0.0;
+  std::int64_t subnormal = 0;  // outputs; every input here is 0 or normal
+  for (std::int64_t i = 0; i < kN; ++i) {
+    const float vf = x.data()[i];
+    subnormal += (std::fpclassify(y.data()[i]) == FP_SUBNORMAL) +
+                 (std::fpclassify(dydx.data()[i]) == FP_SUBNORMAL);
+    const double v = vf;
+    const double t = std::tanh(c * (v + a * v * v * v));
+    const double y_ref = 0.5 * v * (1.0 + t);
+    const double d_ref = 0.5 * (1.0 + t) +
+                         0.5 * v * (1.0 - t * t) * c * (1.0 + 3.0 * a * v * v);
+    const double y_scale = std::max(1.0, std::fabs(v));
+    const double d_scale = std::max(1.0, std::fabs(d_ref));
+    y_err = std::max(y_err, std::fabs(y.data()[i] - y_ref) / y_scale);
+    d_err = std::max(d_err, std::fabs(dydx.data()[i] - d_ref) / d_scale);
+    // The replaced form, in float as it ran.
+    constexpr float kSqrt2OverPi = 0.7978845608028654f;
+    constexpr float kCoef = 0.044715f;
+    const float tf = std::tanh(kSqrt2OverPi * (vf + kCoef * vf * vf * vf));
+    const float yf = 0.5f * vf * (1.0f + tf);
+    const float duf = kSqrt2OverPi * (1.0f + 3.0f * kCoef * vf * vf);
+    const float df = 0.5f * (1.0f + tf) + 0.5f * vf * (1.0f - tf * tf) * duf;
+    y_err_tanh = std::max(y_err_tanh, std::fabs(yf - y_ref) / y_scale);
+    d_err_tanh = std::max(d_err_tanh, std::fabs(df - d_ref) / d_scale);
+  }
+  std::printf("gelu max error over %lld inputs: y %.3g (std::tanh form %.3g), "
+              "dy/dx %.3g (std::tanh form %.3g)\n",
+              static_cast<long long>(kN), y_err, y_err_tanh, d_err, d_err_tanh);
+  EXPECT_LE(y_err, 2e-7);
+  EXPECT_LE(d_err, 4e-6);
+  EXPECT_EQ(subnormal, 0);
 }
 
 TEST(Softmax, RowsSumToOne) {
