@@ -4,7 +4,8 @@
 // After the registered benchmarks run, a TESSERACT_WORKERS sweep times the
 // parallel GEMM at 1/2/4 workers, verifies byte-identity against W=1, and
 // writes GFLOP/s + speedups to BENCH_pdgemm_micro.json. Last, every kernel
-// variant's GEMM and GELU are timed and memcmp-checked against scalar into
+// variant's GEMM and GELU are timed and memcmp-checked against scalar, and
+// its bare micro-kernel is timed on an L1-resident panel, into
 // BENCH_kernel_variants.json. The binary exits 1 if a worker count or an
 // available variant fails its bit-identity check.
 #include <benchmark/benchmark.h>
@@ -237,6 +238,8 @@ bool run_variant_sweep() {
     obs::JsonValue& jc = report.add_case(name);
     jc["variant"] = std::string(v.name);
     jc["gate"] = "memcmp";
+    jc["mr"] = kMicroMR;
+    jc["nr"] = v.nr;
     if (!v.available(cpu_features())) {
       jc["available"] = false;
       std::printf("  %-8s unavailable on this host (%s)\n", v.name,
@@ -275,6 +278,54 @@ bool run_variant_sweep() {
     all_pass = all_pass && identical;
   }
   force_kernel_variant(nullptr);
+
+  // The bare micro-kernel: one kc = 256 rank update of a kMicroMR x nr tile
+  // from a packed A panel and a B panel that stay in L1 (at most 24 KiB),
+  // so the figure is the kernel's arithmetic rate with no packing, blocking
+  // or C traffic. Best of 7 rounds.
+  const std::int64_t kc = 256;
+  const int micro_calls = 4096;
+  std::vector<float> ap(static_cast<std::size_t>(kc * kMicroMR));
+  for (std::size_t i = 0; i < ap.size(); ++i) ap[i] = 1.0f / (1.0f + i % 7);
+  std::printf("\nmicro-kernel sweep (kc=%lld, %d calls, best of 7):\n",
+              static_cast<long long>(kc), micro_calls);
+  for (const KernelVariant& v : kernel_variants()) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "micro_%s", v.name);
+    obs::JsonValue& jc = report.add_case(name);
+    jc["variant"] = std::string(v.name);
+    jc["mr"] = kMicroMR;
+    jc["nr"] = v.nr;
+    jc["kc"] = kc;
+    if (!v.available(cpu_features())) {
+      jc["available"] = false;
+      continue;
+    }
+    jc["available"] = true;
+    std::vector<float> bp(static_cast<std::size_t>(kc * v.nr));
+    for (std::size_t i = 0; i < bp.size(); ++i) bp[i] = 1.0f / (1.0f + i % 5);
+    std::vector<float> acc(static_cast<std::size_t>(kMicroMR * v.nr), 0.0f);
+    double best_ms = 0.0;
+    for (int round = 0; round < 7; ++round) {
+      const auto t0 = std::chrono::steady_clock::now();
+      for (int i = 0; i < micro_calls; ++i) {
+        v.micro(kc, ap.data(), bp.data(), v.nr, acc.data());
+        benchmark::DoNotOptimize(acc.data());
+        benchmark::ClobberMemory();
+      }
+      const double ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+      if (round == 0 || ms < best_ms) best_ms = ms;
+    }
+    const double gflops = 2.0 * static_cast<double>(kMicroMR * v.nr * kc) *
+                          micro_calls / (best_ms * 1e6);
+    std::printf("  %-8s %2lldx%-2lld %8.3f ms  %7.2f GFLOP/s\n", v.name,
+                static_cast<long long>(kMicroMR),
+                static_cast<long long>(v.nr), best_ms, gflops);
+    jc["wall_ms"] = best_ms;
+    jc["gflops"] = gflops;
+  }
 
   // GELU over one layer's FFN activations of perfbench's train_step, summed
   // over its 8 ranks; inputs spread over [-8, 8), into both saturated tails.
@@ -344,7 +395,8 @@ bool run_variant_sweep() {
           const obs::JsonValue* cn = c.find("name");
           if (cn != nullptr && cn->is_string() &&
               cn->as_string().rfind("gemm_", 0) != 0 &&
-              cn->as_string().rfind("gelu_", 0) != 0) {
+              cn->as_string().rfind("gelu_", 0) != 0 &&
+              cn->as_string().rfind("micro_", 0) != 0) {
             report.add_case(cn->as_string()) = c;
           }
         }

@@ -743,7 +743,8 @@ void Communicator::broadcast_impl(float* data, std::int64_t count,
     }
     // Phase 2 — ring all-gather of the chunks, zero-copy: the chunk received
     // at step s is exactly the chunk sent at step s+1, so each message buffer
-    // is copied once into `data` and then forwarded as-is.
+    // is copied once into `data` and then forwarded as-is. The root already
+    // holds every chunk in `data`, so it only forwards.
     const int right = (grank_ + 1) % g;
     const int left = (grank_ - 1 + g) % g;
     for (int s = 0; s < g - 1; ++s) {
@@ -751,7 +752,7 @@ void Communicator::broadcast_impl(float* data, std::int64_t count,
       send_msg(right, tag, std::move(carry), cbytes((grank_ - s + 2 * g) % g));
       Message m = recv_msg(left, tag);
       carry = std::move(m.payload);
-      if (real && carry != nullptr) {
+      if (real && carry != nullptr && grank_ != root) {
         std::copy(carry->begin(), carry->end(), data + coffset(recv_c));
       }
     }

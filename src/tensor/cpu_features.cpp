@@ -9,6 +9,7 @@ CpuFeatures detect() {
   __builtin_cpu_init();
   f.avx2 = __builtin_cpu_supports("avx2");
   f.avx512f = __builtin_cpu_supports("avx512f");
+  f.fma = __builtin_cpu_supports("fma");
 #endif
   return f;
 }

@@ -27,20 +27,21 @@ namespace {
 // tail panel (zero-padded) is still packed there. Reading in place changes
 // no floating-point operation.
 //
-// Numerics of every variant are bit-identical to the scalar loops this
-// replaces. Two rounding disciplines exist and are preserved
-// exactly:
-//   * update form (N/N, T/N): every k-term is accumulated straight into C
-//     in ascending k order, with alpha folded into the packed A element —
-//     the accumulator register block is loaded FROM C per k-panel, so the
-//     per-element rounding sequence matches the scalar i-k-j loops.
-//   * dot form (N/T, T/T): the product is summed over the FULL k extent into
-//     a zeroed accumulator and applied once as c += alpha * acc; k is
-//     deliberately not blocked here, because splitting the sum would change
-//     the rounding.
-// The tile width nr does not appear in either discipline, which is why the
-// 16-wide AVX-512 variant can still be memcmp-identical to the 8-wide
-// scalar reference.
+// Numerics of every variant are bit-identical to plain scalar loops in
+// which each k-term is one fused multiply-add (std::fma, one rounding).
+// Two rounding disciplines exist and are preserved exactly:
+//   * update form (N/N, T/N): alpha is folded into the packed A element
+//     (alpha * a, rounded), and every k-term is fused straight into C in
+//     ascending k order, c = fma(alpha * a, b, c) — the accumulator register
+//     block is loaded FROM C per k-panel, so the per-element rounding
+//     sequence matches the scalar i-k-j loops for any k blocking.
+//   * dot form (N/T, T/T): the product is fused over the FULL k extent into
+//     a zeroed accumulator, acc = fma(a, b, acc), and applied once, unfused,
+//     as c += alpha * acc; k is deliberately not blocked here, because
+//     splitting the sum would change the rounding.
+// The tile shape appears in neither discipline, which is why the 8x16
+// AVX-512 variant can still be memcmp-identical to the 8x8 scalar
+// reference.
 constexpr std::int64_t kMR = kMicroMR;  // register tile rows (all variants)
 constexpr std::int64_t kNRMax = 16;     // widest tile in the registry
 constexpr std::int64_t kKC = 256;       // k-panel depth (update form only)

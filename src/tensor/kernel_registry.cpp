@@ -16,10 +16,11 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Micro-kernels. The bit-identity discipline (docs/performance.md): per
-// output element the FP sequence is `acc += a * b` with kk ascending, and
-// the baseline build has no FMA contraction, so any variant that keeps
-// multiply and add as separate rounded operations per element is
-// memcmp-identical to scalar regardless of tile width.
+// output element the FP sequence is `acc = fma(a, b, acc)` with kk
+// ascending. A fused multiply-add rounds once, the same in std::fma and in
+// the vector FMA instructions, and the build has no implicit contraction
+// (-ffp-contract=off), so any variant that makes each k-term one explicit
+// FMA per element is memcmp-identical to scalar regardless of tile shape.
 // ---------------------------------------------------------------------------
 
 void micro_scalar(std::int64_t kc, const float* ap, const float* bp,
@@ -31,7 +32,7 @@ void micro_scalar(std::int64_t kc, const float* ap, const float* bp,
       const float aik = arow[ii];
 #pragma omp simd
       for (std::int64_t jj = 0; jj < 8; ++jj) {
-        acc[ii * 8 + jj] += aik * brow[jj];
+        acc[ii * 8 + jj] = std::fma(aik, brow[jj], acc[ii * 8 + jj]);
       }
     }
   }
@@ -135,32 +136,48 @@ void gelu_scalar(const float* x, float* y, float* dydx, std::int64_t n) {
 
 #ifdef TSR_X86
 
-// AVX2 4x8 tile, separate mul+add — bit-identical to micro_scalar.
-__attribute__((target("avx2"))) void micro_avx2(std::int64_t kc,
-                                                const float* ap,
-                                                const float* bp,
-                                                std::int64_t ldb, float* acc) {
+static_assert(kMicroMR == 8, "the SIMD micro-kernels hold eight tile rows");
+
+// AVX2 8x8 tile: eight ymm accumulators, one FMA per row and k. With two
+// FMA ports of 4-cycle latency, eight independent chains keep both busy.
+__attribute__((target("avx2,fma"))) void micro_avx2(std::int64_t kc,
+                                                    const float* ap,
+                                                    const float* bp,
+                                                    std::int64_t ldb,
+                                                    float* acc) {
   __m256 c0 = _mm256_loadu_ps(acc);
   __m256 c1 = _mm256_loadu_ps(acc + 8);
   __m256 c2 = _mm256_loadu_ps(acc + 16);
   __m256 c3 = _mm256_loadu_ps(acc + 24);
+  __m256 c4 = _mm256_loadu_ps(acc + 32);
+  __m256 c5 = _mm256_loadu_ps(acc + 40);
+  __m256 c6 = _mm256_loadu_ps(acc + 48);
+  __m256 c7 = _mm256_loadu_ps(acc + 56);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const __m256 b = _mm256_loadu_ps(bp + kk * ldb);
-    const float* arow = ap + kk * 4;
-    c0 = _mm256_add_ps(c0, _mm256_mul_ps(_mm256_broadcast_ss(arow + 0), b));
-    c1 = _mm256_add_ps(c1, _mm256_mul_ps(_mm256_broadcast_ss(arow + 1), b));
-    c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(arow + 2), b));
-    c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(arow + 3), b));
+    const float* arow = ap + kk * kMicroMR;
+    c0 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 0), b, c0);
+    c1 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 1), b, c1);
+    c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 2), b, c2);
+    c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 3), b, c3);
+    c4 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 4), b, c4);
+    c5 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 5), b, c5);
+    c6 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 6), b, c6);
+    c7 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 7), b, c7);
   }
   _mm256_storeu_ps(acc, c0);
   _mm256_storeu_ps(acc + 8, c1);
   _mm256_storeu_ps(acc + 16, c2);
   _mm256_storeu_ps(acc + 24, c3);
+  _mm256_storeu_ps(acc + 32, c4);
+  _mm256_storeu_ps(acc + 40, c5);
+  _mm256_storeu_ps(acc + 48, c6);
+  _mm256_storeu_ps(acc + 56, c7);
 }
 
-// AVX-512 4x16 tile, same mul+add discipline — still memcmp-identical: the
-// wider tile only changes which elements share a register, not any
-// per-element rounding sequence.
+// AVX-512 8x16 tile, same discipline (the EVEX FMA is part of AVX-512F) —
+// still memcmp-identical: the wider tile only changes which elements share
+// a register, not any per-element rounding sequence.
 __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
                                                      const float* ap,
                                                      const float* bp,
@@ -170,18 +187,30 @@ __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
   __m512 c1 = _mm512_loadu_ps(acc + 16);
   __m512 c2 = _mm512_loadu_ps(acc + 32);
   __m512 c3 = _mm512_loadu_ps(acc + 48);
+  __m512 c4 = _mm512_loadu_ps(acc + 64);
+  __m512 c5 = _mm512_loadu_ps(acc + 80);
+  __m512 c6 = _mm512_loadu_ps(acc + 96);
+  __m512 c7 = _mm512_loadu_ps(acc + 112);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const __m512 b = _mm512_loadu_ps(bp + kk * ldb);
-    const float* arow = ap + kk * 4;
-    c0 = _mm512_add_ps(c0, _mm512_mul_ps(_mm512_set1_ps(arow[0]), b));
-    c1 = _mm512_add_ps(c1, _mm512_mul_ps(_mm512_set1_ps(arow[1]), b));
-    c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(arow[2]), b));
-    c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(arow[3]), b));
+    const float* arow = ap + kk * kMicroMR;
+    c0 = _mm512_fmadd_ps(_mm512_set1_ps(arow[0]), b, c0);
+    c1 = _mm512_fmadd_ps(_mm512_set1_ps(arow[1]), b, c1);
+    c2 = _mm512_fmadd_ps(_mm512_set1_ps(arow[2]), b, c2);
+    c3 = _mm512_fmadd_ps(_mm512_set1_ps(arow[3]), b, c3);
+    c4 = _mm512_fmadd_ps(_mm512_set1_ps(arow[4]), b, c4);
+    c5 = _mm512_fmadd_ps(_mm512_set1_ps(arow[5]), b, c5);
+    c6 = _mm512_fmadd_ps(_mm512_set1_ps(arow[6]), b, c6);
+    c7 = _mm512_fmadd_ps(_mm512_set1_ps(arow[7]), b, c7);
   }
   _mm512_storeu_ps(acc, c0);
   _mm512_storeu_ps(acc + 16, c1);
   _mm512_storeu_ps(acc + 32, c2);
   _mm512_storeu_ps(acc + 48, c3);
+  _mm512_storeu_ps(acc + 64, c4);
+  _mm512_storeu_ps(acc + 80, c5);
+  _mm512_storeu_ps(acc + 96, c6);
+  _mm512_storeu_ps(acc + 112, c7);
 }
 
 // Elementwise ops are per-element independent, so the vectorized mul+add
@@ -414,10 +443,14 @@ __attribute__((target("avx512f"))) void gelu_avx512(const float* x, float* y,
 // The table
 // ---------------------------------------------------------------------------
 
+// The SIMD micro-kernels' FMA instructions need FMA3 (the avx512 entry's
+// axpy and scale are the avx2 ones): a host without it resolves to scalar.
 bool avail_always(const CpuFeatures&) { return true; }
 #ifdef TSR_X86
-bool avail_avx2(const CpuFeatures& f) { return f.avx2; }
-bool avail_avx512(const CpuFeatures& f) { return f.avx2 && f.avx512f; }
+bool avail_avx2(const CpuFeatures& f) { return f.avx2 && f.fma; }
+bool avail_avx512(const CpuFeatures& f) {
+  return f.avx2 && f.avx512f && f.fma;
+}
 #endif
 
 // Auto-dispatch picks the LAST available entry, so keep the variants in

@@ -4,11 +4,14 @@
 // Every variant is memcmp-identical to scalar, so the choice changes host
 // time only, never a result.
 //
-// Variants:
-//   scalar  — the portable reference kernel; the bit-identity baseline.
-//   avx2    — 4x8 tile with AVX2 intrinsics, separate mul+add (no FMA), so
-//             every output element sees the exact FP sequence of scalar.
-//   avx512  — 4x16 tile, same mul+add discipline.
+// Variants (GEMM register tile, rows x columns):
+//   scalar  — 8x8, the portable reference kernel and the bit-identity
+//             baseline; each k-term is one std::fma.
+//   avx2    — 8x8 with _mm256_fmadd_ps (needs AVX2 and FMA3).
+//   avx512  — 8x16 with _mm512_fmadd_ps (needs AVX-512F and FMA3).
+// A fused multiply-add is correctly rounded (IEEE 754, C's fma), so the
+// vector instructions and std::fma give the same bits, and no result
+// depends on the host's libm.
 //
 // Selection: RunConfig::kernel (TESSERACT_KERNEL) forces a variant (an
 // unavailable or unknown name falls back to scalar); with no override the
@@ -27,13 +30,14 @@ namespace tsr {
 
 /// Register-tile height shared by every packed micro-kernel (panel layout
 /// and zero-padding assume it; see gemm.cpp).
-inline constexpr std::int64_t kMicroMR = 4;
+inline constexpr std::int64_t kMicroMR = 8;
 
 /// Rank-kc update of a kMicroMR x nr register tile held in `acc` (row-major,
-/// row stride = the variant's nr): acc[ii][jj] += ap[kk][ii] * bp[kk][jj],
-/// kk ascending. ap is the packed [kk][mr] panel; row kk of the B panel
-/// starts at bp + kk * ldb — ldb = nr for a packed [kk][nr] panel, or the
-/// leading dimension of a row-major B read in place.
+/// row stride = the variant's nr): acc[ii][jj] = fma(ap[kk][ii], bp[kk][jj],
+/// acc[ii][jj]), one rounding per k-term, kk ascending. ap is the packed
+/// [kk][kMicroMR] panel; row kk of the B panel starts at bp + kk * ldb —
+/// ldb = nr for a packed [kk][nr] panel, or the leading dimension of a
+/// row-major B read in place.
 using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
                                const float* bp, std::int64_t ldb, float* acc);
 

@@ -1,6 +1,7 @@
 // Kernel variant registry: table shape, the pure resolution rule (including
-// graceful fallback when AVX is absent), the forced-variant dispatch matrix
-// with every variant memcmp-equal to scalar, update-form GEMM reading B in
+// graceful fallback when AVX or FMA3 is absent), the forced-variant dispatch
+// matrix with every variant memcmp-equal to scalar, each GEMM k-term fused
+// into one rounding, update-form GEMM reading B in
 // place (against scalar and the packed path), the Adam and GELU kernels,
 // the bf16 round-trip bounds the wire compression relies on, elementwise
 // dispatch, and the aligned allocation contract.
@@ -74,6 +75,14 @@ TEST(KernelRegistry, ResolveFallsBackToScalarWhenAvxAbsent) {
   EXPECT_STREQ(resolve_kernel_variant("no_such_kernel", none).name, "scalar");
   // Auto dispatch on a baseline host is scalar.
   EXPECT_STREQ(resolve_kernel_variant("", none).name, "scalar");
+  // The SIMD GEMM micro-kernels are FMA instructions: AVX2 and AVX-512F
+  // without FMA3 give scalar, forced or auto.
+  CpuFeatures no_fma{};
+  no_fma.avx2 = true;
+  no_fma.avx512f = true;
+  EXPECT_STREQ(resolve_kernel_variant("avx2", no_fma).name, "scalar");
+  EXPECT_STREQ(resolve_kernel_variant("avx512", no_fma).name, "scalar");
+  EXPECT_STREQ(resolve_kernel_variant("", no_fma).name, "scalar");
 }
 
 TEST(KernelRegistry, ResolvePrefersWidestAvailableVariant) {
@@ -82,6 +91,7 @@ TEST(KernelRegistry, ResolvePrefersWidestAvailableVariant) {
   }
   CpuFeatures avx2_only{};
   avx2_only.avx2 = true;
+  avx2_only.fma = true;
   EXPECT_STREQ(resolve_kernel_variant("", avx2_only).name, "avx2");
   EXPECT_STREQ(resolve_kernel_variant("avx2", avx2_only).name, "avx2");
   // avx512 requires avx512f; with only AVX2 it falls back to scalar.
@@ -90,6 +100,7 @@ TEST(KernelRegistry, ResolvePrefersWidestAvailableVariant) {
   CpuFeatures full{};
   full.avx2 = true;
   full.avx512f = true;
+  full.fma = true;
   EXPECT_STREQ(resolve_kernel_variant("", full).name, "avx512");
   // The variants this registry no longer has are unknown names: scalar.
   for (const char* gone : {"avx2fma", "bf16", "int8"}) {
@@ -279,10 +290,11 @@ TEST(KernelDispatch, UpdateFormWithBInPlaceMatchesScalarAndPackedPath) {
 
 // The scalar loops the packed kernel stands in for, one per rounding
 // discipline (gemm.cpp): C is cleared (beta = 0) or scaled first; then the
-// update form (tb = N) adds (alpha * a) * b into C for k ascending, and the
-// dot form (tb = T) sums a * b from +0 over the whole k extent and adds
-// alpha times the sum once. Every variant must match it bit for bit,
-// whatever its k-panel depth and tile shape.
+// update form (tb = N) fuses (alpha * a) * b into C for k ascending, and the
+// dot form (tb = T) fuses a * b into a sum from +0 over the whole k extent
+// and adds alpha times the sum once, unfused. Each k-term is one std::fma,
+// a single rounding. Every variant must match it bit for bit, whatever its
+// k-panel depth and tile shape.
 void naive_gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                 std::int64_t k, float alpha, const float* a, std::int64_t lda,
                 const float* b, std::int64_t ldb, float beta, float* c,
@@ -300,12 +312,12 @@ void naive_gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
       }
       if (tb == Trans::N) {
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          cij += (alpha * a_at(i, kk)) * b[kk * ldb + j];
+          cij = std::fma(alpha * a_at(i, kk), b[kk * ldb + j], cij);
         }
       } else {
         float acc = 0.0f;
         for (std::int64_t kk = 0; kk < k; ++kk) {
-          acc += a_at(i, kk) * b[j * ldb + kk];
+          acc = std::fma(a_at(i, kk), b[j * ldb + kk], acc);
         }
         cij += alpha * acc;
       }
@@ -398,6 +410,56 @@ TEST(KernelDispatch, KPanelsBetaZeroAndRaggedTilesMatchScalarAndNaive) {
   }
 }
 
+TEST(KernelDispatch, GemmFusesEachProduct) {
+  // Operands whose fused and unfused sums differ. With u = 1 + 2^-12,
+  // u * u = 1 + 2^-11 + 2^-24 exactly; rounded on its own that is a tie,
+  // which goes to the even 1 + 2^-11. Adding it to -(1 + 2^-11) gives 2^-24
+  // when the product is fused and 0 when it is rounded first.
+  // Update form: k = 1, beta = 1, C preloaded with -(1 + 2^-11).
+  // Dot form: k = 2, a1 * b1 = -(1 + 2^-11) exactly, then a2 = b2 = u; the
+  // sum is fused in ascending k, so reversing the order also gives 0.
+  // m and n cover full and ragged tiles of every variant.
+  ScopedRunConfig restore;
+  const float u = 1.0f + std::ldexp(1.0f, -12);
+  const float v = -(1.0f + std::ldexp(1.0f, -11));
+  const float want = std::ldexp(1.0f, -24);
+  const std::int64_t m = 11, n = 37;
+  for (const KernelVariant& var : kernel_variants()) {
+    if (!var.available(cpu_features())) continue;
+    force_kernel_variant(var.name);
+    for (const Trans ta : {Trans::N, Trans::T}) {
+      for (const Trans tb : {Trans::N, Trans::T}) {
+        const bool update = tb == Trans::N;
+        const std::int64_t k = update ? 1 : 2;
+        const GateCall gc{ta, tb, m, n, k, n, 1.0f, update ? 1.0f : 0.0f};
+        // Column kk of op(A) holds a_k in every row, row kk of op(B) b_k in
+        // every column.
+        const float a_k[] = {update ? u : v, u};
+        const float b_k[] = {update ? u : 1.0f, u};
+        std::vector<float> a(static_cast<std::size_t>(gc.a_size()));
+        std::vector<float> b(static_cast<std::size_t>(gc.b_size()));
+        for (std::int64_t i = 0; i < m; ++i) {
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            a[ta == Trans::N ? i * k + kk : kk * m + i] = a_k[kk];
+          }
+        }
+        for (std::int64_t j = 0; j < n; ++j) {
+          for (std::int64_t kk = 0; kk < k; ++kk) {
+            b[update ? kk * n + j : j * k + kk] = b_k[kk];
+          }
+        }
+        const std::vector<float> c0(static_cast<std::size_t>(m * n),
+                                    update ? v : 0.0f);
+        const std::vector<float> expect(c0.size(), want);
+        EXPECT_TRUE(same_bytes(gc.run(a, b, c0, /*naive=*/true), expect))
+            << gc.where("naive");
+        EXPECT_TRUE(same_bytes(gc.run(a, b, c0, /*naive=*/false), expect))
+            << gc.where(var.name);
+      }
+    }
+  }
+}
+
 TEST(KernelDispatch, NegativeZeroProductsGivePositiveZero) {
   // Every product is -0.0 (negative A times +0.0 B). With beta = 0, C is
   // +0.0 plus a run of -0.0 terms, which IEEE rounds to +0.0 in both
@@ -440,7 +502,7 @@ TEST(KernelDispatch, NegativeZeroProductsGivePositiveZero) {
 }
 
 TEST(KernelDispatch, RaggedTilesNeverReadUninitialisedAccumulatorLanes) {
-  // The first tile of each call is ragged (m < 4 or n below the tile
+  // The first tile of each call is ragged (m < 8 or n below the tile
   // width), so its accumulator starts as whatever the stack held. Lanes the
   // tile does not cover are never stored, so a missing zero fill does not
   // change C; it shows as FE_INVALID once those lanes hold a signalling NaN.
