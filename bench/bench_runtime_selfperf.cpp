@@ -134,7 +134,6 @@ ReplayMeasurement run_table1_replay(int layers) {
       cfg.layers = layers;
       const comm::PhantomCounts c = perf::evaluate(cfg).phantom;
       if (pass > 0) continue;
-      m.counts.replays += c.replays;
       m.counts.compiles += c.compiles;
       m.counts.compiled_runs += c.compiled_runs;
       m.counts.segment_runs += c.segment_runs;
@@ -263,19 +262,19 @@ int main() {
       c["wall_ms"] = m.wall_ms;
       c["speedup_vs_w1"] = speedup;
       c["collectives_simulated"] =
-          static_cast<std::int64_t>(m.counts.replays + m.counts.compiled_runs);
+          static_cast<std::int64_t>(m.counts.compiles + m.counts.compiled_runs);
       c["plans_compiled"] = static_cast<std::int64_t>(m.counts.compiles);
       c["compiled_runs"] = static_cast<std::int64_t>(m.counts.compiled_runs);
       c["segment_runs"] = static_cast<std::int64_t>(m.counts.segment_runs);
       c["collectives_per_host_s"] =
-          static_cast<double>(m.counts.replays + m.counts.compiled_runs) /
+          static_cast<double>(m.counts.compiles + m.counts.compiled_runs) /
           (m.wall_ms * 1e-3);
     }
     const comm::PhantomCounts& c = replays[0].counts;
     std::printf("  %d layer%s: %llu collectives simulated, %llu plans "
                 "compiled, %llu compiled runs, %llu segment runs\n",
                 layers, layers == 1 ? "" : "s",
-                static_cast<unsigned long long>(c.replays + c.compiled_runs),
+                static_cast<unsigned long long>(c.compiles + c.compiled_runs),
                 static_cast<unsigned long long>(c.compiles),
                 static_cast<unsigned long long>(c.compiled_runs),
                 static_cast<unsigned long long>(c.segment_runs));

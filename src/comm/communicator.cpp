@@ -141,6 +141,8 @@ void World::install_fault_plan(const fault::FaultPlan& plan) {
   if (plan.empty()) return;  // byte-identity guarantee: nothing installed
   fault::note_installed_plan(plan);  // envelope stamp for exported reports
   injector_ = std::make_unique<fault::Injector>(plan, this);
+  // The plan replaces any earlier one: only the ranks it lists run slow.
+  for (rt::SimClock& clock : clocks_) clock.set_slowdown(1.0);
   for (const fault::SlowRankSpec& s : plan.slow_ranks) {
     for (int r = 0; r < nranks_; ++r) {
       if (s.rank >= 0 && s.rank != r) continue;

@@ -129,9 +129,11 @@ class World {
   // fault experiment with no code change. install_fault_plan() is the
   // programmatic path (perf::EvalConfig::fault and tests use it).
 
-  /// Installs a fault plan: creates the injector, applies straggler clock
-  /// slowdowns and mailbox receive timeouts. A plan whose empty() is true is
-  /// a no-op, leaving every code path byte-identical to a faultless World.
+  /// Installs a fault plan: sets every mailbox's receive timeout to the
+  /// plan's. A non-empty plan also replaces the injector and the straggler
+  /// clock slowdowns: the ranks it lists get its scale, every other rank
+  /// 1.0. A plan whose empty() is true installs nothing else, leaving every
+  /// other code path byte-identical to a faultless World.
   void install_fault_plan(const fault::FaultPlan& plan);
 
   /// Active injector, or nullptr when no (non-empty) plan is installed.
@@ -399,11 +401,12 @@ class Communicator {
 
   // Runs the phantom collective (kind, root, bytes), which logs
   // `logical_bytes` in CommStats. Per collective when the World allows it:
-  // on the member's first two calls of the key the impl runs in record
-  // mode; on later ones the member only logs the call and draws its tag, as
-  // the impl would. Either way it then meets its group in the World's
-  // Rendezvous and, unless it arrived last or receives nothing, waits on its
-  // mailbox until the last member has simulated the collective.
+  // until the key's plan is compiled (the member's first call, which
+  // compiles it) the impl runs in record mode; once it is, the member only
+  // logs the call and draws its tag, as the impl would. Either way it then
+  // meets its group in the World's Rendezvous and, unless it arrived last or
+  // receives nothing, waits on its mailbox until the last member has
+  // simulated the collective.
   template <class Impl>
   void phantom_collective(CollectiveKind kind, int root, std::int64_t bytes,
                           std::int64_t logical_bytes, Impl&& impl);

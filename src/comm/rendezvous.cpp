@@ -21,15 +21,12 @@ struct WireCounts {
   std::int64_t inter = 0;
 };
 
-// Communicator::send_msg's timing model, step for step: the sender's NIC is
-// busy for bytes * beta (scaled by its slowdown), then the message lands
-// alpha later. Returns the arrival stamp.
-double send_arrival(const topo::MachineSpec& spec, rt::SimClock& clock,
-                    topo::LinkType link, std::int64_t bytes) {
-  if (link == topo::LinkType::Self) return clock.now();
-  const topo::LinkParams& params = spec.params(link);
-  clock.advance(static_cast<double>(bytes) * params.beta);
-  return clock.now() + params.alpha;
+// A send's NIC time before the slowdown, as Communicator::send_msg charges
+// it: bytes * beta, or nothing to itself.
+double nic_time(const topo::MachineSpec& spec, topo::LinkType link,
+                std::int64_t bytes) {
+  if (link == topo::LinkType::Self) return 0.0;
+  return static_cast<double>(bytes) * spec.params(link).beta;
 }
 
 void count_send(topo::LinkType link, std::int64_t bytes, WireCounts& counts) {
@@ -68,9 +65,9 @@ static_assert(sizeof(Step) == 16);
 
 Step send_step(const topo::MachineSpec& spec, topo::LinkType link,
                std::int64_t bytes, int member, std::int32_t slot) {
-  Step s{0.0, member, static_cast<std::uint32_t>(slot), kSelfSend};
+  Step s{nic_time(spec, link, bytes), member,
+         static_cast<std::uint32_t>(slot), kSelfSend};
   if (link != topo::LinkType::Self) {
-    s.busy = static_cast<double>(bytes) * spec.params(link).beta;
     s.op = link == topo::LinkType::IntraNode ? kSendIntra : kSendInter;
   }
   return s;
@@ -80,7 +77,7 @@ Step send_step(const topo::MachineSpec& spec, topo::LinkType link,
 struct Seat {
   rt::SimClock entry;  // the member's clock at arrival
   Rendezvous::Plan* plan = nullptr;  // the collective it called
-  const std::vector<WireOp>* ops = nullptr;  // null when arrived compiled
+  const std::vector<WireOp>* ops = nullptr;  // null: plan was compiled
   std::vector<WireOp> own_ops;  // a detached member's copy (it records on)
   // Received nothing: charged its own sends at arrival and left, so the run
   // neither writes it back nor wakes it.
@@ -106,27 +103,24 @@ struct Slot {
   std::atomic<std::size_t> arrived{0};
 };
 
-// A message of the replay in flight to a member.
+// A send waiting in its receiver's inbox for the receive it matches.
 struct Pending {
   int src = 0;  // sender's group rank; -1 once consumed
-  double arrival = 0.0;
   std::int32_t slot = 0;  // the send's arrival slot in the program
 };
 
-// A member's replay state.
-struct ReplayMember {
-  rt::SimClock clock;  // the member's clock at arrival, then replayed
-  std::size_t pc = 0;  // next op to execute
+// A member's state while its op list is matched.
+struct MatchMember {
+  std::size_t pc = 0;  // next op to match
   int waiting_on = -1;  // group rank this member's recv waits for
   std::size_t head = 0;  // inbox entries before head are consumed
   std::vector<Pending> inbox;
-  WireCounts counts;
 };
 
 // Working state of a communicator's runs. The vectors keep their capacity,
 // so the steady state allocates nothing.
 struct Scratch {
-  std::vector<ReplayMember> members;
+  std::vector<MatchMember> members;  // a compile's matching state
   std::vector<int> ready;  // runnable group ranks
   std::vector<double> now, slow, arrivals;  // a compiled run's lane state
 };
@@ -149,7 +143,7 @@ struct Rendezvous::Plan {
   std::int64_t bytes;
   int root;
   CollectiveKind kind;
-  // Program, written by the communicator's second replay of the collective
+  // Program, written by the communicator's first meeting of the collective
   // and read-only once `ready`.
   std::vector<Step> steps;
   std::vector<Member> members;  // per group rank
@@ -176,7 +170,6 @@ struct Rendezvous::Collective {
   int root;
   CollectiveKind kind;
   Plan* plan;
-  std::uint64_t calls = 0;  // calls this member made of it
 };
 
 struct Rendezvous::Meetings {
@@ -281,7 +274,7 @@ Rendezvous::Collective& Rendezvous::collective(Meetings& comm, int grank,
 }
 
 bool Rendezvous::records(const Collective& c) {
-  return c.calls < 2 || !c.plan->ready.load(std::memory_order_acquire);
+  return !c.plan->ready.load(std::memory_order_acquire);
 }
 
 void Rendezvous::reset() {
@@ -300,14 +293,13 @@ void Rendezvous::reset() {
 }
 
 PhantomCounts Rendezvous::counts() const {
-  return {replays_.load(), compiles_.load(), compiled_runs_.load(),
-          segment_runs_.load(), lane_fires_.load()};
+  return {compiles_.load(), compiled_runs_.load(), segment_runs_.load(),
+          lane_fires_.load()};
 }
 
 bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
                         const std::vector<WireOp>* ops) {
   Plan& p = *c.plan;
-  const std::uint64_t call = c.calls++;
   const topo::MachineSpec& spec = world_.spec();
   const auto me = static_cast<std::size_t>(grank);
   const int me_w = comm.ranks[me];
@@ -324,10 +316,11 @@ bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
     // Own thread, own clock and stats: nothing to wait for.
     WireCounts counts;
     if (ops != nullptr) {
+      // The plan may not be compiled yet: charge the sends as recorded.
       for (const WireOp& op : *ops) {
         const topo::LinkType link =
             spec.link(me_w, comm.ranks[static_cast<std::size_t>(op.peer)]);
-        (void)send_arrival(spec, clock, link, op.bytes);
+        clock.advance(nic_time(spec, link, op.bytes));
         count_send(link, op.bytes, counts);
       }
     } else {
@@ -366,13 +359,12 @@ bool Rendezvous::arrive(Meetings& comm, Collective& c, int grank,
   }
   // Every waiting member is parked on its mailbox and touches neither its
   // op list nor its clock or stats until the wake.
-  simulate(comm, k, me, call);
+  simulate(comm, k, me);
   release(comm, k, n + kSlots);
   return false;
 }
 
-void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner,
-                          std::uint64_t call) {
+void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner) {
   const Seat* seats = comm.seats_of(k);
   Plan& p = *seats[runner].plan;
   for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
@@ -383,16 +375,14 @@ void Rendezvous::simulate(Meetings& comm, std::size_t k, std::size_t runner,
   }
   // Only this communicator's runs compile its plans, and its calls run in
   // order, so a member that skipped recording saw the plan compiled by an
-  // earlier call, and if the plan is not compiled every member recorded.
-  // Every member calls a collective equally often, so `call` is the same on
-  // all of them: the first two calls replay and the second compiles.
+  // earlier call, and if the plan is not compiled every member recorded:
+  // this is the collective's first meeting.
   if (p.ready.load(std::memory_order_acquire)) {
-    run_compiled(comm, p, k);
     compiled_runs_.fetch_add(1, std::memory_order_relaxed);
   } else {
-    replay(comm, p, k, call >= 1);
-    replays_.fetch_add(1, std::memory_order_relaxed);
+    compile(comm, p, k);
   }
+  run_compiled(comm, p, k);
   for (std::size_t i = 0; i < comm.ranks.size(); ++i) {
     if (i == runner || seats[i].detached) continue;
     wake(comm.ranks[i]);
@@ -433,8 +423,7 @@ void Rendezvous::release(Meetings& comm, std::size_t k, std::uint64_t next) {
   }
 }
 
-void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
-                        bool compile) {
+void Rendezvous::compile(Meetings& comm, Plan& p, std::size_t k) {
   const topo::MachineSpec& spec = world_.spec();
   const std::vector<int>& ranks = comm.ranks;
   const int g = static_cast<int>(ranks.size());
@@ -444,31 +433,27 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
   sc.ready.clear();
   std::size_t nops = 0;
   for (int i = g - 1; i >= 0; --i) {
-    ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
-    m.clock = seats[i].entry;
+    MatchMember& m = sc.members[static_cast<std::size_t>(i)];
     m.pc = 0;
     m.waiting_on = -1;
     m.head = 0;
     m.inbox.clear();
-    m.counts = WireCounts{};
     sc.ready.push_back(i);  // popped in group-rank order
     nops += seats[i].ops->size();
   }
-  if (compile) {
-    p.steps.clear();
-    p.steps.reserve(nops);
-    p.members.resize(static_cast<std::size_t>(g));
-  }
+  p.steps.clear();
+  p.steps.reserve(nops);
+  p.members.assign(static_cast<std::size_t>(g), Plan::Member{});
   std::int32_t nsends = 0;
   // Run each member until its next receive finds no message; a send that
-  // satisfies a waiting receiver makes it runnable again. Each member's
-  // clock depends only on its own ops and the arrival stamps it receives,
-  // so the visiting order cannot change the result, and the order taken is
-  // a valid program order for the compiled run.
+  // satisfies a waiting receiver makes it runnable again. Messages of one
+  // (src, dst) pair match in send order. Each member's clock depends only
+  // on its own ops and the arrival stamps it receives, so no clock is
+  // needed here: the order taken is a valid program order for the run.
   while (!sc.ready.empty()) {
     const int i = sc.ready.back();
     sc.ready.pop_back();
-    ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
+    MatchMember& m = sc.members[static_cast<std::size_t>(i)];
     const std::vector<WireOp>& ops = *seats[i].ops;
     const int src_w = ranks[static_cast<std::size_t>(i)];
     while (m.pc < ops.size()) {
@@ -476,30 +461,24 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
       if (op.send) {
         const topo::LinkType link =
             spec.link(src_w, ranks[static_cast<std::size_t>(op.peer)]);
-        const double arrival = send_arrival(spec, m.clock, link, op.bytes);
-        count_send(link, op.bytes, m.counts);
-        if (compile) {
-          p.steps.push_back(send_step(spec, link, op.bytes, i, nsends));
-        }
-        ReplayMember& d = sc.members[static_cast<std::size_t>(op.peer)];
-        d.inbox.push_back({i, arrival, nsends++});
+        count_send(link, op.bytes,
+                   p.members[static_cast<std::size_t>(i)].counts);
+        p.steps.push_back(send_step(spec, link, op.bytes, i, nsends));
+        MatchMember& d = sc.members[static_cast<std::size_t>(op.peer)];
+        d.inbox.push_back({i, nsends++});
         if (d.waiting_on == i) {
           d.waiting_on = -1;
           sc.ready.push_back(op.peer);
         }
       } else {
-        // Messages of one (src, dst) pair match in send order.
         std::size_t j = m.head;
         while (j < m.inbox.size() && m.inbox[j].src != op.peer) ++j;
         if (j == m.inbox.size()) {
           m.waiting_on = op.peer;
           break;
         }
-        m.clock.advance_to(m.inbox[j].arrival);
-        if (compile) {
-          p.steps.push_back(
-              {0.0, i, static_cast<std::uint32_t>(m.inbox[j].slot), kRecv});
-        }
+        p.steps.push_back(
+            {0.0, i, static_cast<std::uint32_t>(m.inbox[j].slot), kRecv});
         m.inbox[j].src = -1;
         while (m.head < m.inbox.size() && m.inbox[m.head].src < 0) ++m.head;
       }
@@ -507,39 +486,27 @@ void Rendezvous::replay(Meetings& comm, Plan& p, std::size_t k,
     }
   }
   for (int i = 0; i < g; ++i) {
-    const ReplayMember& m = sc.members[static_cast<std::size_t>(i)];
+    const MatchMember& m = sc.members[static_cast<std::size_t>(i)];
     if (m.pc != seats[i].ops->size() || m.head != m.inbox.size()) {
       throw std::runtime_error(
           "phantom collective: members recorded mismatched schedules");
     }
   }
+  // A detached member runs only its own sends, in its program order.
+  p.sends.clear();
   for (int i = 0; i < g; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    const ReplayMember& m = sc.members[ui];
-    if (compile) {
-      p.members[ui].counts = m.counts;
-      p.members[ui].detached = seats[i].detached;
+    Plan::Member& m = p.members[static_cast<std::size_t>(i)];
+    m.detached = seats[i].detached;
+    if (!m.detached) continue;
+    m.first = static_cast<std::uint32_t>(p.sends.size());
+    for (const Step& s : p.steps) {
+      if (s.member == i && s.op != kSelfSend) p.sends.push_back(s.busy);
     }
-    if (seats[i].detached) continue;  // charged itself at arrival
-    world_.clock(ranks[ui]) = m.clock;
-    add_counts(world_.stats(ranks[ui]), m.counts);
+    m.count = static_cast<std::uint32_t>(p.sends.size()) - m.first;
   }
-  if (compile) {
-    // A detached member replays only its own sends, in its program order.
-    p.sends.clear();
-    for (int i = 0; i < g; ++i) {
-      Plan::Member& m = p.members[static_cast<std::size_t>(i)];
-      if (!m.detached) continue;
-      m.first = static_cast<std::uint32_t>(p.sends.size());
-      for (const Step& s : p.steps) {
-        if (s.member == i && s.op != kSelfSend) p.sends.push_back(s.busy);
-      }
-      m.count = static_cast<std::uint32_t>(p.sends.size()) - m.first;
-    }
-    p.nsends = nsends;
-    p.ready.store(true, std::memory_order_release);
-    compiles_.fetch_add(1, std::memory_order_relaxed);
-  }
+  p.nsends = nsends;
+  p.ready.store(true, std::memory_order_release);
+  compiles_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Rendezvous::run_compiled(Meetings& comm, const Plan& p, std::size_t k) {

@@ -8,25 +8,25 @@
 // (no tracing, metrics, live sampler or fault injector) every call meets
 // its group in the World's Rendezvous:
 //
-//  * Record and replay (each member's first two calls of a key on a
+//  * Record and compile (each member's first call of a key on a
 //    communicator). Each member runs the collective's *_impl in record
 //    mode: send_msg / recv_msg append WireOps to the member's list instead
 //    of touching the mailbox, so each tree and ring schedule stays written
-//    once. The last member to arrive replays every member's list in one
-//    loop with the message path's exact arithmetic — sender:
+//    once. The last member to arrive compiles the lists without touching a
+//    clock: it matches them per (src, dst) in FIFO order and writes the
+//    order it took as a flat program (per step: member, send / self-send /
+//    recv, NIC time, arrival slot; per member: wire counts, whether it
+//    receives anything and, if not, its own NIC times). It then runs the
+//    program, as every later meeting does.
+//  * Run (every call). A member whose plan is compiled skips record mode
+//    and only deposits its entry clock; the last to arrive runs the flat
+//    program with the message path's exact arithmetic — sender:
 //    advance(bytes * beta) (slowdown applies), arrival = now + alpha;
-//    receiver: advance_to(arrival), per-(src, dst) FIFO. The second call's
-//    replay is also the compiler: it writes the order it executed as a flat
-//    program (per step: member, send / self-send / recv, NIC time, arrival
-//    slot; per member: wire counts, whether it receives anything and, if
-//    not, its own NIC times). A key called once pays nothing for compiling.
-//  * Compiled runs (every later call). A member skips record mode and only
-//    deposits its entry clock; the last to arrive runs the flat program with
-//    the same arithmetic, no matching and no per-member op lists.
+//    receiver: advance_to(arrival) — with no matching and no op lists.
 //
-// Either way the last member writes the exit clocks and CommStats wire
-// counters and wakes the others, who park on their own Mailbox meanwhile.
-// Parking there keeps poison, PeerFailure, fiber deadlock detection and the
+// The run writes the exit clocks and CommStats wire counters, and the last
+// member wakes the others, who park on their own Mailbox meanwhile. Parking
+// there keeps poison, PeerFailure, fiber deadlock detection and the
 // thread-backend watchdog working unchanged. A member that receives nothing
 // (a reduce-tree leaf, a tree broadcast's root) depends on nobody: it charges
 // its own sends at once and leaves, as it would on the message path, and the
@@ -38,8 +38,8 @@
 // compiles a plan always finishes before a later call reads it. A call whose
 // key the member has seen on that communicator takes no lock and hashes
 // nothing: a short scan of the member's own list and one atomic arrival
-// count. Plans live as long as their World, and every count above (replays,
-// compiles, compiled runs) is a function of the program alone.
+// count. Plans live as long as their World, and every count (compiles,
+// compiled runs) is a function of the program alone.
 //
 // Repeated segments (Communicator::repeat). The layer loops of a phantom
 // replay call the same collectives and charges in every iteration. Each
@@ -84,8 +84,8 @@
 //
 // The message path stays the reference: traced, metered, live and faulted
 // runs and every real-payload collective use it, and the tests compare
-// the replay, the compiled runs and the segment programs against it bit
-// for bit.
+// the compiled runs (the compiling meeting's included) and the segment
+// programs against it bit for bit.
 #pragma once
 
 #include <atomic>
@@ -110,11 +110,13 @@ struct WireOp {
 };
 
 /// What a World's Rendezvous has simulated (tests and benches read it). All
-/// five are deterministic for a given program.
+/// four are deterministic for a given program.
 struct PhantomCounts {
-  std::uint64_t replays = 0;        ///< calls replayed from recorded op lists
-  std::uint64_t compiles = 0;       ///< plans compiled (keys called twice)
-  /// Calls run from a compiled program, by a meeting or a segment program.
+  /// Plans compiled: one per key and communicator, at its first meeting,
+  /// which also runs the plan.
+  std::uint64_t compiles = 0;
+  /// Later calls run from a compiled program, by a meeting or a segment
+  /// program; compiles + compiled_runs is every call simulated.
   std::uint64_t compiled_runs = 0;
   std::uint64_t segment_runs = 0;  ///< iterations run as a segment program
   /// Fires that segment programs ran as lanes of a batch of two or more,
@@ -130,8 +132,7 @@ class Rendezvous {
   /// One communicator's meeting slots and its members' collectives.
   struct Meetings;
   /// One member's handle on a collective (kind, root, bytes) of a
-  /// communicator: its plan and how often the member has called it. Only
-  /// that member's thread touches it.
+  /// communicator: its plan. Only that member's thread touches it.
   struct Collective;
 
   explicit Rendezvous(World& world);
@@ -154,9 +155,9 @@ class Rendezvous {
   Collective& collective(Meetings& comm, int grank, CollectiveKind kind,
                          int root, std::int64_t bytes);
 
-  /// True when the member's next call of `c` must record its op list: its
-  /// first two calls replay, and a later one records only if it runs ahead
-  /// of the call that compiles the plan.
+  /// True when the member's next call of `c` must record its op list: the
+  /// plan is not compiled yet. That is its first call, or a later one that
+  /// runs ahead of the meeting that compiles the plan.
   static bool records(const Collective& c);
 
   /// Group rank `grank` of `comm` arrives at its next phantom collective,
@@ -214,11 +215,10 @@ class Rendezvous {
   PhantomCounts counts() const;
 
  private:
-  // `slot` indexes the communicator's meeting slots; `call` counts the
-  // runner's earlier calls of the collective.
-  void simulate(Meetings& comm, std::size_t slot, std::size_t runner,
-                std::uint64_t call);
-  void replay(Meetings& comm, Plan& plan, std::size_t slot, bool compile);
+  // `slot` indexes the communicator's meeting slots.
+  void simulate(Meetings& comm, std::size_t slot, std::size_t runner);
+  // Matches the members' recorded op lists into `plan`'s program.
+  void compile(Meetings& comm, Plan& plan, std::size_t slot);
   void run_compiled(Meetings& comm, const Plan& plan, std::size_t slot);
   void release(Meetings& comm, std::size_t slot, std::uint64_t next_call);
   void wake(int world_rank);
@@ -281,7 +281,6 @@ class Rendezvous {
   bool segment_ok_ = false;  // the runner's verdict, read after the wake
   std::mutex mu_;  // guards comms_ and each Meetings' plan table
   std::vector<std::unique_ptr<Meetings>> comms_;
-  std::atomic<std::uint64_t> replays_{0};
   std::atomic<std::uint64_t> compiles_{0};
   std::atomic<std::uint64_t> compiled_runs_{0};
   std::atomic<std::uint64_t> segment_runs_{0};

@@ -2,11 +2,13 @@
 //
 // Two performance planes exist in this repository: the phantom replay
 // (perf/cost_model.hpp) executes the exact message schedule on the virtual
-// cluster — slow-ish but exact; this analytic model evaluates alpha-beta
-// expressions in closed form — instant, so sweeps over thousands of
-// [q, q, d] candidates (auto-tuning, as in example_grid_explorer) are free.
-// bench_model_validation reports the analytic-vs-replay error across the
-// Table 1 configurations; tests pin it within a tolerance band.
+// cluster; this analytic model evaluates alpha-beta expressions in closed
+// form. Every search (perf/autotune, example_grid_explorer) and every table
+// calls the replay (perf::evaluate). Only bench_model_validation, which
+// reports the analytic-vs-replay error across the Table 1 configurations,
+// bench_scaling_projection, which prints it beside the replay and alone at
+// 1024 ranks, and test_perf, which pins that error within a tolerance band,
+// call this model.
 //
 // The breakdown separates the terms the paper's Section 3.1 discussion
 // reasons about: weight-panel communication (the h^2/q terms), activation

@@ -519,6 +519,28 @@ TEST(FaultTimeout, ReinstallResetsMailboxRecvTimeouts) {
   }
 }
 
+// Regression: a non-empty plan replaces the previous plan's stragglers, not
+// only the slowdowns of the ranks it lists. An empty plan leaves them.
+TEST(FaultSlowdown, ReinstallResetsEarlierSlowdowns) {
+  comm::World world(3);
+
+  FaultPlan first;
+  first.slow_ranks.push_back({/*rank=*/1, /*scale=*/2.0});
+  world.install_fault_plan(first);
+  EXPECT_DOUBLE_EQ(world.clock(1).slowdown(), 2.0);
+
+  FaultPlan second;
+  second.slow_ranks.push_back({/*rank=*/0, /*scale=*/3.0});
+  world.install_fault_plan(second);
+  EXPECT_DOUBLE_EQ(world.clock(0).slowdown(), 3.0);
+  EXPECT_DOUBLE_EQ(world.clock(1).slowdown(), 1.0);
+  EXPECT_DOUBLE_EQ(world.clock(2).slowdown(), 1.0);
+
+  world.install_fault_plan(FaultPlan{});
+  EXPECT_DOUBLE_EQ(world.clock(0).slowdown(), 3.0);
+  EXPECT_DOUBLE_EQ(world.clock(1).slowdown(), 1.0);
+}
+
 // Config-driven install: a World constructed while RunConfig::fault holds a
 // plan (a bench main that read TESSERACT_FAULT_*) picks it up with no code
 // change.

@@ -1,8 +1,8 @@
 // Collective-granularity phantom collectives against their message-level
 // oracle. A plain World simulates each phantom collective at a rendezvous:
-// the first two calls of a (communicator, kind, root, bytes) key replay the
-// members' recorded schedules, the second also compiles them, and every
-// later call runs the compiled program. The same program on a World with
+// the first call of a (communicator, kind, root, bytes) key compiles the
+// members' recorded schedules into a program, and that call and every later
+// one run the compiled program. The same program on a World with
 // metrics enabled sends every empty message through the mailboxes. Every
 // member's clock after every call must match bit for bit, and its CommStats
 // exactly, on every scheduler backend: group sizes 2..64, both sides of the
@@ -61,8 +61,7 @@ using Program = std::function<void(Communicator&, std::vector<Snapshot>&)>;
 struct Outcome {
   std::vector<std::vector<Snapshot>> snaps;  // per world rank
   std::vector<CommStats> stats;
-  std::uint64_t replays = 0;
-  std::uint64_t compiled_runs = 0;
+  PhantomCounts counts;
 };
 
 void snap(Communicator& c, std::vector<Snapshot>& out) {
@@ -91,8 +90,7 @@ Outcome run(int n, const topo::MachineSpec& spec, bool oracle,
     program(c, out.snaps[static_cast<std::size_t>(c.rank())]);
   });
   for (int r = 0; r < n; ++r) out.stats.push_back(world.stats(r));
-  out.replays = world.rendezvous().counts().replays;
-  out.compiled_runs = world.rendezvous().counts().compiled_runs;
+  out.counts = world.rendezvous().counts();
   return out;
 }
 
@@ -127,22 +125,34 @@ void expect_same(const Outcome& fast, const Outcome& oracle,
       EXPECT_EQ(it->second.bytes, op.bytes) << label << " " << name;
     }
   }
-  EXPECT_GT(fast.replays, 0u) << label << ": fast path never engaged";
-  EXPECT_GT(fast.compiled_runs, 0u) << label << ": no compiled program ran";
-  EXPECT_EQ(oracle.replays, 0u) << label << ": oracle left the message path";
-  EXPECT_EQ(oracle.compiled_runs, 0u)
+  EXPECT_GT(fast.counts.compiles, 0u) << label << ": fast path never engaged";
+  EXPECT_EQ(oracle.counts.compiles, 0u)
+      << label << ": oracle left the message path";
+  EXPECT_EQ(oracle.counts.compiled_runs, 0u)
       << label << ": oracle left the message path";
 }
 
+// Checks the fast run's PhantomCounts; `label` names the case.
+using CountsCheck =
+    std::function<void(const PhantomCounts&, const std::string& label)>;
+
+void expect_compiled_runs(const PhantomCounts& counts,
+                          const std::string& label) {
+  EXPECT_GT(counts.compiled_runs, 0u) << label << ": no compiled program ran";
+}
+
 void check_on_every_backend(int n, const topo::MachineSpec& spec,
-                            const Program& program, const std::string& label) {
+                            const Program& program, const std::string& label,
+                            const CountsCheck& check_counts =
+                                expect_compiled_runs) {
   ScopedRunConfig cfg;
   for (const Backend& b : kBackends) {
     cfg->spmd_threads = b.threads;
     cfg->workers = b.workers;
-    expect_same(run(n, spec, /*oracle=*/false, program),
-                run(n, spec, /*oracle=*/true, program),
-                label + " [" + b.name + "]");
+    const std::string where = label + " [" + b.name + "]";
+    const Outcome fast = run(n, spec, /*oracle=*/false, program);
+    expect_same(fast, run(n, spec, /*oracle=*/true, program), where);
+    check_counts(fast.counts, where);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -154,8 +164,8 @@ std::vector<std::int64_t> byte_counts(int g) {
           3 * 65536 + 5};
 }
 
-// Each key is issued this many times, so the third call onwards runs the
-// program the second compiled.
+// Each key is issued this many times: the first call compiles its program,
+// and every call runs it.
 constexpr int kRepeats = 3;
 
 // Every collective at every byte count; broadcast and reduce from roots in
@@ -307,6 +317,107 @@ TEST(PhantomOracle64, DetachedMembersRunAheadOfTheirGroup) {
   check_on_every_backend(8, spec_with_nodes_of(4), ahead, "run-ahead");
 }
 
+// ---- The first meeting compiles ---------------------------------------------
+
+// Every key called once: each first meeting compiles its plan and runs it,
+// so nothing is left for a later call to run.
+TEST(FirstMeeting, KeyCalledOnceCompilesAndRunsIt) {
+  constexpr int g = 5;  // nodes of 4: intra- and inter-node links
+  const std::vector<std::int64_t> sizes = byte_counts(g);
+  const Program once = [&sizes](Communicator& c, std::vector<Snapshot>& out) {
+    int step = 0;
+    for (const std::int64_t bytes : sizes) {
+      stagger(c, step++);
+      c.phantom_broadcast(1, bytes);
+      snap(c, out);
+      c.phantom_reduce(3, bytes);
+      snap(c, out);
+      c.phantom_all_reduce(bytes);
+      snap(c, out);
+      stagger(c, step++);
+      c.phantom_all_gather(bytes);
+      snap(c, out);
+      c.phantom_reduce_scatter(bytes);
+      snap(c, out);
+    }
+  };
+  const std::uint64_t keys = 5 * sizes.size();
+  check_on_every_backend(
+      g, spec_with_nodes_of(4), once, "once",
+      [keys](const PhantomCounts& counts, const std::string& label) {
+        EXPECT_EQ(counts.compiles, keys) << label;
+        EXPECT_EQ(counts.compiled_runs, 0u) << label;
+      });
+}
+
+// One key called kCalls times: one compile, and kCalls - 1 compiled runs.
+TEST(FirstMeeting, KeyCalledNTimesCompilesOnce) {
+  constexpr int g = 5;
+  constexpr int kCalls = 7;
+  const std::function<void(Communicator&)> calls[] = {
+      [](Communicator& c) { c.phantom_broadcast(2, 65536 + 6); },
+      [](Communicator& c) { c.phantom_reduce(0, 4096); },
+      [](Communicator& c) { c.phantom_all_reduce(3 * 65536 + 5); },
+      [](Communicator& c) { c.phantom_all_gather(4 * g * 3 + 1); },
+      [](Communicator& c) { c.phantom_reduce_scatter(7); },
+  };
+  for (std::size_t k = 0; k < std::size(calls); ++k) {
+    const Program program = [&call = calls[k]](Communicator& c,
+                                               std::vector<Snapshot>& out) {
+      for (int i = 0; i < kCalls; ++i) {
+        stagger(c, i);
+        call(c);
+        snap(c, out);
+      }
+    };
+    check_on_every_backend(
+        g, spec_with_nodes_of(4), program, "call " + std::to_string(k),
+        [](const PhantomCounts& counts, const std::string& label) {
+          EXPECT_EQ(counts.compiles, 1u) << label;
+          EXPECT_EQ(counts.compiled_runs, kCalls - 1u) << label;
+        });
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// A tree broadcast's root receives nothing, so it does not wait for its
+// first meeting. Here it makes every call of its key before any other
+// member makes the first: the others first wait for a message the root
+// sends after its last call. So the root records its later calls too, some
+// of them into late seats, before the first meeting compiles the plan, and
+// those meetings run the compiled plan on the clocks the root charged
+// itself.
+TEST(FirstMeeting, RootRunsAheadOfTheCompilingMeeting) {
+  constexpr int g = 6;
+  constexpr int kCalls = 6;  // more than a communicator has meeting slots
+  const Program ahead = [](Communicator& c, std::vector<Snapshot>& out) {
+    const float token[1] = {1.0f};
+    if (c.rank() == 0) {
+      for (int i = 0; i < kCalls; ++i) {
+        stagger(c, i);
+        c.phantom_broadcast(0, 4096);
+        snap(c, out);
+      }
+      for (int dst = 1; dst < c.size(); ++dst) c.send(dst, 1, token);
+    } else {
+      (void)c.recv(0, 1);
+      for (int i = 0; i < kCalls; ++i) {
+        stagger(c, i);
+        c.phantom_broadcast(0, 4096);
+        snap(c, out);
+      }
+    }
+    c.phantom_all_reduce(4096);  // the root waits for the others here
+    snap(c, out);
+  };
+  check_on_every_backend(
+      g, spec_with_nodes_of(4), ahead, "root ahead",
+      [](const PhantomCounts& counts, const std::string& label) {
+        EXPECT_EQ(counts.compiles, 2u) << label;
+        EXPECT_EQ(counts.compiled_runs, kCalls - 1u) << label;
+      });
+}
+
 // A single-member group has nothing to simulate: no meeting, no messages.
 TEST(PhantomOracle64, SingleMemberGroupsSkipTheRendezvous) {
   World world(2, topo::MachineSpec::meluxina());
@@ -316,7 +427,7 @@ TEST(PhantomOracle64, SingleMemberGroupsSkipTheRendezvous) {
     self.phantom_broadcast(0, 1 << 20);
     EXPECT_EQ(c.clock().now(), 0.0);
   });
-  EXPECT_EQ(world.rendezvous().counts().replays, 0u);
+  EXPECT_EQ(world.rendezvous().counts().compiles, 0u);
   EXPECT_EQ(world.total_stats().msgs_sent, 0);
   EXPECT_EQ(world.total_stats().collective_calls(), 4);
 }
@@ -449,7 +560,7 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
       const ReplayOutcome oracle = replay_layers(cfg, true, true, slow);
       expect_same_replay(fast, oracle, label + " repeat vs messages");
       expect_same_replay(loop, oracle, label + " loop vs messages");
-      EXPECT_EQ(fast.counts.replays, loop.counts.replays) << label;
+      EXPECT_GT(fast.counts.compiles, 0u) << label;
       EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << label;
       EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << label;
       // Forward and backward each skip layers - 2 iterations.
@@ -465,7 +576,7 @@ TEST_P(RepeatOracle, LayerLoopsMatchTheMessagePath) {
       }
       EXPECT_EQ(loop.counts.segment_runs, 0u) << label;
       EXPECT_EQ(loop.counts.lane_fires, 0u) << label;
-      EXPECT_EQ(oracle.counts.replays + oracle.counts.compiled_runs +
+      EXPECT_EQ(oracle.counts.compiles + oracle.counts.compiled_runs +
                     oracle.counts.segment_runs + oracle.counts.lane_fires,
                 0u)
           << label << ": oracle left the message path";
@@ -548,7 +659,7 @@ TEST(LaneBatches, RowsAndColumnsRunAsLanes) {
     EXPECT_EQ(fast.counts.segment_runs, static_cast<std::uint64_t>(times - 2))
         << where;
     EXPECT_EQ(fast.counts.lane_fires, 12u * (times - 1)) << where;
-    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << where;
+    EXPECT_GT(fast.counts.compiles, 0u) << where;
     EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << where;
     EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << where;
     EXPECT_EQ(loop.counts.lane_fires, 0u) << where;
@@ -683,7 +794,7 @@ TEST(RepeatThenSplit, MatchesThePlainLoop) {
     EXPECT_EQ(fast.counts.segment_runs, static_cast<std::uint64_t>(times - 2))
         << where;
     EXPECT_EQ(loop.counts.segment_runs, 0u) << where;
-    EXPECT_EQ(fast.counts.replays, loop.counts.replays) << where;
+    EXPECT_GT(fast.counts.compiles, 0u) << where;
     EXPECT_EQ(fast.counts.compiles, loop.counts.compiles) << where;
     EXPECT_EQ(fast.counts.compiled_runs, loop.counts.compiled_runs) << where;
     if (::testing::Test::HasFailure()) return;

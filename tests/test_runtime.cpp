@@ -407,7 +407,7 @@ TEST(Scheduler, NestedWorldInsideFiber) {
 
 // ---- phantom rendezvous failure paths ----------------------------------------
 // Members of a per-collective phantom call park on their own mailbox until
-// the last member replays it, so the mailbox's failure handling must reach
+// the last member simulates it, so the mailbox's failure handling must reach
 // them there exactly as it reaches a blocked receive.
 
 struct BackendCase {
@@ -444,7 +444,7 @@ TEST(PhantomRendezvous, ThrowingRankUnwindsParkedPeers) {
     });
     EXPECT_NE(err.find("rank 4 boom"), std::string::npos)
         << "workers=" << b.workers << ": " << err;
-    EXPECT_EQ(world.rendezvous().counts().replays, 1u);
+    EXPECT_EQ(world.rendezvous().counts().compiles, 1u);
   }
 }
 
